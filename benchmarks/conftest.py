@@ -24,6 +24,7 @@ from repro.harness import (
     partition_spec,
     simulate_spec,
 )
+from repro.scenarios.replay_attack import replay_stream
 from repro.sim.engine import ForkSimConfig
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -69,10 +70,16 @@ def daily_tx_totals(fork_result):
 
 
 @pytest.fixture(scope="session")
-def echo_data(result_cache, sim_config):
-    """Replay workload + a detector that has consumed it (cached)."""
+def echo_data(result_cache, sim_config, fork_result):
+    """Replay workload + a detector that has consumed it.
+
+    The detector and ground truth come from the cache; the sighting
+    stream is regenerated from the simulation, since the cached value
+    does not keep it.
+    """
     bundle = execute_job(echoes_spec(sim_config), result_cache).value
-    return bundle.detector, bundle.truth, bundle.records
+    records, _ = replay_stream(fork_result)
+    return bundle.detector, bundle.truth, records
 
 
 @pytest.fixture(scope="session")

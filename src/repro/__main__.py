@@ -343,13 +343,9 @@ def _run_simulation(days: int, seed: int):
 
 def _echo_detector(result):
     from .core import EchoDetector
-    from .core.metrics import trace_transactions_per_day
-    from .scenarios.replay_attack import ReplayWorkload, ReplayWorkloadConfig
+    from .scenarios.replay_attack import replay_stream
 
-    eth = trace_transactions_per_day(result.eth_trace, result.fork_timestamp)
-    etc = trace_transactions_per_day(result.etc_trace, result.fork_timestamp)
-    workload = ReplayWorkload(ReplayWorkloadConfig(days=result.config.days))
-    records, _ = workload.generate(eth.values, etc.values)
+    records, _ = replay_stream(result)
     detector = EchoDetector()
     detector.observe_records(records)
     return detector
@@ -798,8 +794,14 @@ def cmd_fork_lengths(_args) -> int:
     return 0
 
 
+#: Built once, at import.  Setting up every subcommand's options takes
+#: argparse several milliseconds, a noticeable share of a warm
+#: ``run-all``; building it here books that cost with the imports.
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "observations": cmd_observations,
         "figure": cmd_figure,

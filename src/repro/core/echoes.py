@@ -18,8 +18,12 @@ to be materialized twice — unlike the naive two-pass hash join kept in
 
 from __future__ import annotations
 
+import operator
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import accumulate, compress
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..data.records import TxRecord
 from ..data.windows import DAY
@@ -55,18 +59,78 @@ class Echo:
 
 
 class EchoDetector:
-    """Streaming cross-chain duplicate-transaction detector."""
+    """Streaming cross-chain duplicate-transaction detector.
+
+    Detected echoes are kept as packed columns, one row per echo in
+    detection order: the tx hashes as one blob with end offsets, origin
+    and destination chain codes (a code is the chain's index in
+    first-sighting order), origin and echo timestamps as ``array('q')``,
+    and the same-time flag.  The Figure 4 aggregates are kernels over
+    those columns; :attr:`echoes` builds :class:`Echo` objects only when
+    asked.
+
+    Pickling keeps the columns plus the first-seen index, packed the
+    same way.  The lookup dict and the reported set are rebuilt only if
+    :meth:`observe` runs again after unpickling, so a loaded detector
+    answers the aggregates without ever materializing them.
+    """
 
     def __init__(self, same_time_window: int = SAME_TIME_WINDOW) -> None:
         if same_time_window < 0:
             raise ValueError("window must be non-negative")
         self.same_time_window = same_time_window
-        #: tx hash -> (first chain, first timestamp)
-        self._first_seen: Dict[bytes, Tuple[str, int]] = {}
-        #: (hash, chain) pairs already reported, to dedup repeat sightings.
-        self._reported: set = set()
-        self.echoes: List[Echo] = []
         self.sightings = 0
+        self._chains: List[str] = []
+        self._codes: Dict[str, int] = {}
+        # -- echo columns --
+        self._hashes = bytearray()
+        self._hash_ends = array("I")
+        self._origin = bytearray()
+        self._dest = bytearray()
+        self._origin_ts = array("q")
+        self._echo_ts = array("q")
+        self._same_time = bytearray()
+        # -- streaming index --
+        #: tx hash -> (first chain code, first timestamp)
+        self._first_seen: Optional[Dict[bytes, Tuple[int, int]]] = {}
+        #: (hash, chain code) pairs already reported (dedups repeats).
+        self._reported: Optional[set] = set()
+        #: The packed first-seen index while the dict is not rebuilt.
+        self._seen: Optional[tuple] = None
+
+    # -- pickling ----------------------------------------------------------
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = {name: getattr(self, name) for name in _PICKLED}
+        rebuilt = self._first_seen is not None
+        state["_seen"] = self._pack_index() if rebuilt else self._seen
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        vars(self).update(state)
+        self._codes = {name: code for code, name in enumerate(self._chains)}
+        self._first_seen = None
+        self._reported = None
+
+    def _pack_index(self) -> tuple:
+        hashes = list(self._first_seen)
+        firsts = self._first_seen.values()
+        return (
+            b"".join(hashes),
+            array("I", accumulate(map(len, hashes))),
+            bytes(code for code, _ in firsts),
+            array("q", [timestamp for _, timestamp in firsts]),
+        )
+
+    def _rebuild_index(self) -> None:
+        blob, ends, codes, stamps = self._seen
+        self._first_seen = dict(zip(_split(blob, ends), zip(codes, stamps)))
+        self._reported = set(
+            zip(_split(bytes(self._hashes), self._hash_ends), self._dest)
+        )
+        self._seen = None
+
+    # -- streaming ---------------------------------------------------------
 
     def observe(self, chain: str, tx_hash: bytes, timestamp: int) -> Optional[Echo]:
         """Feed one sighting; returns an :class:`Echo` if one was detected.
@@ -76,47 +140,107 @@ class EchoDetector:
         detector itself tolerates disorder (attribution then follows feed
         order, as it would for a live observer).
         """
-        self.sightings += 1
         key = bytes(tx_hash)
-        first = self._first_seen.get(key)
+        first = self._feed(chain, key, timestamp)
         if first is None:
-            self._first_seen[key] = (chain, timestamp)
             return None
-        first_chain, first_ts = first
-        if first_chain == chain:
-            return None  # same-chain duplicate (reorg resurrection); not an echo
-        report_key = (key, chain)
-        if report_key in self._reported:
-            return None
-        self._reported.add(report_key)
-        echo = Echo(
+        origin, origin_ts = first
+        return Echo(
             tx_hash=key,
-            origin_chain=first_chain,
+            origin_chain=self._chains[origin],
             echo_chain=chain,
-            origin_timestamp=first_ts,
+            origin_timestamp=origin_ts,
             echo_timestamp=timestamp,
-            same_time=abs(timestamp - first_ts) <= self.same_time_window,
+            same_time=bool(self._same_time[-1]),
         )
-        self.echoes.append(echo)
-        return echo
 
     def observe_records(self, records: Iterable[TxRecord]) -> int:
         """Feed a time-ordered record stream; returns echoes found."""
+        feed = self._feed
         found = 0
         for record in records:
-            if self.observe(record.chain, record.tx_hash, record.timestamp) is not None:
+            key = bytes(record.tx_hash)
+            if feed(record.chain, key, record.timestamp) is not None:
                 found += 1
         return found
+
+    def _feed(
+        self, chain: str, key: bytes, timestamp: int
+    ) -> Optional[Tuple[int, int]]:
+        """Record one sighting; returns its first sighting's (code,
+        timestamp) when this one is a new echo, else None."""
+        self.sightings += 1
+        if self._first_seen is None:
+            self._rebuild_index()
+        code = self._codes.get(chain)
+        if code is None:
+            code = self._codes[chain] = len(self._chains)
+            self._chains.append(chain)
+        first = self._first_seen.get(key)
+        if first is None:
+            self._first_seen[key] = (code, timestamp)
+            return None
+        origin, origin_ts = first
+        if origin == code:
+            return None  # same-chain duplicate (reorg resurrection); not an echo
+        report_key = (key, code)
+        if report_key in self._reported:
+            return None
+        self._reported.add(report_key)
+        self._hashes += key
+        self._hash_ends.append(len(self._hashes))
+        self._origin.append(origin)
+        self._dest.append(code)
+        self._origin_ts.append(origin_ts)
+        self._echo_ts.append(timestamp)
+        self._same_time.append(
+            abs(timestamp - origin_ts) <= self.same_time_window
+        )
+        return first
+
+    # -- echo rows -----------------------------------------------------------
+
+    @property
+    def echoes(self) -> List[Echo]:
+        """Every detected echo in detection order, built on each access."""
+        return self._build(range(len(self._echo_ts)))
+
+    def _build(self, rows: Iterable[int]) -> List[Echo]:
+        blob, ends, names = bytes(self._hashes), self._hash_ends, self._chains
+        return [
+            Echo(
+                tx_hash=blob[ends[row - 1] if row else 0 : ends[row]],
+                origin_chain=names[self._origin[row]],
+                echo_chain=names[self._dest[row]],
+                origin_timestamp=self._origin_ts[row],
+                echo_timestamp=self._echo_ts[row],
+                same_time=bool(self._same_time[row]),
+            )
+            for row in rows
+        ]
+
+    def _mask(self, chain: Optional[str], same_time: Optional[bool]):
+        """Row selector for a destination / same-time filter, or None
+        when neither filter is set."""
+        masks = []
+        if chain is not None:
+            code = self._codes.get(chain, -1)  # -1: unseen chain, no rows
+            masks.append(map(code.__eq__, self._dest))
+        if same_time is not None:
+            flags = self._same_time
+            masks.append(flags if same_time else map(operator.not_, flags))
+        if not masks:
+            return None
+        return masks[0] if len(masks) == 1 else map(operator.and_, *masks)
 
     # -- aggregation (the Figure 4 panels) ---------------------------------
 
     def echoes_into(self, chain: str, include_same_time: bool = True) -> List[Echo]:
-        return [
-            echo
-            for echo in self.echoes
-            if echo.echo_chain == chain
-            and (include_same_time or not echo.same_time)
-        ]
+        rows = compress(
+            range(len(self._echo_ts)),
+            self._mask(chain, None if include_same_time else False),
+        )
+        return self._build(rows)
 
     def daily_counts(self, chain: Optional[str] = None, same_time: Optional[bool] = None) -> TimeSeries:
         """Echoes per day (Figure 4, bottom).
@@ -124,14 +248,11 @@ class EchoDetector:
         ``chain`` filters by destination; ``same_time`` selects only the
         ambiguous (True) or attributed (False) class.
         """
-        counts: Dict[int, int] = {}
-        for echo in self.echoes:
-            if chain is not None and echo.echo_chain != chain:
-                continue
-            if same_time is not None and echo.same_time != same_time:
-                continue
-            index = echo.echo_timestamp // DAY
-            counts[index] = counts.get(index, 0) + 1
+        stamps: Iterable[int] = self._echo_ts
+        mask = self._mask(chain, same_time)
+        if mask is not None:
+            stamps = compress(stamps, mask)
+        counts = Counter(stamp // DAY for stamp in stamps)
         label = chain or "all"
         return TimeSeries.from_window_dict(
             {k: float(v) for k, v in counts.items()},
@@ -140,17 +261,39 @@ class EchoDetector:
         )
 
     def direction_totals(self) -> Dict[Tuple[str, str], int]:
-        """(origin, destination) -> echo count.
+        """(origin, destination) -> echo count, in first-detection order.
 
         The paper's finding: "Most of the rebroadcasts were originally
         broadcast in ETH and then rebroadcast into ETC" — i.e. the
         ("ETH", "ETC") entry dominates.
         """
-        totals: Dict[Tuple[str, str], int] = {}
-        for echo in self.echoes:
-            key = (echo.origin_chain, echo.echo_chain)
-            totals[key] = totals.get(key, 0) + 1
-        return totals
+        names = self._chains
+        pairs = Counter(zip(self._origin, self._dest))
+        return {
+            (names[origin], names[dest]): count
+            for (origin, dest), count in pairs.items()
+        }
+
+
+#: The attributes :class:`EchoDetector` pickles, in a fixed order (the
+#: serve layer digests the pickle bytes).
+_PICKLED = (
+    "same_time_window",
+    "sightings",
+    "_chains",
+    "_hashes",
+    "_hash_ends",
+    "_origin",
+    "_dest",
+    "_origin_ts",
+    "_echo_ts",
+    "_same_time",
+)
+
+
+def _split(blob: bytes, ends: array) -> List[bytes]:
+    """Cut a packed hash blob back into its hashes."""
+    return [blob[start:end] for start, end in zip([0, *ends], ends)]
 
 
 @dataclass

@@ -20,11 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.echoes import EchoDetector
-from ..core.metrics import trace_transactions_per_day
 from ..core.observations import Observation, evaluate_all
 from ..core.report import FigureData, figure_1, figure_2, figure_3, figure_4, figure_5
 from ..obs import MetricsRegistry, Observability
@@ -41,11 +40,7 @@ from ..scenarios.topology_inference import (
     TopologyInferenceResult,
     TopologyInferenceScenario,
 )
-from ..scenarios.replay_attack import (
-    GroundTruth,
-    ReplayWorkload,
-    ReplayWorkloadConfig,
-)
+from ..scenarios.replay_attack import GroundTruth, replay_stream
 from ..sim.checkpoint import ForkSimCheckpoint
 from ..sim.engine import (
     ForkSimConfig,
@@ -81,7 +76,9 @@ __all__ = [
 #: Bumping this invalidates every cached result (schema change, runner
 #: semantics change).  It is hashed into every cache key.
 #: v2: PartitionResult grew a ``robustness`` field (repro.faults).
-CACHE_SCHEMA_VERSION = 2
+#: v3: the ``echoes`` value dropped its replay records; its detector
+#: pickles packed columns instead of Echo objects.
+CACHE_SCHEMA_VERSION = 3
 
 
 def canonical_json(params: Dict[str, Any]) -> str:
@@ -316,11 +313,11 @@ def perf_probe_spec(config: ForkSimConfig) -> JobSpec:
 
     The probe runs the same fork sim twice in one worker — once on the
     batched kernels, once on the seed-state implementations from
-    :mod:`repro.perf.reference` — and returns digests plus wall times.
-    It is the pool-facing face of the benchmark gate: spawn workers must
-    agree with in-process runs, and the two arms must agree with each
-    other.  (Cached hits replay the digests; the timings are only
-    meaningful on a fresh run.)
+    :mod:`repro.perf.reference` — and returns their digests.  It is the
+    pool-facing face of the benchmark gate: spawn workers must agree
+    with in-process runs, and the two arms must agree with each other.
+    The value holds no wall-clock time, so it digests the same on every
+    run.
     """
     return JobSpec.make(
         "perf-probe",
@@ -379,11 +376,15 @@ def fork_lengths_spec() -> JobSpec:
 
 @dataclass
 class EchoBundle:
-    """The replay workload's outputs, bundled for caching."""
+    """The replay workload's outputs, bundled for caching.
+
+    Only what the figures read: the detector (packed echo columns) and
+    the generator's ground truth.  The sighting stream is not cached;
+    :func:`~repro.scenarios.replay_attack.replay_stream` regenerates it.
+    """
 
     detector: EchoDetector
     truth: GroundTruth
-    records: list = field(default_factory=list)
 
 
 def _registry_obs(registry) -> Optional[Observability]:
@@ -480,15 +481,10 @@ def _run_topology_infer(
 def _run_echoes(params: Dict[str, Any], cache) -> EchoBundle:
     sim_config = ForkSimConfig.from_dict(params["sim"])
     result = run_cached(simulate_spec(sim_config), cache)
-    eth = trace_transactions_per_day(result.eth_trace, result.fork_timestamp)
-    etc = trace_transactions_per_day(result.etc_trace, result.fork_timestamp)
-    workload = ReplayWorkload(
-        ReplayWorkloadConfig(days=sim_config.days, seed=params["replay_seed"])
-    )
-    records, truth = workload.generate(eth.values, etc.values)
+    records, truth = replay_stream(result, params["replay_seed"])
     detector = EchoDetector()
     detector.observe_records(records)
-    return EchoBundle(detector=detector, truth=truth, records=records)
+    return EchoBundle(detector=detector, truth=truth)
 
 
 @register_runner("figure")
@@ -540,13 +536,9 @@ def _run_perf_probe(params: Dict[str, Any], cache) -> Dict[str, Any]:
     from ..perf.reference import reference_block_loop
 
     config = ForkSimConfig.from_dict(params["config"])
-    start = time.perf_counter()
     fast = run_fork_sim(config)
-    fast_seconds = time.perf_counter() - start
-    start = time.perf_counter()
     with reference_block_loop():
         reference = run_fork_sim(config)
-    reference_seconds = time.perf_counter() - start
     fast_digest = fast.digest()
     reference_digest = reference.digest()
     return {
@@ -554,8 +546,6 @@ def _run_perf_probe(params: Dict[str, Any], cache) -> Dict[str, Any]:
         "reference_digest": reference_digest,
         "digests_match": fast_digest == reference_digest,
         "blocks": len(fast.eth_trace.numbers) + len(fast.etc_trace.numbers),
-        "fast_seconds": fast_seconds,
-        "reference_seconds": reference_seconds,
     }
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..chain.types import Hash32
@@ -227,27 +226,6 @@ class Network:
         for other in self.nodes.values():
             other.peers.discard(name)
             other.routing.remove(name)
-
-    @property
-    def messages_dropped(self) -> int:
-        """Deprecated aggregate of every drop class.
-
-        Kept for callers that predate the split into
-        :attr:`messages_lost` / :attr:`messages_undeliverable` /
-        :attr:`messages_blocked`; new code (the fault-sweep metrics in
-        particular) should read the specific counters.
-        """
-        warnings.warn(
-            "Network.messages_dropped is deprecated; read messages_lost, "
-            "messages_undeliverable, and messages_blocked instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return (
-            self.messages_lost
-            + self.messages_undeliverable
-            + self.messages_blocked
-        )
 
     def note_upgrade(self, node_name: str) -> None:
         self._upgrade_log.append((self.sim.now, node_name))

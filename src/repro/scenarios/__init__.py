@@ -36,6 +36,7 @@ from .replay_attack import (
     ReplayModel,
     ReplayWorkload,
     ReplayWorkloadConfig,
+    replay_stream,
 )
 from .transient_forks import (
     TransientForkConfig,
@@ -64,6 +65,7 @@ __all__ = [
     "ReplayWorkloadConfig",
     "ReplayModel",
     "GroundTruth",
+    "replay_stream",
     "UpgradeForkModel",
     "UpgradeForkConfig",
     "UpgradeForkOutcome",

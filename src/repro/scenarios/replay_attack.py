@@ -36,11 +36,18 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.metrics import trace_transactions_per_day
 from ..data.records import TxRecord
 from ..data.windows import DAY
 from ..sim.clock import FORK_TIMESTAMP
 
-__all__ = ["ReplayModel", "ReplayWorkloadConfig", "ReplayWorkload", "GroundTruth"]
+__all__ = [
+    "ReplayModel",
+    "ReplayWorkloadConfig",
+    "ReplayWorkload",
+    "GroundTruth",
+    "replay_stream",
+]
 
 
 @dataclass(frozen=True)
@@ -235,3 +242,20 @@ class ReplayWorkload:
             count += 1
             product *= self.rng.random()
         return count
+
+
+def replay_stream(
+    result, seed: int = ReplayWorkloadConfig.seed
+) -> Tuple[List[TxRecord], GroundTruth]:
+    """The replay workload over one fork-sim result's horizon.
+
+    Echo volumes scale with each chain's post-fork daily transaction
+    totals from ``result`` (a :class:`~repro.sim.engine.ForkSimResult`).
+    Returns the time-ordered sightings and the generator's ground truth.
+    """
+    eth = trace_transactions_per_day(result.eth_trace, result.fork_timestamp)
+    etc = trace_transactions_per_day(result.etc_trace, result.fork_timestamp)
+    workload = ReplayWorkload(
+        ReplayWorkloadConfig(days=result.config.days, seed=seed)
+    )
+    return workload.generate(eth.values, etc.values)

@@ -119,7 +119,7 @@ def summarize(kind: str, value: Any) -> Dict[str, Any]:
     elif isinstance(value, EchoBundle):
         summary = {
             "type": "EchoBundle",
-            "records": len(value.records),
+            "records": value.detector.sightings,
             "pickle_sha256": _pickle_digest(value),
         }
     else:

@@ -1,6 +1,8 @@
 """Echo (rebroadcast) detection — Figure 4's machinery."""
 
+import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,14 @@ from repro.core.echoes import EchoDetector, EchoReport
 from repro.core.timeseries import TimeSeries
 from repro.data.records import TxRecord
 from repro.data.windows import DAY
+from repro.scenarios.replay_attack import ReplayWorkload, ReplayWorkloadConfig
+
+#: Every (destination, same-time) filter the daily-count kernel takes.
+FILTERS = [
+    (chain, same_time)
+    for chain in (None, "ETH", "ETC")
+    for same_time in (None, True, False)
+]
 
 
 def sighting(chain, tx_hash, timestamp, **kwargs):
@@ -18,6 +28,55 @@ def sighting(chain, tx_hash, timestamp, **kwargs):
         chain=chain, tx_hash=tx_hash, block_number=0, timestamp=timestamp,
         sender=b"\x01" * 20, to=b"\x02" * 20, value=1,
         is_contract=False, replay_protected=False, **kwargs
+    )
+
+
+def kernel_view(detector):
+    """Daily counts per filter, direction totals and per-chain echo
+    lists, as the detector's column kernels compute them."""
+    return (
+        {
+            (chain, same_time): Counter(
+                {t // DAY: v
+                 for t, v in detector.daily_counts(chain, same_time)}
+            )
+            for chain, same_time in FILTERS
+        },
+        detector.direction_totals(),
+        [
+            sorted(
+                detector.echoes_into(chain, with_same_time),
+                key=lambda e: e.tx_hash,
+            )
+            for chain in ("ETH", "ETC")
+            for with_same_time in (True, False)
+        ],
+    )
+
+
+def oracle_view(echoes):
+    """:func:`kernel_view`, recomputed from a plain list of echoes."""
+    return (
+        {
+            (chain, same_time): Counter(
+                e.echo_timestamp // DAY
+                for e in echoes
+                if chain in (None, e.echo_chain)
+                and same_time in (None, e.same_time)
+            )
+            for chain, same_time in FILTERS
+        },
+        Counter((e.origin_chain, e.echo_chain) for e in echoes),
+        [
+            sorted(
+                (e for e in echoes
+                 if e.echo_chain == chain
+                 and (with_same_time or not e.same_time)),
+                key=lambda e: e.tx_hash,
+            )
+            for chain in ("ETH", "ETC")
+            for with_same_time in (True, False)
+        ],
     )
 
 
@@ -84,6 +143,18 @@ class TestDetector:
         totals = detector.direction_totals()
         assert totals[("ETH", "ETC")] == 2
         assert totals[("ETC", "ETH")] == 1
+        # Keys iterate in first-detection order: not sorted by chain
+        # name (above), nor by chain code (ETH is seen first below).
+        assert list(totals) == [("ETH", "ETC"), ("ETC", "ETH")]
+        later = EchoDetector()
+        later.observe("ETH", b"x", 0)
+        later.observe("ETC", b"c", 0)
+        later.observe("ETH", b"c", 1)
+        later.observe("ETH", b"a", 2)
+        later.observe("ETC", b"a", 3)
+        assert list(later.direction_totals()) == [
+            ("ETC", "ETH"), ("ETH", "ETC"),
+        ]
 
     def test_observe_records_stream(self):
         detector = EchoDetector()
@@ -151,6 +222,8 @@ class TestAgainstNaiveBaseline:
         # naive join by minimum timestamp; on a time-sorted stream with
         # distinct timestamps they agree on the full echo set.
         assert set(streaming) == set(naive)
+        # The column kernels aggregate exactly what the join found.
+        assert kernel_view(detector) == oracle_view(naive_echo_join(records))
 
     def test_known_example_identical(self):
         records = [
@@ -170,3 +243,63 @@ class TestAgainstNaiveBaseline:
             sorted(naive, key=lambda e: e.tx_hash),
         ):
             assert mine == theirs
+
+
+class TestPickledDetector:
+    """A pickled detector resumes as if it had never stopped."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        workload = ReplayWorkload(ReplayWorkloadConfig(days=12, seed=7))
+        records, _ = workload.generate([4_000.0] * 12, [1_500.0] * 12)
+        return records
+
+    @staticmethod
+    def answers(detector):
+        return (
+            detector.echoes,
+            [
+                (series.timestamps, series.values, series.name)
+                for series in (
+                    detector.daily_counts(chain, same_time)
+                    for chain, same_time in FILTERS
+                )
+            ],
+            list(detector.direction_totals().items()),
+            detector.sightings,
+        )
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.37, 1.0])
+    def test_resume_after_unpickling_matches_uninterrupted(
+        self, records, fraction
+    ):
+        whole = EchoDetector()
+        whole.observe_records(records)
+
+        k = int(len(records) * fraction)
+        first = EchoDetector()
+        first.observe_records(records[:k])
+        resumed = pickle.loads(pickle.dumps(first))
+        resumed.observe_records(records[k:])
+
+        assert self.answers(resumed) == self.answers(whole)
+        assert pickle.dumps(resumed) == pickle.dumps(whole)
+
+    def test_loaded_detector_answers_and_repickles_identically(self, records):
+        detector = EchoDetector()
+        detector.observe_records(records)
+        blob = pickle.dumps(detector)
+        loaded = pickle.loads(blob)
+        assert self.answers(loaded) == self.answers(detector)
+        assert pickle.dumps(loaded) == blob
+
+    def test_hashes_of_any_length_survive(self):
+        hashes = [b"a", b"\x00" * 40, b"mid-size"]
+        detector = EchoDetector()
+        for tx_hash in hashes:
+            detector.observe("ETH", tx_hash, 10)
+            detector.observe("ETC", tx_hash, 20)
+        loaded = pickle.loads(pickle.dumps(detector))
+        assert loaded.observe("ETC", b"a", 30) is None  # already reported
+        assert [e.tx_hash for e in loaded.echoes] == hashes
+

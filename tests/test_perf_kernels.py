@@ -358,22 +358,20 @@ class TestPerfProbeJob:
 
 
 class TestBenchHarness:
-    def test_smoke_bench_writes_valid_reports(self, tmp_path):
-        from repro.perf.bench import run_bench, validate_report
-        import json
+    def test_smoke_bench_writes_valid_reports(self, forksim_bench_smoke):
+        """The report of the shared forksim bench smoke run (driven
+        through the CLI, see ``tests/conftest.py``)."""
+        from repro.perf.bench import validate_report
 
-        paths, all_match = run_bench(
-            smoke=True,
-            repeats=1,
-            only=["forksim"],
-            out_dir=str(tmp_path),
-            report_dir=str(tmp_path / "reports"),
-            echo=lambda line: None,
-        )
-        assert all_match is True
-        json_paths = [p for p in paths if p.suffix == ".json"]
-        assert len(json_paths) == 1
-        payload = json.loads(json_paths[0].read_text())
+        run = forksim_bench_smoke
+        # The CLI exits 0 exactly when run_bench reports all_match.
+        assert run.code == 0
+        json_lines = [
+            line for line in run.out.splitlines()
+            if line.startswith("wrote ") and line.endswith(".json")
+        ]
+        assert len(json_lines) == 1
+        payload = run.payload
         assert validate_report(payload) == []
         assert {row["case"] for row in payload["cases"]} == {
             "forksim_difficulty", "forksim_workload", "forksim_analysis",
@@ -390,7 +388,7 @@ class TestBenchHarness:
         ]
         assert analysis["memory_min_ratio"] > 1.0
         assert analysis["memory_ratio"] >= analysis["memory_min_ratio"]
-        assert (tmp_path / "reports" / "bench_forksim.txt").exists()
+        assert (run.out_dir / "reports" / "bench_forksim.txt").exists()
 
     def test_validate_report_flags_problems(self):
         from repro.perf.bench import validate_report

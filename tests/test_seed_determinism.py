@@ -13,11 +13,20 @@ import pickle
 
 import pytest
 
-from repro.harness import NullProgress, WorkerPool, simulate_spec
+from repro.harness import (
+    NullCache,
+    NullProgress,
+    WorkerPool,
+    echoes_spec,
+    execute_job,
+    perf_probe_spec,
+    simulate_spec,
+)
 from repro.scenarios.partition_event import (
     PartitionScenario,
     PartitionScenarioConfig,
 )
+from repro.serve.summary import summarize, summary_digest
 from repro.sim.engine import ForkSimConfig, ForkSimulation, run_fork_sim
 
 SMALL = ForkSimConfig(days=3, prefork_days=2)
@@ -87,3 +96,46 @@ class TestSubprocessDeterminism:
         local_digest = run_fork_sim(SMALL).digest()
         for result in results:
             assert result.value.digest() == local_digest
+
+
+#: Job kinds whose cached values hold nothing but deterministic data, so
+#: their serve summaries digest identically on every cold run.
+SUMMARY_SPECS = {
+    "perf-probe": perf_probe_spec(
+        ForkSimConfig(days=3, prefork_days=1, seed=11, with_transactions=False)
+    ),
+    "echoes": echoes_spec(SMALL),
+}
+
+
+def _cold_digest(spec):
+    return summary_digest(
+        summarize(spec.kind, execute_job(spec, NullCache()).value)
+    )
+
+
+class TestSummaryDigestDeterminism:
+    @pytest.mark.parametrize("kind", sorted(SUMMARY_SPECS))
+    def test_two_cold_runs_digest_identically(self, kind):
+        spec = SUMMARY_SPECS[kind]
+        assert _cold_digest(spec) == _cold_digest(spec)
+
+    @pytest.mark.parametrize("kind", sorted(SUMMARY_SPECS))
+    def test_spawned_worker_digest_matches_in_process(self, kind):
+        pool = WorkerPool(
+            workers=2,
+            cache_dir=None,
+            timeout=300.0,
+            retries=0,
+            progress=NullProgress(),
+            start_method="spawn",
+        )
+        if pool.workers == 1:
+            pytest.skip("multiprocessing unavailable on this host")
+        spec = SUMMARY_SPECS[kind]
+        results = pool.run([spec, spec])
+        assert all(r.record.status == "ok" for r in results)
+        local = _cold_digest(spec)
+        for result in results:
+            assert summary_digest(summarize(kind, result.value)) == local
+
