@@ -19,11 +19,9 @@ def test_attack_window(benchmark, fork_result, output_dir):
     etc_hashrate = daily_hashrate_series(fork_result.etc_trace, fork_ts)
 
     # Daily mean difficulty for ETC, aligned to days since fork.
-    from repro.core.metrics import trace_daily_mean_difficulty
+    from repro.core.report import figure_2
 
-    etc_difficulty = trace_daily_mean_difficulty(
-        fork_result.etc_trace, fork_ts
-    )
+    etc_difficulty = figure_2(fork_result).series["ETC difficulty"]
     days = min(len(etc_hashrate), len(etc_difficulty), FULL_DAYS)
     prices = [fork_result.rates.rate("ETC", day) for day in range(days)]
 

@@ -11,8 +11,8 @@ rewrite.
 Run: ``python examples/attack_economics.py``
 """
 
+from repro.core import figure_2
 from repro.core.flows import daily_hashrate_series
-from repro.core.metrics import trace_daily_mean_difficulty
 from repro.scenarios import assess_attack_window, vulnerability_window_days
 from repro.sim import ForkSimConfig, ForkSimulation
 
@@ -23,7 +23,7 @@ def main() -> None:
     fork_ts = result.fork_timestamp
 
     etc_hashrate = daily_hashrate_series(result.etc_trace, fork_ts)
-    etc_difficulty = trace_daily_mean_difficulty(result.etc_trace, fork_ts)
+    etc_difficulty = figure_2(result).series["ETC difficulty"]
     days = min(len(etc_hashrate), len(etc_difficulty), 90)
     prices = [result.rates.rate("ETC", day) for day in range(days)]
 

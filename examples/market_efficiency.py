@@ -11,8 +11,6 @@ Run: ``python examples/market_efficiency.py``
 """
 
 from repro.core import figure_3, market_efficiency_report
-from repro.core.metrics import trace_daily_mean_difficulty
-from repro.core.market_analysis import hashes_per_usd_series
 from repro.data.windows import DAY
 from repro.sim import ForkSimConfig, ForkSimulation
 
@@ -25,14 +23,8 @@ def main() -> None:
     print()
     print(figure.render(sample_days=10))
 
-    eth = hashes_per_usd_series(
-        trace_daily_mean_difficulty(result.eth_trace, result.fork_timestamp),
-        result.rates, "ETH", result.fork_timestamp,
-    )
-    etc = hashes_per_usd_series(
-        trace_daily_mean_difficulty(result.etc_trace, result.fork_timestamp),
-        result.rates, "ETC", result.fork_timestamp,
-    )
+    eth = figure.series["ETH hashes/USD"]
+    etc = figure.series["ETC hashes/USD"]
     report = market_efficiency_report(eth, etc, result.fork_timestamp)
 
     print()

@@ -37,15 +37,10 @@ from .metrics import (
     db_hourly_mean_block_delta,
     db_transactions_per_day,
     difficulty_series,
-    trace_block_deltas,
-    trace_blocks_per_hour,
-    trace_contract_fraction_per_day,
-    trace_daily_mean_difficulty,
-    trace_difficulty_series,
     trace_transactions_per_day,
     transactions_per_day,
 )
-from .observations import Observation, evaluate_all, evaluate_all_db
+from .observations import Observation, evaluate_all
 from .partition import (
     StabilizationReport,
     find_fork_point,
@@ -53,8 +48,8 @@ from .partition import (
     hashpower_loss_fraction,
     node_loss_fraction,
     peak_block_delta,
+    stabilization_from_columns,
     stabilization_time,
-    stabilization_time_db,
 )
 from .pools import (
     convergence_day,
@@ -63,21 +58,14 @@ from .pools import (
     db_top_n_share_series,
     migration_consistency,
     top_n_share_series,
-    trace_top_n_share_series,
 )
 from .report import (
     FigureData,
     figure_1,
-    figure_1_db,
     figure_2,
-    figure_2_db,
     figure_3,
-    figure_3_db,
     figure_4,
-    figure_4_db,
     figure_5,
-    figure_5_db,
-    figures_from_database,
 )
 from .timeseries import TimeSeries, align, pearson
 
@@ -91,12 +79,7 @@ __all__ = [
     "transactions_per_day",
     "contract_fraction_per_day",
     "daily_mean_difficulty",
-    "trace_blocks_per_hour",
-    "trace_difficulty_series",
-    "trace_block_deltas",
     "trace_transactions_per_day",
-    "trace_contract_fraction_per_day",
-    "trace_daily_mean_difficulty",
     "EchoDetector",
     "Echo",
     "EchoReport",
@@ -113,11 +96,11 @@ __all__ = [
     "node_loss_fraction",
     "hashpower_loss_fraction",
     "stabilization_time",
+    "stabilization_from_columns",
     "peak_block_delta",
     "StabilizationReport",
     "daily_top_n_shares",
     "top_n_share_series",
-    "trace_top_n_share_series",
     "daily_top_pools",
     "migration_consistency",
     "convergence_day",
@@ -128,24 +111,16 @@ __all__ = [
     "find_dip",
     "Observation",
     "evaluate_all",
-    "evaluate_all_db",
     "FigureData",
     "figure_1",
     "figure_2",
     "figure_3",
     "figure_4",
     "figure_5",
-    "figure_1_db",
-    "figure_2_db",
-    "figure_3_db",
-    "figure_4_db",
-    "figure_5_db",
-    "figures_from_database",
     "db_blocks_per_hour",
     "db_daily_mean_difficulty",
     "db_hourly_mean_block_delta",
     "db_transactions_per_day",
     "db_contract_fraction_per_day",
     "db_top_n_share_series",
-    "stabilization_time_db",
 ]

@@ -1,9 +1,15 @@
 """Chain metrics: the series plotted in Figures 1 and 2.
 
-Every function takes either a :class:`~repro.sim.blockprod.ChainTrace`
-(columnar, for month-scale data) or a :class:`~repro.data.store.ChainDatabase`
-(record-level) and returns :class:`~repro.core.timeseries.TimeSeries`
-objects ready for the report layer.
+The figure pipeline has one implementation: the ``db_*`` functions
+below, which wrap the aggregated queries of an analysis database and
+return :class:`~repro.core.timeseries.TimeSeries` objects ready for the
+report layer.  The figures and observations run them on the zero-copy
+:class:`~repro.data.columnar.ColumnarChainDatabase`
+(``result.to_database(columnar=True)``); the record-backed
+:class:`~repro.data.store.ChainDatabase` answers the same queries and is
+kept only as the differential oracle.  The unprefixed helpers read
+record-level queries, and :func:`trace_transactions_per_day` sizes the
+replay workload straight from a :class:`~repro.sim.blockprod.ChainTrace`.
 """
 
 from __future__ import annotations
@@ -27,12 +33,7 @@ __all__ = [
     "db_hourly_mean_block_delta",
     "db_transactions_per_day",
     "db_contract_fraction_per_day",
-    "trace_blocks_per_hour",
-    "trace_difficulty_series",
-    "trace_block_deltas",
     "trace_transactions_per_day",
-    "trace_contract_fraction_per_day",
-    "trace_daily_mean_difficulty",
 ]
 
 
@@ -98,16 +99,13 @@ def daily_mean_difficulty(db: ChainDatabase, chain: str) -> TimeSeries:
 # -- aggregated database variants (either backend) -------------------------------
 #
 # These wrap the aggregated queries shared by :class:`ChainDatabase` and
-# :class:`~repro.data.columnar.ColumnarChainDatabase` and are pinned
-# byte-identical to the ``trace_*`` helpers below on a full-prefix
-# database (``to_database(include_prefix=True)``), on either backend —
-# the contract ``tests/test_data_columnar.py`` enforces.  They are the
-# figure pipeline's database face: no per-record iteration happens on
-# this side of the query boundary.
+# :class:`~repro.data.columnar.ColumnarChainDatabase`; the two backends
+# answer them byte-identically (``tests/test_data_columnar.py``).  No
+# per-record iteration happens on this side of the query boundary.
 
 
 def db_blocks_per_hour(db, chain: str, start_ts: Optional[float] = None) -> TimeSeries:
-    """Figure 1 (top) from aggregated queries (= ``trace_blocks_per_hour``)."""
+    """Figure 1 (top): hourly block counts from aggregated queries."""
     return TimeSeries.from_window_dict(
         {k: float(v) for k, v in db.blocks_per_hour(chain, start_ts).items()},
         HOUR,
@@ -118,7 +116,7 @@ def db_blocks_per_hour(db, chain: str, start_ts: Optional[float] = None) -> Time
 def db_daily_mean_difficulty(
     db, chain: str, start_ts: Optional[float] = None
 ) -> TimeSeries:
-    """Daily mean difficulty (= ``trace_daily_mean_difficulty``)."""
+    """Daily mean block difficulty — Figures 1-3 and Observations 2-4."""
     return TimeSeries.from_window_dict(
         db.daily_mean_difficulty(chain, start_ts),
         DAY,
@@ -129,8 +127,7 @@ def db_daily_mean_difficulty(
 def db_hourly_mean_block_delta(
     db, chain: str, start_ts: Optional[float] = None
 ) -> TimeSeries:
-    """Hourly mean inter-block gap
-    (= ``trace_block_deltas(...).resample_mean(HOUR)``)."""
+    """Figure 1 (bottom): hourly mean inter-block gap."""
     return TimeSeries.from_window_dict(
         db.hourly_mean_block_delta(chain, start_ts),
         HOUR,
@@ -141,8 +138,7 @@ def db_hourly_mean_block_delta(
 def db_transactions_per_day(
     db, chain: str, start_ts: Optional[float] = None
 ) -> TimeSeries:
-    """Daily tx counts from per-block counts
-    (= ``trace_transactions_per_day``)."""
+    """Figure 2 (middle): daily tx counts from per-block counts."""
     return TimeSeries.from_window_dict(
         {
             k: float(v)
@@ -156,8 +152,7 @@ def db_transactions_per_day(
 def db_contract_fraction_per_day(
     db, chain: str, start_ts: Optional[float] = None
 ) -> TimeSeries:
-    """Daily contract fraction from per-block counts
-    (= ``trace_contract_fraction_per_day``)."""
+    """Figure 2 (bottom): daily contract fraction from per-block counts."""
     return TimeSeries.from_window_dict(
         db.block_contract_fraction_per_day(chain, start_ts),
         DAY,
@@ -165,53 +160,14 @@ def db_contract_fraction_per_day(
     )
 
 
-# -- trace-backed (columnar) variants -------------------------------------------
-
-
-def trace_blocks_per_hour(trace: ChainTrace, start_ts: Optional[float] = None) -> TimeSeries:
-    counts: Dict[int, int] = {}
-    for timestamp in trace.timestamps:
-        if start_ts is not None and timestamp < start_ts:
-            continue
-        index = timestamp // HOUR
-        counts[index] = counts.get(index, 0) + 1
-    return TimeSeries.from_window_dict(
-        {k: float(v) for k, v in counts.items()},
-        HOUR,
-        name=f"{trace.chain} blocks/hour",
-    )
-
-
-def trace_difficulty_series(
-    trace: ChainTrace, start_ts: Optional[float] = None
-) -> TimeSeries:
-    timestamps = []
-    values = []
-    for timestamp, difficulty in zip(trace.timestamps, trace.difficulties):
-        if start_ts is not None and timestamp < start_ts:
-            continue
-        timestamps.append(timestamp)
-        values.append(float(difficulty))
-    return TimeSeries(timestamps, values, name=f"{trace.chain} difficulty")
-
-
-def trace_block_deltas(
-    trace: ChainTrace, start_ts: Optional[float] = None
-) -> TimeSeries:
-    timestamps = []
-    values = []
-    previous = None
-    for timestamp in trace.timestamps:
-        if previous is not None and (start_ts is None or timestamp >= start_ts):
-            timestamps.append(timestamp)
-            values.append(float(timestamp - previous))
-        previous = timestamp
-    return TimeSeries(timestamps, values, name=f"{trace.chain} block delta")
+# -- trace-backed ---------------------------------------------------------------
 
 
 def trace_transactions_per_day(
     trace: ChainTrace, start_ts: Optional[float] = None
 ) -> TimeSeries:
+    """Daily tx counts straight from a trace: the replay workload's
+    volume input, read before any analysis database exists."""
     counts: Dict[int, int] = {}
     for timestamp, tx_count in zip(trace.timestamps, trace.tx_counts):
         if start_ts is not None and timestamp < start_ts:
@@ -223,32 +179,3 @@ def trace_transactions_per_day(
         DAY,
         name=f"{trace.chain} tx/day",
     )
-
-
-def trace_contract_fraction_per_day(
-    trace: ChainTrace, start_ts: Optional[float] = None
-) -> TimeSeries:
-    totals: Dict[int, int] = {}
-    contracts: Dict[int, int] = {}
-    for timestamp, tx_count, contract_count in zip(
-        trace.timestamps, trace.tx_counts, trace.contract_tx_counts
-    ):
-        if start_ts is not None and timestamp < start_ts:
-            continue
-        index = timestamp // DAY
-        totals[index] = totals.get(index, 0) + tx_count
-        contracts[index] = contracts.get(index, 0) + contract_count
-    fractions = {
-        index: contracts.get(index, 0) / totals[index]
-        for index in totals
-        if totals[index] > 0
-    }
-    return TimeSeries.from_window_dict(
-        fractions, DAY, name=f"{trace.chain} contract fraction"
-    )
-
-
-def trace_daily_mean_difficulty(
-    trace: ChainTrace, start_ts: Optional[float] = None
-) -> TimeSeries:
-    return trace_difficulty_series(trace, start_ts).resample_mean(DAY)

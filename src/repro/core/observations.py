@@ -5,6 +5,11 @@ them against simulation outputs and returns an :class:`Observation` with
 the measured quantities and a pass/fail verdict.  The benchmark harness
 prints these verdicts, and the integration tests assert them — so "the
 reproduction reproduces the paper" is itself a tested property.
+
+Observations 2, 3, 4 and 6 read chain data through an analysis database
+(``db``; by default the result's zero-copy columnar database), exactly
+as the figures in :mod:`repro.core.report` do.  Observations 1 and 5
+consume the partition scenario and the echo detector instead.
 """
 
 from __future__ import annotations
@@ -17,19 +22,14 @@ from ..scenarios.partition_event import PartitionResult
 from ..sim.engine import ForkSimResult
 from .echoes import EchoDetector
 from .market_analysis import hashes_per_usd_series, market_efficiency_report
-from .metrics import db_daily_mean_difficulty, trace_daily_mean_difficulty
-from .partition import stabilization_time, stabilization_time_db
-from .pools import convergence_day, db_top_n_share_series, trace_top_n_share_series
+from .metrics import db_daily_mean_difficulty
+from .partition import stabilization_from_columns
+from .pools import convergence_day, db_top_n_share_series
 
 __all__ = [
     "Observation",
     "evaluate_all",
-    "evaluate_all_db",
     *(f"observation_{i}" for i in range(1, 7)),
-    "observation_2_db",
-    "observation_3_db",
-    "observation_4_db",
-    "observation_6_db",
 ]
 
 
@@ -62,14 +62,18 @@ def observation_1(partition: PartitionResult) -> Observation:
     )
 
 
-def observation_2(result: ForkSimResult) -> Observation:
+def observation_2(result: ForkSimResult, *, db=None) -> Observation:
     """Stabilization takes days; an influx returns over two weeks."""
-    report = stabilization_time(result.etc_trace, result.fork_timestamp)
+    if db is None:
+        db = result.to_database(columnar=True)
+    report = stabilization_from_columns(
+        *db.timestamps_and_difficulties("ETC"), result.fork_timestamp
+    )
     days = report.stabilization_days or float("inf")
     # The return influx: ETC difficulty at day 14 well above its
     # post-recovery trough.
-    etc_daily = trace_daily_mean_difficulty(
-        result.etc_trace, start_ts=result.fork_timestamp
+    etc_daily = db_daily_mean_difficulty(
+        db, "ETC", start_ts=result.fork_timestamp
     )
     trough = min(etc_daily.values[:7]) if len(etc_daily) >= 7 else 0.0
     day14 = (
@@ -89,14 +93,16 @@ def observation_2(result: ForkSimResult) -> Observation:
     )
 
 
-def observation_3(result: ForkSimResult) -> Observation:
+def observation_3(result: ForkSimResult, *, db=None) -> Observation:
     """The fork persists; ETH's mining power grows, ETC's holds steady."""
+    if db is None:
+        db = result.to_database(columnar=True)
     horizon = result.config.days
-    eth = trace_daily_mean_difficulty(
-        result.eth_trace, start_ts=result.fork_timestamp + 14 * DAY
+    eth = db_daily_mean_difficulty(
+        db, "ETH", start_ts=result.fork_timestamp + 14 * DAY
     )
-    etc = trace_daily_mean_difficulty(
-        result.etc_trace, start_ts=result.fork_timestamp + 14 * DAY
+    etc = db_daily_mean_difficulty(
+        db, "ETC", start_ts=result.fork_timestamp + 14 * DAY
     )
     if not eth.values or not etc.values:
         # Horizon too short to even reach the comparison window.
@@ -124,16 +130,18 @@ def observation_3(result: ForkSimResult) -> Observation:
     )
 
 
-def observation_4(result: ForkSimResult) -> Observation:
+def observation_4(result: ForkSimResult, *, db=None) -> Observation:
     """The market operates efficiently: mining payoff is near-identical."""
+    if db is None:
+        db = result.to_database(columnar=True)
     eth_series = hashes_per_usd_series(
-        trace_daily_mean_difficulty(result.eth_trace, result.fork_timestamp),
+        db_daily_mean_difficulty(db, "ETH", result.fork_timestamp),
         result.rates,
         "ETH",
         result.fork_timestamp,
     )
     etc_series = hashes_per_usd_series(
-        trace_daily_mean_difficulty(result.etc_trace, result.fork_timestamp),
+        db_daily_mean_difficulty(db, "ETC", result.fork_timestamp),
         result.rates,
         "ETC",
         result.fork_timestamp,
@@ -188,13 +196,15 @@ def observation_5(detector: EchoDetector, horizon_days: int = 270) -> Observatio
     )
 
 
-def observation_6(result: ForkSimResult) -> Observation:
+def observation_6(result: ForkSimResult, *, db=None) -> Observation:
     """ETC pool concentration slowly converged to ETH's distribution."""
-    eth_top5 = trace_top_n_share_series(
-        result.eth_trace, 5, start_ts=result.fork_timestamp
+    if db is None:
+        db = result.to_database(columnar=True)
+    eth_top5 = db_top_n_share_series(
+        db, "ETH", 5, start_ts=result.fork_timestamp
     )
-    etc_top5 = trace_top_n_share_series(
-        result.etc_trace, 5, start_ts=result.fork_timestamp
+    etc_top5 = db_top_n_share_series(
+        db, "ETC", 5, start_ts=result.fork_timestamp
     )
     # Early gap: ETC top-5 well below ETH's in the first month.
     early_gap = (
@@ -224,167 +234,23 @@ def evaluate_all(
     result: ForkSimResult,
     partition: Optional[PartitionResult] = None,
     detector: Optional[EchoDetector] = None,
+    *,
+    db=None,
 ) -> List[Observation]:
-    """Evaluate every observation the supplied inputs allow."""
-    observations = []
-    if partition is not None:
-        observations.append(observation_1(partition))
-    observations.append(observation_2(result))
-    observations.append(observation_3(result))
-    observations.append(observation_4(result))
-    if detector is not None:
-        observations.append(observation_5(detector, result.config.days))
-    observations.append(observation_6(result))
-    return observations
+    """Evaluate every observation the supplied inputs allow.
 
-
-# --------------------------------------------------------------------------
-# database-backed variants
-#
-# Identical statistics computed from a full-prefix analysis database
-# (either backend) instead of the result's traces.  Observations 1 and 5
-# never read chain data (they consume the partition scenario and the echo
-# detector), so only 2/3/4/6 have ``_db`` twins; the differential tests
-# pin their details dicts byte-identical to the trace versions.
-
-
-def observation_2_db(result: ForkSimResult, db) -> Observation:
-    """:func:`observation_2` from database aggregates."""
-    report = stabilization_time_db(db, "ETC", result.fork_timestamp)
-    days = report.stabilization_days or float("inf")
-    etc_daily = db_daily_mean_difficulty(
-        db, "ETC", start_ts=result.fork_timestamp
-    )
-    trough = min(etc_daily.values[:7]) if len(etc_daily) >= 7 else 0.0
-    day14 = (
-        etc_daily.values[14] if len(etc_daily) > 14 else float("nan")
-    )
-    influx = day14 / trough if trough else float("nan")
-    return Observation(
-        number=2,
-        claim="ETC took ~2 days to resume the target block rate; miners "
-        "flowed back over the following two weeks",
-        holds=(1.0 <= days <= 4.0) and influx > 2.0,
-        details={
-            "stabilization_days": days,
-            "peak_delta_seconds": report.peak_delta_seconds,
-            "difficulty_influx_ratio_day14": influx,
-        },
-    )
-
-
-def observation_3_db(result: ForkSimResult, db) -> Observation:
-    """:func:`observation_3` from database aggregates."""
-    horizon = result.config.days
-    eth = db_daily_mean_difficulty(
-        db, "ETH", start_ts=result.fork_timestamp + 14 * DAY
-    )
-    etc = db_daily_mean_difficulty(
-        db, "ETC", start_ts=result.fork_timestamp + 14 * DAY
-    )
-    if not eth.values or not etc.values:
-        return Observation(
-            number=3,
-            claim="ETH difficulty grew tremendously while ETC's held roughly "
-            "constant; both chains persist",
-            holds=False,
-            details={"horizon_days": float(horizon)},
-        )
-    eth_growth = eth.values[-1] / eth.values[0]
-    etc_growth = etc.values[-1] / etc.values[0]
-    ratio_end = eth.values[-1] / etc.values[-1]
-    return Observation(
-        number=3,
-        claim="ETH difficulty grew tremendously while ETC's held roughly "
-        "constant; both chains persist",
-        holds=eth_growth > 2.0 and etc_growth < eth_growth / 1.5 and ratio_end > 5,
-        details={
-            "eth_difficulty_growth": eth_growth,
-            "etc_difficulty_growth": etc_growth,
-            "difficulty_ratio_at_end": ratio_end,
-            "horizon_days": float(horizon),
-        },
-    )
-
-
-def observation_4_db(result: ForkSimResult, db) -> Observation:
-    """:func:`observation_4` from database aggregates."""
-    eth_series = hashes_per_usd_series(
-        db_daily_mean_difficulty(db, "ETH", result.fork_timestamp),
-        result.rates,
-        "ETH",
-        result.fork_timestamp,
-    )
-    etc_series = hashes_per_usd_series(
-        db_daily_mean_difficulty(db, "ETC", result.fork_timestamp),
-        result.rates,
-        "ETC",
-        result.fork_timestamp,
-    )
-    report = market_efficiency_report(
-        eth_series, etc_series, result.fork_timestamp
-    )
-    return Observation(
-        number=4,
-        claim="expected mining return (hashes per USD) is almost identical "
-        "between ETH and ETC",
-        holds=report.curves_nearly_identical,
-        details={
-            "pearson_correlation": report.correlation,
-            "median_relative_gap": report.median_relative_gap,
-        },
-    )
-
-
-def observation_6_db(result: ForkSimResult, db) -> Observation:
-    """:func:`observation_6` from database aggregates."""
-    eth_top5 = db_top_n_share_series(
-        db, "ETH", 5, start_ts=result.fork_timestamp
-    )
-    etc_top5 = db_top_n_share_series(
-        db, "ETC", 5, start_ts=result.fork_timestamp
-    )
-    early_gap = (
-        sum(eth_top5.values[:30]) / 30 - sum(etc_top5.values[:30]) / 30
-    )
-    converged_at = convergence_day(eth_top5, etc_top5)
-    converged_days = (
-        (converged_at - result.fork_timestamp) / DAY
-        if converged_at is not None
-        else float("inf")
-    )
-    return Observation(
-        number=6,
-        claim="ETC's top-pool block share started far below ETH's and "
-        "slowly converged to the same distribution",
-        holds=early_gap > 10.0
-        and converged_at is not None
-        and 30 <= converged_days <= result.config.days,
-        details={
-            "early_top5_gap_points": early_gap,
-            "convergence_day": converged_days,
-        },
-    )
-
-
-def evaluate_all_db(
-    result: ForkSimResult,
-    db,
-    partition: Optional[PartitionResult] = None,
-    detector: Optional[EchoDetector] = None,
-) -> List[Observation]:
-    """:func:`evaluate_all` reading chain data from a database.
-
-    Same scoreboard, same order; observations 1 and 5 are unchanged
-    because they never touch the block table.
+    Observations 2, 3, 4 and 6 share one analysis database (``db``,
+    default: the result's zero-copy columnar database).
     """
+    if db is None:
+        db = result.to_database(columnar=True)
     observations = []
     if partition is not None:
         observations.append(observation_1(partition))
-    observations.append(observation_2_db(result, db))
-    observations.append(observation_3_db(result, db))
-    observations.append(observation_4_db(result, db))
+    observations.append(observation_2(result, db=db))
+    observations.append(observation_3(result, db=db))
+    observations.append(observation_4(result, db=db))
     if detector is not None:
         observations.append(observation_5(detector, result.config.days))
-    observations.append(observation_6_db(result, db))
+    observations.append(observation_6(result, db=db))
     return observations

@@ -15,8 +15,10 @@ chains diverge, from data alone.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..chain.chainstore import Blockchain
 from ..data.windows import HOUR
@@ -29,7 +31,7 @@ __all__ = [
     "node_loss_fraction",
     "hashpower_loss_fraction",
     "stabilization_time",
-    "stabilization_time_db",
+    "stabilization_from_columns",
     "peak_block_delta",
     "StabilizationReport",
 ]
@@ -135,126 +137,81 @@ def stabilization_time(
     sustain_hours: int = 6,
     horizon_days: int = 14,
 ) -> StabilizationReport:
-    """Observation 2's statistic, computed the way the paper eyeballs it.
-
-    Finds the first hour after the fork where the hourly block count
-    reaches ``(1 - rate_tolerance)`` of the target rate and *stays* there
-    for ``sustain_hours`` consecutive hours.
-    """
-    target_per_hour = HOUR / target_block_time
-    threshold = target_per_hour * (1.0 - rate_tolerance)
-
-    indices = trace.slice_by_time(
-        fork_timestamp, fork_timestamp + horizon_days * 24 * HOUR
-    )
-    if len(indices) == 0:
-        raise ValueError("no post-fork blocks to analyze")
-
-    hourly: dict = {}
-    peak_delta = 0.0
-    previous_ts = None
-    difficulty_at_fork = trace.difficulties[indices[0]]
-    for i in indices:
-        timestamp = trace.timestamps[i]
-        hour = (timestamp - fork_timestamp) // HOUR
-        hourly[hour] = hourly.get(hour, 0) + 1
-        if previous_ts is not None:
-            peak_delta = max(peak_delta, timestamp - previous_ts)
-        previous_ts = timestamp
-
-    last_hour = max(hourly)
-    run = 0
-    recovery_hour: Optional[int] = None
-    for hour in range(0, int(last_hour) + 1):
-        if hourly.get(hour, 0) >= threshold:
-            run += 1
-            if run >= sustain_hours:
-                recovery_hour = hour - sustain_hours + 1
-                break
-        else:
-            run = 0
-
-    difficulty_at_recovery = None
-    stabilization_seconds = None
-    if recovery_hour is not None:
-        stabilization_seconds = recovery_hour * HOUR
-        recovery_ts = fork_timestamp + stabilization_seconds
-        recovered = trace.slice_by_time(recovery_ts, recovery_ts + HOUR)
-        if len(recovered) > 0:
-            difficulty_at_recovery = trace.difficulties[recovered[0]]
-
-    return StabilizationReport(
-        stabilization_seconds=stabilization_seconds,
-        peak_delta_seconds=peak_delta,
-        difficulty_at_fork=difficulty_at_fork,
-        difficulty_at_recovery=difficulty_at_recovery,
+    """Observation 2's statistic over a chain trace's columns."""
+    return stabilization_from_columns(
+        trace.timestamps,
+        trace.difficulties,
+        fork_timestamp,
+        target_block_time=target_block_time,
+        rate_tolerance=rate_tolerance,
+        sustain_hours=sustain_hours,
+        horizon_days=horizon_days,
     )
 
 
-def stabilization_time_db(
-    db,
-    chain: str,
+def stabilization_from_columns(
+    timestamps: Sequence[int],
+    difficulties: Sequence[int],
     fork_timestamp: int,
     target_block_time: float = 14.0,
     rate_tolerance: float = 0.5,
     sustain_hours: int = 6,
     horizon_days: int = 14,
 ) -> StabilizationReport:
-    """:func:`stabilization_time` over an analysis database.
+    """Observation 2's statistic, computed the way the paper eyeballs it.
 
-    Identical statistic computed from ``blocks_between`` windows instead
-    of trace slices — byte-identical on a full-prefix database from
-    either backend (the window is small, so the boxed records are cheap
-    even on the columnar side).
+    Finds the first hour after the fork where the hourly block count
+    reaches ``(1 - rate_tolerance)`` of the target rate and *stays* there
+    for ``sustain_hours`` consecutive hours.  ``timestamps`` must be
+    non-decreasing (every chain trace is): the window and each hour are
+    located by bisection, so no block is visited in Python.
     """
-    target_per_hour = HOUR / target_block_time
-    threshold = target_per_hour * (1.0 - rate_tolerance)
-
-    records = db.blocks_between(
-        chain, fork_timestamp, fork_timestamp + horizon_days * 24 * HOUR
-    )
-    if not records:
+    threshold = HOUR / target_block_time * (1.0 - rate_tolerance)
+    lo = bisect_left(timestamps, fork_timestamp)
+    hi = bisect_left(timestamps, fork_timestamp + horizon_days * 24 * HOUR)
+    if lo == hi:
         raise ValueError("no post-fork blocks to analyze")
 
-    hourly: dict = {}
-    peak_delta = 0.0
-    previous_ts = None
-    difficulty_at_fork = records[0].difficulty
-    for record in records:
-        timestamp = record.timestamp
-        hour = (timestamp - fork_timestamp) // HOUR
-        hourly[hour] = hourly.get(hour, 0) + 1
-        if previous_ts is not None:
-            peak_delta = max(peak_delta, timestamp - previous_ts)
-        previous_ts = timestamp
-
-    last_hour = max(hourly)
     run = 0
     recovery_hour: Optional[int] = None
-    for hour in range(0, int(last_hour) + 1):
-        if hourly.get(hour, 0) >= threshold:
+    start = lo
+    last_hour = int((timestamps[hi - 1] - fork_timestamp) // HOUR)
+    for hour in range(last_hour + 1):
+        end = bisect_left(
+            timestamps, fork_timestamp + (hour + 1) * HOUR, start, hi
+        )
+        if end - start >= threshold:
             run += 1
             if run >= sustain_hours:
                 recovery_hour = hour - sustain_hours + 1
                 break
         else:
             run = 0
+        start = end
 
     difficulty_at_recovery = None
     stabilization_seconds = None
     if recovery_hour is not None:
         stabilization_seconds = recovery_hour * HOUR
         recovery_ts = fork_timestamp + stabilization_seconds
-        recovered = db.blocks_between(chain, recovery_ts, recovery_ts + HOUR)
-        if recovered:
-            difficulty_at_recovery = recovered[0].difficulty
+        index = bisect_left(timestamps, recovery_ts)
+        if index < len(timestamps) and timestamps[index] < recovery_ts + HOUR:
+            difficulty_at_recovery = difficulties[index]
 
     return StabilizationReport(
         stabilization_seconds=stabilization_seconds,
-        peak_delta_seconds=peak_delta,
-        difficulty_at_fork=difficulty_at_fork,
+        peak_delta_seconds=_peak_gap(timestamps[lo:hi]),
+        difficulty_at_fork=difficulties[lo],
         difficulty_at_recovery=difficulty_at_recovery,
     )
+
+
+def _peak_gap(window: Sequence[int]) -> float:
+    """Largest gap between consecutive timestamps; ``0.0`` below two
+    blocks or when every gap is zero (``max`` keeps the first of equal
+    values, so a positive peak stays the column's integer type)."""
+    gaps = map(operator.sub, window[1:], window[:-1])
+    return max(0.0, max(gaps, default=0.0))
 
 
 def peak_block_delta(
@@ -262,11 +219,4 @@ def peak_block_delta(
 ) -> float:
     """Largest inter-block gap in a window (the 1,200+ second spike)."""
     indices = trace.slice_by_time(start_ts, end_ts)
-    peak = 0.0
-    previous = None
-    for i in indices:
-        timestamp = trace.timestamps[i]
-        if previous is not None:
-            peak = max(peak, timestamp - previous)
-        previous = timestamp
-    return peak
+    return _peak_gap(trace.timestamps[indices.start:indices.stop])

@@ -19,13 +19,11 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..data.windows import DAY
-from ..sim.blockprod import ChainTrace
 from .timeseries import TimeSeries
 
 __all__ = [
     "daily_top_n_shares",
     "top_n_share_series",
-    "trace_top_n_share_series",
     "db_top_n_share_series",
     "daily_top_pools",
     "migration_consistency",
@@ -68,45 +66,6 @@ def top_n_share_series(
     )
 
 
-def trace_top_n_share_series(
-    trace: ChainTrace,
-    top_n: int,
-    start_ts: Optional[float] = None,
-    solo_prefix: str = "solo-",
-) -> TimeSeries:
-    """Figure 5 series straight from a columnar trace.
-
-    ``solo_prefix`` marks coinbases known to be individuals; they are
-    counted in the denominator but can never constitute a "pool".  (The
-    paper cannot make this distinction — a prolific solo miner would count
-    — but with thousands of solo identities none ever reaches the top 5,
-    so the result is unchanged; the flag exists for the ablation test.)
-    """
-    days: Dict[int, Counter] = {}
-    day_totals: Dict[int, int] = {}
-    for timestamp, miner_id in zip(trace.timestamps, trace.miner_ids):
-        if start_ts is not None and timestamp < start_ts:
-            continue
-        index = timestamp // DAY
-        day_totals[index] = day_totals.get(index, 0) + 1
-        label = trace.miner_labels[miner_id]
-        if not label.startswith(solo_prefix):
-            days.setdefault(index, Counter())[label] += 1
-    indices = sorted(day_totals)
-    values = []
-    for index in indices:
-        counter = days.get(index, Counter())
-        top = counter.most_common(top_n)
-        values.append(
-            100.0 * sum(count for _, count in top) / day_totals[index]
-        )
-    return TimeSeries(
-        [index * DAY for index in indices],
-        values,
-        name=f"{trace.chain} top-{top_n} %",
-    )
-
-
 def db_top_n_share_series(
     db,
     chain: str,
@@ -116,12 +75,16 @@ def db_top_n_share_series(
 ) -> TimeSeries:
     """Figure 5 series from a database's aggregated miner counts.
 
-    Byte-identical to :func:`trace_top_n_share_series` on a full-prefix
-    database from either backend: ``daily_miner_counts`` preserves
+    ``solo_prefix`` marks coinbases known to be individuals; they are
+    counted in the denominator but can never constitute a "pool".  (The
+    paper cannot make this distinction — a prolific solo miner would count
+    — but with thousands of solo identities none ever reaches the top 5,
+    so the result is unchanged; the flag exists for the ablation test.)
+
+    Both backends give the same bytes: ``daily_miner_counts`` preserves
     first-occurrence insertion order, the solo filter below preserves
     relative order among the survivors, and ``most_common``'s stable
-    sort therefore breaks ties the same way.  Solo miners stay in the
-    denominator but never constitute a pool.
+    sort therefore breaks ties the same way.
     """
     days = db.daily_miner_counts(chain, start_ts)
     indices = sorted(days)

@@ -5,6 +5,12 @@ series the paper plots, a plain-text rendering (weekly/daily sampled rows,
 for benchmark output), and CSV export.  The benchmarks call these — one
 per figure — so ``pytest benchmarks/`` literally prints the paper's
 figures as tables.
+
+Like the paper, every figure queries an analysis database rather than
+the raw chains: by default the result's zero-copy
+:class:`~repro.data.columnar.ColumnarChainDatabase`, read only through
+aggregated queries.  Passing ``db=result.to_database()`` runs the same
+code on the record-backed oracle, which must give the same bytes.
 """
 
 from __future__ import annotations
@@ -25,13 +31,8 @@ from .metrics import (
     db_daily_mean_difficulty,
     db_hourly_mean_block_delta,
     db_transactions_per_day,
-    trace_block_deltas,
-    trace_blocks_per_hour,
-    trace_contract_fraction_per_day,
-    trace_daily_mean_difficulty,
-    trace_transactions_per_day,
 )
-from .pools import db_top_n_share_series, trace_top_n_share_series
+from .pools import db_top_n_share_series
 from .timeseries import TimeSeries
 
 __all__ = [
@@ -41,13 +42,10 @@ __all__ = [
     "figure_3",
     "figure_4",
     "figure_5",
-    "figure_1_db",
-    "figure_2_db",
-    "figure_3_db",
-    "figure_4_db",
-    "figure_5_db",
-    "figures_from_database",
 ]
+
+#: Series order within every two-chain figure.
+CHAINS = ("ETH", "ETC")
 
 
 @dataclass
@@ -122,119 +120,16 @@ def _nearest(lookup: Dict[float, float], timestamp: float) -> Optional[float]:
     return None
 
 
-def figure_1(result: ForkSimResult, horizon_days: int = 30) -> FigureData:
+def figure_1(
+    result: ForkSimResult, horizon_days: int = 30, *, db=None
+) -> FigureData:
     """Blocks/hour, block difficulty, inter-block delta — the fork month."""
+    if db is None:
+        db = result.to_database(columnar=True)
     start = result.fork_timestamp - 12 * HOUR
     end = result.fork_timestamp + horizon_days * DAY
     series: Dict[str, TimeSeries] = {}
-    for name, trace in result.traces().items():
-        series[f"{name} blocks/hr"] = trace_blocks_per_hour(trace).clip_time(
-            start, end
-        )
-        series[f"{name} difficulty"] = (
-            trace_daily_mean_difficulty(trace).clip_time(start, end)
-        )
-        series[f"{name} delta(s)"] = (
-            trace_block_deltas(trace).resample_mean(HOUR).clip_time(start, end)
-        )
-    return FigureData(
-        figure_id="Figure 1",
-        title="Blocks per hour, block difficulty, and time delta between "
-        "blocks in the month following the hard fork",
-        series=series,
-        notes="(difficulty and delta shown as daily/hourly means)",
-    )
-
-
-def figure_2(result: ForkSimResult) -> FigureData:
-    """Difficulty, transactions/day, contract fraction — nine months."""
-    start = result.fork_timestamp
-    series: Dict[str, TimeSeries] = {}
-    for name, trace in result.traces().items():
-        series[f"{name} difficulty"] = trace_daily_mean_difficulty(
-            trace, start_ts=start
-        )
-        series[f"{name} tx/day"] = trace_transactions_per_day(
-            trace, start_ts=start
-        )
-        series[f"{name} contract %"] = trace_contract_fraction_per_day(
-            trace, start_ts=start
-        ).map(lambda v: 100 * v)
-    return FigureData(
-        figure_id="Figure 2",
-        title="Overall difficulty per block, transactions per day, and "
-        "fraction of contract transactions in the nine months since the fork",
-        series=series,
-    )
-
-
-def figure_3(result: ForkSimResult) -> FigureData:
-    """Expected hashes per USD for both chains."""
-    series: Dict[str, TimeSeries] = {}
-    for name, trace in result.traces().items():
-        daily_difficulty = trace_daily_mean_difficulty(
-            trace, start_ts=result.fork_timestamp
-        )
-        series[f"{name} hashes/USD"] = hashes_per_usd_series(
-            daily_difficulty, result.rates, name, result.fork_timestamp
-        )
-    report = market_efficiency_report(
-        series["ETH hashes/USD"],
-        series["ETC hashes/USD"],
-        result.fork_timestamp,
-    )
-    return FigureData(
-        figure_id="Figure 3",
-        title="Expected payoff for mining in ETH and ETC (hashes per USD)",
-        series=series,
-        notes=(
-            f"pearson correlation = {report.correlation:.4f}, "
-            f"median relative gap = {report.median_relative_gap:.3f}"
-        ),
-    )
-
-
-def figure_4(
-    result: ForkSimResult, detector: EchoDetector
-) -> FigureData:
-    """Rebroadcast (echo) counts and percentages."""
-    series: Dict[str, TimeSeries] = {}
-    for chain, trace in result.traces().items():
-        daily_totals = trace_transactions_per_day(
-            trace, start_ts=result.fork_timestamp
-        )
-        report = EchoReport.build(detector, chain, daily_totals)
-        series[f"into {chain}/day"] = report.echoes_per_day
-        series[f"% of {chain} txs"] = report.percent_of_transactions
-    series["same-time/day"] = detector.daily_counts(same_time=True)
-    return FigureData(
-        figure_id="Figure 4",
-        title="Rebroadcast transactions ('echoes') per day and the "
-        "percentage of all transactions they represent",
-        series=series,
-    )
-
-
-# --------------------------------------------------------------------------
-# database-backed figure generators
-#
-# Each ``figure_N_db`` regenerates figure N from an analysis database (the
-# record-backed :class:`~repro.data.store.ChainDatabase` or its columnar
-# twin) instead of the result's traces, reading only aggregated queries —
-# no per-record iteration on the figure path.  On a full-prefix database
-# (``result.to_database(include_prefix=True, ...)``) the output is
-# byte-identical to the trace-backed generator above, on either backend;
-# ``tests/test_data_columnar.py`` pins CSV bytes three ways.
-
-
-def figure_1_db(
-    result: ForkSimResult, db, horizon_days: int = 30
-) -> FigureData:
-    """Figure 1 regenerated from database aggregates."""
-    start = result.fork_timestamp - 12 * HOUR
-    end = result.fork_timestamp + horizon_days * DAY
-    series: Dict[str, TimeSeries] = {}
-    for name in ("ETH", "ETC"):
+    for name in CHAINS:
         series[f"{name} blocks/hr"] = db_blocks_per_hour(db, name).clip_time(
             start, end
         )
@@ -253,11 +148,13 @@ def figure_1_db(
     )
 
 
-def figure_2_db(result: ForkSimResult, db) -> FigureData:
-    """Figure 2 regenerated from database aggregates."""
+def figure_2(result: ForkSimResult, *, db=None) -> FigureData:
+    """Difficulty, transactions/day, contract fraction — nine months."""
+    if db is None:
+        db = result.to_database(columnar=True)
     start = result.fork_timestamp
     series: Dict[str, TimeSeries] = {}
-    for name in ("ETH", "ETC"):
+    for name in CHAINS:
         series[f"{name} difficulty"] = db_daily_mean_difficulty(
             db, name, start_ts=start
         )
@@ -275,10 +172,12 @@ def figure_2_db(result: ForkSimResult, db) -> FigureData:
     )
 
 
-def figure_3_db(result: ForkSimResult, db) -> FigureData:
-    """Figure 3 regenerated from database aggregates."""
+def figure_3(result: ForkSimResult, *, db=None) -> FigureData:
+    """Expected hashes per USD for both chains."""
+    if db is None:
+        db = result.to_database(columnar=True)
     series: Dict[str, TimeSeries] = {}
-    for name in ("ETH", "ETC"):
+    for name in CHAINS:
         daily_difficulty = db_daily_mean_difficulty(
             db, name, start_ts=result.fork_timestamp
         )
@@ -301,12 +200,14 @@ def figure_3_db(result: ForkSimResult, db) -> FigureData:
     )
 
 
-def figure_4_db(
-    result: ForkSimResult, db, detector: EchoDetector
+def figure_4(
+    result: ForkSimResult, detector: EchoDetector, *, db=None
 ) -> FigureData:
-    """Figure 4 with daily totals drawn from database aggregates."""
+    """Rebroadcast (echo) counts and percentages."""
+    if db is None:
+        db = result.to_database(columnar=True)
     series: Dict[str, TimeSeries] = {}
-    for chain in ("ETH", "ETC"):
+    for chain in CHAINS:
         daily_totals = db_transactions_per_day(
             db, chain, start_ts=result.fork_timestamp
         )
@@ -322,54 +223,15 @@ def figure_4_db(
     )
 
 
-def figure_5_db(result: ForkSimResult, db) -> FigureData:
-    """Figure 5 regenerated from database aggregates."""
+def figure_5(result: ForkSimResult, *, db=None) -> FigureData:
+    """Percent of blocks mined by the top 1/3/5 pools, daily."""
+    if db is None:
+        db = result.to_database(columnar=True)
     series: Dict[str, TimeSeries] = {}
-    for name in ("ETH", "ETC"):
+    for name in CHAINS:
         for top_n in (1, 3, 5):
             series[f"{name} top {top_n}"] = db_top_n_share_series(
                 db, name, top_n, start_ts=result.fork_timestamp
-            )
-    return FigureData(
-        figure_id="Figure 5",
-        title="Percent of all mined blocks won by the top 1, 3, and 5 "
-        "mining pools in ETH and ETC",
-        series=series,
-    )
-
-
-def figures_from_database(
-    result: ForkSimResult,
-    db,
-    detector: Optional[EchoDetector] = None,
-    horizon_days: int = 30,
-) -> Dict[int, FigureData]:
-    """Every regenerable figure from one database pass.
-
-    Figure 4 is included only when an echo ``detector`` is supplied (its
-    echo stream does not live in the block table).  This is the bench
-    gate's analysis workload: on the columnar backend the whole pass
-    touches no :class:`~repro.data.records.BlockRecord` outside the
-    small stabilization window.
-    """
-    figures = {
-        1: figure_1_db(result, db, horizon_days=horizon_days),
-        2: figure_2_db(result, db),
-        3: figure_3_db(result, db),
-        5: figure_5_db(result, db),
-    }
-    if detector is not None:
-        figures[4] = figure_4_db(result, db, detector)
-    return figures
-
-
-def figure_5(result: ForkSimResult) -> FigureData:
-    """Percent of blocks mined by the top 1/3/5 pools, daily."""
-    series: Dict[str, TimeSeries] = {}
-    for name, trace in result.traces().items():
-        for top_n in (1, 3, 5):
-            series[f"{name} top {top_n}"] = trace_top_n_share_series(
-                trace, top_n, start_ts=result.fork_timestamp
             )
     return FigureData(
         figure_id="Figure 5",

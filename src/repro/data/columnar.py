@@ -313,6 +313,19 @@ class ColumnarChainDatabase:
         ts = cols.timestamps
         return [(ts[i], ts[i] - ts[i - 1]) for i in range(1, len(ts))]
 
+    def timestamps_and_difficulties(self, chain: str) -> Tuple[array, array]:
+        """The chain's timestamp and difficulty columns, zero-copy.
+
+        Read-only views for bisecting kernels; raises ``ValueError``
+        when the timestamps are not non-decreasing.
+        """
+        cols = self._columns.get(chain)
+        if cols is None:
+            return array("q"), array("q")
+        if not cols.monotone():
+            raise ValueError(f"chain {chain!r} timestamps are not sorted")
+        return cols.timestamps, cols.difficulties
+
     def miner_label_series(self, chain: str) -> List[Tuple[int, str]]:
         cols = self._columns.get(chain)
         if cols is None:

@@ -180,6 +180,19 @@ class ChainDatabase:
             deltas.append((current.timestamp, current.timestamp - previous.timestamp))
         return deltas
 
+    def timestamps_and_difficulties(
+        self, chain: str
+    ) -> Tuple[List[int], List[int]]:
+        """(timestamps, difficulties) columns in chain order; raises
+        ``ValueError`` when the timestamps are not non-decreasing."""
+        if not self._timestamps_monotone(chain):
+            raise ValueError(f"chain {chain!r} timestamps are not sorted")
+        records = self._blocks.get(chain, [])
+        return (
+            [record.timestamp for record in records],
+            [record.difficulty for record in records],
+        )
+
     def miner_label_series(self, chain: str) -> List[Tuple[int, str]]:
         """(timestamp, miner label) per block — Figure 5's raw input."""
         return [
@@ -190,12 +203,10 @@ class ChainDatabase:
     # -- aggregated block queries (the figure-path kernels) ---------------------
     #
     # Each of these is the record-level oracle for a columnar kernel in
-    # :class:`~repro.data.columnar.ColumnarChainDatabase`.  They reproduce
-    # the trace-level helpers in :mod:`repro.core.metrics` exactly — same
-    # bucketing (epoch-aligned half-open windows), same start filter
-    # (applied *before* bucketing), same accumulation order and float
-    # semantics — so the db-backed figure pipeline is byte-identical to
-    # the trace-backed one.
+    # :class:`~repro.data.columnar.ColumnarChainDatabase`, written the
+    # plain way: epoch-aligned half-open windows, the start filter applied
+    # *before* bucketing, and per-record accumulation in stored order.
+    # The columnar kernels must reproduce these bytes exactly.
 
     def daily_mean_difficulty(
         self, chain: str, start_ts: Optional[float] = None
@@ -222,9 +233,9 @@ class ChainDatabase:
     ) -> Dict[int, float]:
         """Hour index -> mean inter-block gap (seconds).
 
-        Matches ``trace_block_deltas(...).resample_mean(HOUR)``: a delta
-        belongs to the *current* block's hour, and the start filter tests
-        the current block only (the previous one may predate it).
+        A delta belongs to the *current* block's hour, and the start
+        filter tests the current block only (the previous one may predate
+        it).
         """
         sums: Dict[int, float] = {}
         counts: Dict[int, int] = {}

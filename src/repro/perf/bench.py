@@ -262,23 +262,25 @@ def _forksim_analysis_case(
     repeats: int,
     memory_min_ratio: float,
 ) -> Dict[str, Any]:
-    """The figure/observation pipeline over both analytics backends.
+    """The figure/observation pass ``run-all`` runs, against the oracle.
 
     The simulation is built once, untimed and *before* tracing starts,
-    so both arms measure only the analysis: load the traces into a
-    database (``columnar=True`` adopts the packed columns zero-copy;
-    the reference arm boxes every block into records) and run the full
-    db-backed figure + observation pipeline.  The digest covers every
+    so both arms measure only the analysis.  The fast arm is exactly
+    what the ``figure`` and ``observations`` jobs call:
+    ``figure_1/2/3/5(result)`` and ``evaluate_all(result)``, each over
+    the result's zero-copy columnar database.  The reference arm boxes
+    every block into the record :class:`~repro.data.store.ChainDatabase`
+    and runs the same functions on it.  The digest covers every
     series' bytes and every observation verdict — the byte-identity
     contract of ``tests/test_data_columnar.py``, enforced here at the
-    paper's 270-day scale.  The memory gate pins the columnar arm's
+    paper's 270-day scale.  The memory gate pins the fast arm's
     tracemalloc peak at ``memory_min_ratio`` times below the record
     arm's.
     """
     import struct as _struct
 
-    from ..core.observations import evaluate_all_db
-    from ..core.report import figures_from_database
+    from ..core.observations import evaluate_all
+    from ..core.report import figure_1, figure_2, figure_3, figure_5
     from ..sim.engine import ForkSimConfig, run_fork_sim
 
     config = ForkSimConfig(
@@ -289,15 +291,18 @@ def _forksim_analysis_case(
     )
     result = run_fork_sim(config)
     blocks = len(result.eth_trace.numbers) + len(result.etc_trace.numbers)
+    generators = {1: figure_1, 2: figure_2, 3: figure_3, 5: figure_5}
 
-    def analyze(columnar: bool):
-        def thunk():
-            database = result.to_database(columnar=columnar)
-            figures = figures_from_database(result, database)
-            observations = evaluate_all_db(result, database)
-            return figures, observations
+    def fast():
+        figures = {n: make(result) for n, make in generators.items()}
+        return figures, evaluate_all(result)
 
-        return thunk
+    def reference():
+        database = result.to_database()
+        figures = {
+            n: make(result, db=database) for n, make in generators.items()
+        }
+        return figures, evaluate_all(result, db=database)
 
     def measure(value) -> Tuple[int, str]:
         figures, observations = value
@@ -333,8 +338,8 @@ def _forksim_analysis_case(
         name,
         {"days": days, "with_transactions": True, "seed": seed},
         "blocks",
-        analyze(columnar=True),
-        analyze(columnar=False),
+        fast,
+        reference,
         measure,
         repeats,
         measure_memory=True,

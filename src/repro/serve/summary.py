@@ -22,6 +22,7 @@ construction order is seeded (the same property the cache relies on).
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 from dataclasses import asdict
 from typing import Any, Callable, Dict, Type
@@ -107,6 +108,17 @@ def _summarize_fallback(value: Any) -> Dict[str, Any]:
     return {"type": type_name, "value": value}
 
 
+def _observation_summary(observation: Observation) -> Dict[str, Any]:
+    # Short horizons leave some details at inf/nan ("never stabilized",
+    # "no day 14"); canonical JSON has no such numbers, so they are named.
+    summary = asdict(observation)
+    summary["details"] = {
+        key: value if math.isfinite(value) else repr(value)
+        for key, value in observation.details.items()
+    }
+    return summary
+
+
 def summarize(kind: str, value: Any) -> Dict[str, Any]:
     """The canonical summary for one job result."""
     if isinstance(value, list) and value and all(
@@ -114,7 +126,7 @@ def summarize(kind: str, value: Any) -> Dict[str, Any]:
     ):
         summary: Dict[str, Any] = {
             "type": "Observations",
-            "observations": [asdict(item) for item in value],
+            "observations": [_observation_summary(item) for item in value],
         }
     elif isinstance(value, EchoBundle):
         summary = {

@@ -1,5 +1,7 @@
 """Partition metrics and market-efficiency analysis."""
 
+import random
+
 import pytest
 
 from repro.core.market_analysis import (
@@ -12,9 +14,13 @@ from repro.core.partition import (
     find_trace_fork_point,
     hashpower_loss_fraction,
     peak_block_delta,
+    stabilization_from_columns,
     stabilization_time,
 )
 from repro.core.timeseries import TimeSeries
+from repro.data.columnar import ColumnarChainDatabase
+from repro.data.records import BlockRecord
+from repro.data.store import ChainDatabase
 from repro.data.windows import DAY, HOUR
 from repro.market.exchange import ExchangeRateSeries
 from repro.sim.blockprod import ChainTrace
@@ -95,6 +101,180 @@ class TestStabilization:
         trace = stalled_trace(stall=5000, post_blocks=0)
         report = stabilization_time(trace, 100_000, horizon_days=1)
         assert report.stabilization_seconds is None
+
+
+def timestamp_trace(timestamps, fork_ts=100_000):
+    """A trace mining at the given timestamps; difficulty = 1000 + index."""
+    trace = ChainTrace("ETC")
+    trace.append(0, fork_ts - 14, 999, "m")
+    for index, ts in enumerate(timestamps):
+        trace.append(index + 1, ts, 1000 + index, "m")
+    return trace
+
+
+#: Six blocks/hour target with 50% tolerance: an hour "counts" at >= 3
+#: blocks, and three such hours in a row mark the recovery.
+SMALL = dict(target_block_time=600.0, sustain_hours=3)
+
+
+def hours_of_blocks(counts, fork_ts=100_000, per_hour_gap=600):
+    """Timestamps putting ``counts[h]`` blocks into fork-relative hour h."""
+    stamps = []
+    for hour, count in enumerate(counts):
+        base = fork_ts + hour * HOUR
+        stamps.extend(base + i * per_hour_gap for i in range(count))
+    return stamps
+
+
+class TestStabilizationKernel:
+    def test_empty_window_raises(self):
+        trace = timestamp_trace([100_000 + 15 * DAY])
+        with pytest.raises(ValueError):
+            stabilization_time(trace, 100_000)
+
+    def test_one_block_window_has_float_zero_peak(self):
+        trace = timestamp_trace([100_000 + 10])
+        report = stabilization_time(trace, 100_000)
+        assert report.peak_delta_seconds == 0.0
+        assert isinstance(report.peak_delta_seconds, float)
+        assert report.difficulty_at_fork == 1000
+
+    def test_all_zero_deltas_give_float_zero(self):
+        trace = timestamp_trace([100_000 + 5] * 4)
+        report = stabilization_time(trace, 100_000)
+        assert report.peak_delta_seconds == 0.0
+        assert isinstance(report.peak_delta_seconds, float)
+
+    def test_positive_peak_keeps_the_column_int(self):
+        trace = timestamp_trace([100_000, 100_007, 100_107, 100_110])
+        report = stabilization_time(trace, 100_000)
+        assert report.peak_delta_seconds == 100
+        assert isinstance(report.peak_delta_seconds, int)
+
+    def test_empty_hour_resets_the_sustain_run(self):
+        stamps = hours_of_blocks([4, 4, 0, 4, 4, 4])
+        trace = timestamp_trace(stamps)
+        report = stabilization_time(trace, 100_000, **SMALL)
+        # Hours 0-1 qualify, hour 2 is empty: the run restarts at hour 3.
+        assert report.stabilization_seconds == 3 * HOUR
+        assert report.difficulty_at_recovery == 1000 + 8
+        # Last block of hour 1 (offset 1800 s) to the first of hour 3.
+        assert report.peak_delta_seconds == 2 * HOUR - 3 * 600
+
+    def test_thin_hour_resets_the_sustain_run(self):
+        stamps = hours_of_blocks([4, 4, 2, 4, 4, 4])
+        report = stabilization_time(timestamp_trace(stamps), 100_000, **SMALL)
+        assert report.stabilization_seconds == 3 * HOUR
+
+    def test_sustained_rate_from_the_fork_recovers_at_zero(self):
+        stamps = hours_of_blocks([3, 3, 3])
+        report = stabilization_time(timestamp_trace(stamps), 100_000, **SMALL)
+        assert report.stabilization_seconds == 0
+        assert report.difficulty_at_recovery == report.difficulty_at_fork
+
+    def test_no_recovery_gives_none(self):
+        stamps = hours_of_blocks([4, 4, 0, 4, 4])
+        report = stabilization_time(timestamp_trace(stamps), 100_000, **SMALL)
+        assert report.stabilization_seconds is None
+        assert report.stabilization_days is None
+        assert report.difficulty_at_recovery is None
+
+    def test_database_columns_match_the_trace(self):
+        trace = stalled_trace(stall=2500)
+        columnar = ColumnarChainDatabase()
+        columnar.adopt_trace(trace)
+        record = ChainDatabase()
+        record.insert_blocks(trace.iter_block_records())
+        expected = stabilization_time(trace, 100_000)
+        for db in (columnar, record):
+            report = stabilization_from_columns(
+                *db.timestamps_and_difficulties("ETC"), 100_000
+            )
+            assert report == expected
+
+    def test_unsorted_database_columns_are_rejected(self):
+        rows = [
+            BlockRecord(chain="ETC", number=n, timestamp=ts, difficulty=1,
+                        miner="m", tx_count=0, contract_tx_count=0)
+            for n, ts in ((1, 200), (2, 100))
+        ]
+        for db in (ColumnarChainDatabase(), ChainDatabase()):
+            db.insert_blocks(rows)
+            with pytest.raises(ValueError):
+                db.timestamps_and_difficulties("ETC")
+
+
+def loop_stabilization(trace, fork_ts, target_block_time=14.0,
+                       rate_tolerance=0.5, sustain_hours=6, horizon_days=14):
+    """Per-block reference for the bisecting kernel (plain loops)."""
+    threshold = HOUR / target_block_time * (1.0 - rate_tolerance)
+    window = [
+        (ts, d) for ts, d in zip(trace.timestamps, trace.difficulties)
+        if fork_ts <= ts < fork_ts + horizon_days * DAY
+    ]
+    hourly, peak, previous = {}, 0.0, None
+    for ts, _ in window:
+        hour = (ts - fork_ts) // HOUR
+        hourly[hour] = hourly.get(hour, 0) + 1
+        if previous is not None:
+            peak = max(peak, ts - previous)
+        previous = ts
+    run, recovery_hour = 0, None
+    for hour in range(max(hourly) + 1):
+        if hourly.get(hour, 0) >= threshold:
+            run += 1
+            if run >= sustain_hours:
+                recovery_hour = hour - sustain_hours + 1
+                break
+        else:
+            run = 0
+    seconds, at_recovery = None, None
+    if recovery_hour is not None:
+        seconds = recovery_hour * HOUR
+        start = fork_ts + seconds
+        later = [d for ts, d in window if start <= ts < start + HOUR]
+        at_recovery = later[0] if later else None
+    return seconds, peak, window[0][1], at_recovery
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_kernel_matches_per_block_loop(seed):
+    rng = random.Random(seed)
+    fork_ts = 100_000
+    ts = fork_ts - rng.randrange(0, 3 * HOUR)
+    typical = rng.choice((5, 14, 60))
+    stall_rate = rng.choice((0.0, 0.002, 0.01))
+    trace = ChainTrace("ETC")
+    for number in range(rng.randrange(1, 6000)):
+        # Zero gaps, near-target gaps and multi-hour stalls all occur.
+        roll = rng.random()
+        if roll < stall_rate:
+            ts += rng.randrange(HOUR, 4 * HOUR)
+        elif roll < 0.1:
+            ts += 0
+        else:
+            ts += rng.randrange(0, 2 * typical + 1)
+        trace.append(number, ts, rng.randrange(1, 10**15), "m")
+    params = dict(
+        target_block_time=rng.choice((14.0, 60.0, 600.0)),
+        rate_tolerance=rng.choice((0.0, 0.5, 0.9)),
+        sustain_hours=rng.choice((1, 3, 6)),
+        horizon_days=rng.choice((1, 14)),
+    )
+    try:
+        expected = loop_stabilization(trace, fork_ts, **params)
+    except ValueError:  # max() of an empty window: no post-fork blocks
+        with pytest.raises(ValueError):
+            stabilization_time(trace, fork_ts, **params)
+        return
+    report = stabilization_time(trace, fork_ts, **params)
+    assert (
+        report.stabilization_seconds,
+        report.peak_delta_seconds,
+        report.difficulty_at_fork,
+        report.difficulty_at_recovery,
+    ) == expected
+    assert type(report.peak_delta_seconds) is type(expected[1])
 
 
 class TestMarketAnalysis:

@@ -8,11 +8,12 @@ from repro.core.pools import (
     convergence_day,
     daily_top_n_shares,
     daily_top_pools,
+    db_top_n_share_series,
     migration_consistency,
     top_n_share_series,
-    trace_top_n_share_series,
 )
 from repro.core.timeseries import TimeSeries
+from repro.data.columnar import ColumnarChainDatabase
 from repro.data.windows import DAY
 from repro.sim.blockprod import ChainTrace
 
@@ -43,23 +44,27 @@ class TestDailyShares:
 
 
 class TestTraceVariant:
-    def build_trace(self):
+    """The Figure 5 kernel over a trace adopted by the columnar database."""
+
+    def build_db(self):
         trace = ChainTrace("ETH")
         for i in range(8):
             trace.append(i, i * 100, 1000, "bigpool")
         for i in range(2):
             trace.append(8 + i, 900 + i, 1000, f"solo-{i:05d}")
-        return trace
+        db = ColumnarChainDatabase()
+        db.adopt_trace(trace)
+        return db
 
     def test_solo_miners_never_count_as_pools(self):
-        trace = self.build_trace()
-        series = trace_top_n_share_series(trace, top_n=1)
+        series = db_top_n_share_series(self.build_db(), "ETH", top_n=1)
         # bigpool has 8 of 10 blocks; the solos are denominators only.
         assert series.values == [80.0]
 
     def test_start_ts_filter(self):
-        trace = self.build_trace()
-        series = trace_top_n_share_series(trace, top_n=1, start_ts=850)
+        series = db_top_n_share_series(
+            self.build_db(), "ETH", top_n=1, start_ts=850
+        )
         assert series.values == [0.0]  # only solo blocks remain
 
 

@@ -4,25 +4,22 @@
 surface over zero-copy trace columns.  These tests pin the contract the
 figure pipeline rests on: every query — boxed-record and aggregated
 alike — and every downstream figure/observation artifact is
-*byte-identical* across the trace functions, the record database, and
-the columnar database, over multiple seeds and horizons.
+*byte-identical* between the public functions (which read the columnar
+database) and the same functions run on the record database, over
+multiple seeds and horizons.
 """
 
 import json
 
 import pytest
 
-from repro.core.observations import evaluate_all, evaluate_all_db
-from repro.core.report import (
-    figure_1,
-    figure_2,
-    figure_3,
-    figure_5,
-    figures_from_database,
-)
+from repro.core.echoes import EchoDetector
+from repro.core.observations import evaluate_all
+from repro.core.report import figure_1, figure_2, figure_3, figure_4, figure_5
 from repro.data.columnar import ColumnarChainDatabase
 from repro.data.records import BlockRecord, TxRecord
 from repro.data.store import ChainDatabase
+from repro.scenarios.replay_attack import replay_stream
 from repro.sim.engine import ForkSimConfig, ForkSimulation
 
 
@@ -138,37 +135,45 @@ class TestQueryParity:
             )
 
 
+@pytest.fixture(scope="module")
+def detector(result):
+    records, _ = replay_stream(result)
+    detector = EchoDetector()
+    detector.observe_records(records)
+    return detector
+
+
 class TestFigurePipeline:
-    def test_figures_byte_identical(self, result, backends, tmp_path):
-        record, columnar = backends
-        trace_figs = {
-            1: figure_1(result),
-            2: figure_2(result),
-            3: figure_3(result),
-            5: figure_5(result),
-        }
-        rec_figs = figures_from_database(result, record)
-        col_figs = figures_from_database(result, columnar)
-        assert set(rec_figs) == set(col_figs) == {1, 2, 3, 5}
-        for number, trace_fig in trace_figs.items():
-            payloads = {}
-            for tag, fig in (
-                ("trace", trace_fig),
-                ("record", rec_figs[number]),
-                ("columnar", col_figs[number]),
-            ):
+    def test_figures_byte_identical(
+        self, result, backends, detector, tmp_path
+    ):
+        def figures(**db):
+            return {
+                1: figure_1(result, **db),
+                2: figure_2(result, **db),
+                3: figure_3(result, **db),
+                4: figure_4(result, detector, **db),
+                5: figure_5(result, **db),
+            }
+
+        oracle = figures(db=backends[0])
+        for number, public in figures().items():
+            assert list(public.series) == list(oracle[number].series)
+            assert public.render() == oracle[number].render()
+            assert public.notes == oracle[number].notes
+            payloads = []
+            for tag, fig in (("public", public), ("record", oracle[number])):
                 path = tmp_path / f"f{number}-{tag}.csv"
                 fig.write_csv(path)
-                payloads[tag] = path.read_bytes()
-                assert fig.render() == trace_fig.render()
-            assert payloads["trace"] == payloads["record"]
-            assert payloads["record"] == payloads["columnar"]
+                payloads.append(path.read_bytes())
+            assert payloads[0] == payloads[1]
 
-    def test_observations_identical(self, result, backends):
-        record, columnar = backends
-        trace_obs = _obs_blob(evaluate_all(result))
-        assert _obs_blob(evaluate_all_db(result, record)) == trace_obs
-        assert _obs_blob(evaluate_all_db(result, columnar)) == trace_obs
+    def test_observations_identical(self, result, backends, detector):
+        public = evaluate_all(result, detector=detector)
+        oracle = evaluate_all(result, detector=detector, db=backends[0])
+        assert [o.number for o in public] == [2, 3, 4, 5, 6]
+        assert _obs_blob(public) == _obs_blob(oracle)
+        assert [o.render() for o in public] == [o.render() for o in oracle]
 
 
 def _block(chain="ETH", number=1, timestamp=1000, difficulty=100,

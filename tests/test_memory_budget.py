@@ -2,12 +2,14 @@
 
 The point of the columnar backend is that a half-million-block figure
 pass no longer materializes a boxed ``BlockRecord`` per block.  This
-test pins that property with tracemalloc: the full database build +
-figure + observation pass must fit a fixed byte budget on the columnar
-backend — a budget the record backend demonstrably blows through on the
-same workload (~6x over, measured ~20 MB vs ~132 MB at 40 days).  A
-regression that starts boxing records on the hot path fails the budget
-immediately instead of surfacing as a slow OOM at a million blocks.
+test pins that property with tracemalloc: the figure + observation pass
+``run-all`` runs (``figure_1/2/3/5(result)`` and ``evaluate_all(result)``,
+each over the result's zero-copy columnar database) must fit a fixed
+byte budget.  The record backend lands at ~132 MB on the same workload
+(~6x over); the ``forksim_analysis`` bench case keeps measuring that
+gap at the paper's scale.  A regression that starts boxing records on
+the hot path fails the budget immediately instead of surfacing as a
+slow OOM at a million blocks.
 """
 
 import gc
@@ -15,17 +17,16 @@ import tracemalloc
 
 import pytest
 
-from repro.core.observations import evaluate_all_db
-from repro.core.report import figures_from_database
+from repro.core.observations import evaluate_all
+from repro.core.report import figure_1, figure_2, figure_3, figure_5
 from repro.sim.engine import ForkSimConfig, run_fork_sim
 
 #: 40 days ≈ 520k blocks across both chains — big enough that per-block
 #: boxing dominates the peak, small enough for tier-1 latency.
 CONFIG = ForkSimConfig(days=40, prefork_days=3, seed=5, with_transactions=False)
 
-#: Hard ceiling for the columnar pass.  Measured peak is ~20 MB; the
-#: headroom absorbs allocator noise, not algorithmic regressions — the
-#: record backend lands at ~132 MB on the same workload.
+#: Hard ceiling for the analysis pass.  Measured peak is ~20 MB; the
+#: headroom absorbs allocator noise, not algorithmic regressions.
 COLUMNAR_BUDGET_BYTES = 32 * 1024 * 1024
 
 
@@ -34,30 +35,18 @@ def result():
     return run_fork_sim(CONFIG)
 
 
-def _traced_analysis_peak(result, columnar):
+def test_columnar_analysis_fits_budget(result):
     gc.collect()
     tracemalloc.start()
     try:
-        db = result.to_database(columnar=columnar)
-        figures_from_database(result, db)
-        evaluate_all_db(result, db)
+        for figure in (figure_1, figure_2, figure_3, figure_5):
+            figure(result)
+        evaluate_all(result)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak
-
-
-def test_columnar_analysis_fits_budget(result):
-    peak = _traced_analysis_peak(result, columnar=True)
     assert peak <= COLUMNAR_BUDGET_BYTES, (
         f"columnar analysis peak {peak} bytes exceeds the "
         f"{COLUMNAR_BUDGET_BYTES}-byte budget — something is boxing "
         "records on the hot path"
     )
-
-
-def test_record_backend_exceeds_budget(result):
-    # The budget only means something while the oracle cannot meet it;
-    # if this starts passing, tighten COLUMNAR_BUDGET_BYTES.
-    peak = _traced_analysis_peak(result, columnar=False)
-    assert peak > COLUMNAR_BUDGET_BYTES

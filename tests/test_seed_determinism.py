@@ -19,6 +19,8 @@ from repro.harness import (
     WorkerPool,
     echoes_spec,
     execute_job,
+    figure_spec,
+    observations_spec,
     perf_probe_spec,
     simulate_spec,
 )
@@ -98,13 +100,22 @@ class TestSubprocessDeterminism:
             assert result.value.digest() == local_digest
 
 
-#: Job kinds whose cached values hold nothing but deterministic data, so
-#: their serve summaries digest identically on every cold run.
+#: Job specs (keyed by a test id; several may share one kind) whose
+#: cached values hold nothing but deterministic data, so their serve
+#: summaries digest identically on every cold run.
 SUMMARY_SPECS = {
     "perf-probe": perf_probe_spec(
         ForkSimConfig(days=3, prefork_days=1, seed=11, with_transactions=False)
     ),
     "echoes": echoes_spec(SMALL),
+    "figure-1": figure_spec(1, SMALL),
+    "figure-5": figure_spec(5, SMALL),
+    "observations": observations_spec(
+        SMALL,
+        PartitionScenarioConfig(
+            num_nodes=14, num_miners=4, post_fork_horizon=1200.0
+        ),
+    ),
 }
 
 
@@ -137,5 +148,5 @@ class TestSummaryDigestDeterminism:
         assert all(r.record.status == "ok" for r in results)
         local = _cold_digest(spec)
         for result in results:
-            assert summary_digest(summarize(kind, result.value)) == local
+            assert summary_digest(summarize(spec.kind, result.value)) == local
 

@@ -7,7 +7,7 @@ One moderately sized run (90 days) is shared module-wide; the full
 import pytest
 
 from repro.core.metrics import (
-    trace_daily_mean_difficulty,
+    db_daily_mean_difficulty,
     trace_transactions_per_day,
 )
 from repro.core.partition import find_trace_fork_point, stabilization_time
@@ -68,11 +68,12 @@ class TestCalibration:
         assert report.peak_delta_seconds > 1200  # the paper's delta spike
 
     def test_etc_difficulty_an_order_below_eth(self, result):
-        eth = trace_daily_mean_difficulty(
-            result.eth_trace, result.fork_timestamp + 30 * DAY
+        db = result.to_database(columnar=True)
+        eth = db_daily_mean_difficulty(
+            db, "ETH", result.fork_timestamp + 30 * DAY
         )
-        etc = trace_daily_mean_difficulty(
-            result.etc_trace, result.fork_timestamp + 30 * DAY
+        etc = db_daily_mean_difficulty(
+            db, "ETC", result.fork_timestamp + 30 * DAY
         )
         ratio = eth.mean() / etc.mean()
         assert 6 <= ratio <= 20
@@ -80,8 +81,9 @@ class TestCalibration:
     def test_mirror_image_difficulty_drift(self, result):
         """Figure 1's second fortnight: ETH sheds difficulty while ETC
         gains it, as profit miners flow back."""
-        eth = trace_daily_mean_difficulty(result.eth_trace)
-        etc = trace_daily_mean_difficulty(result.etc_trace)
+        db = result.to_database(columnar=True)
+        eth = db_daily_mean_difficulty(db, "ETH")
+        etc = db_daily_mean_difficulty(db, "ETC")
         fork = result.fork_timestamp
 
         def value_near(series, timestamp):
