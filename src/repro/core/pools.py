@@ -86,7 +86,16 @@ def db_top_n_share_series(
     relative order among the survivors, and ``most_common``'s stable
     sort therefore breaks ties the same way.
     """
-    days = db.daily_miner_counts(chain, start_ts)
+    return _share_series(
+        db.daily_miner_counts(chain, start_ts), chain, top_n, solo_prefix
+    )
+
+
+def _share_series(
+    days: Dict[int, Counter], chain: str, top_n: int, solo_prefix: str = "solo-"
+) -> TimeSeries:
+    """:func:`db_top_n_share_series` over already-counted ``days``, so a
+    caller wanting several ``top_n`` counts a chain once."""
     indices = sorted(days)
     values = []
     for index in indices:

@@ -32,7 +32,7 @@ from .metrics import (
     db_hourly_mean_block_delta,
     db_transactions_per_day,
 )
-from .pools import db_top_n_share_series
+from .pools import _share_series
 from .timeseries import TimeSeries
 
 __all__ = [
@@ -229,10 +229,9 @@ def figure_5(result: ForkSimResult, *, db=None) -> FigureData:
         db = result.to_database(columnar=True)
     series: Dict[str, TimeSeries] = {}
     for name in CHAINS:
+        days = db.daily_miner_counts(name, result.fork_timestamp)
         for top_n in (1, 3, 5):
-            series[f"{name} top {top_n}"] = db_top_n_share_series(
-                db, name, top_n, start_ts=result.fork_timestamp
-            )
+            series[f"{name} top {top_n}"] = _share_series(days, name, top_n)
     return FigureData(
         figure_id="Figure 5",
         title="Percent of all mined blocks won by the top 1, 3, and 5 "

@@ -59,8 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["BucketSimulator"]
 
-#: Entries are the same ``(time, seq, handle)`` tuples the heap engine
-#: uses, so bucket sorting reproduces heap order exactly.
+#: Entries are the heap engine's ``(time, seq, handle)`` tuples, so
+#: bucket sorting reproduces heap order exactly.  The handle-free
+#: delivery entries never reach this engine: the network pushes them
+#: inline only onto an exact :class:`Simulator`.
 _Entry = Tuple[float, int, EventHandle]
 
 
@@ -229,7 +231,7 @@ class BucketSimulator(Simulator):
             self.now = entry[0]
             self.events_processed += 1
             if obs is not None:
-                self._note_fired(handle)
+                self._note_fired(handle.seq, handle.callback)
             args = handle.args
             if args:
                 handle.callback(*args)
@@ -333,7 +335,7 @@ class BucketSimulator(Simulator):
             self.now = time
             self.events_processed += 1
             if self.obs is not None:
-                self._note_fired(handle)
+                self._note_fired(handle.seq, handle.callback)
             handle.callback(*handle.args)
             processed += 1
         self.now = max(self.now, end_time)

@@ -14,8 +14,9 @@ handshake) emerges in the simulator the same way operators observed it.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from ..chain.crypto import keccak256
 
@@ -52,22 +53,32 @@ def bucket_index(own_id: bytes, other_id: bytes) -> int:
 class RoutingTable:
     """One node's view of the DHT: 256 k-buckets of peer names.
 
-    Peers are stored by name; digests are derived on demand.  Buckets are
-    kept in least-recently-seen order (index 0 = stalest), matching the
-    eviction policy of the Kademlia paper the protocol cites.
+    Peers are stored by name; digests are derived on demand.  Recency is
+    a stamp, not a list position: ``_seen`` maps every member to the
+    tick of its last contact (a per-table counter), so refreshing a
+    known peer — once per received message — is one dict store.  Each
+    bucket is a set of member names whose size alone decides admission.
+    :meth:`all_peers` walks buckets in creation order and sorts each by
+    tick, which is exactly the least-recently-seen order (stalest first)
+    the list-based table kept by moving a refreshed peer to the end:
+    the Kademlia eviction order the protocol cites.
     """
 
     def __init__(self, own_name: str, bucket_size: int = BUCKET_SIZE) -> None:
         self.own_name = own_name
         self.own_id = node_id_digest(own_name)
         self.bucket_size = bucket_size
-        self._buckets: Dict[int, List[str]] = {}
+        #: bucket index -> member names, in bucket creation order.
+        self._buckets: Dict[int, Set[str]] = {}
+        #: member name -> tick of its last contact.
+        self._seen: Dict[str, int] = {}
+        self._tick = itertools.count().__next__
         self._digests: Dict[str, bytes] = {}
-        #: name -> bucket index.  ``observe`` runs once per received
-        #: message, and the seed recomputed two 256-bit ``int.from_bytes``
-        #: conversions, an XOR, and a ``bit_length`` on every call even
-        #: though name -> index is immutable (both ids are digests of
-        #: fixed names).  Never invalidated, same as ``_digests``.
+        #: name -> bucket index.  name -> index is immutable (both ids
+        #: are digests of fixed names), so the two 256-bit
+        #: ``int.from_bytes`` conversions, the XOR and the
+        #: ``bit_length`` run once per name.  Never invalidated, same
+        #: as ``_digests``.
         self._indices: Dict[str, int] = {}
 
     def _digest(self, name: str) -> bytes:
@@ -77,64 +88,65 @@ class RoutingTable:
             self._digests[name] = digest
         return digest
 
+    def _index(self, name: str) -> int:
+        index = self._indices.get(name)
+        if index is None:
+            index = bucket_index(self.own_id, self._digest(name))
+            self._indices[name] = index
+        return index
+
     def observe(self, name: str) -> bool:
         """Record contact with ``name``; returns False if the bucket is
         full and the peer was not admitted (classic Kademlia keeps the
         old, long-lived entry — a Sybil defence)."""
-        index = self._indices.get(name)
-        if index is None:
-            if name == self.own_name:
-                return False
-            index = bucket_index(self.own_id, self._digest(name))
-            self._indices[name] = index
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._buckets[index] = []
-        elif bucket and bucket[-1] == name:
-            return True  # already most-recently-seen; refresh is a no-op
-        if name in bucket:
-            bucket.remove(name)
-            bucket.append(name)  # refresh to most-recently-seen
+        seen = self._seen
+        if name in seen:
+            seen[name] = self._tick()  # refresh to most-recently-seen
             return True
-        if len(bucket) < self.bucket_size:
-            bucket.append(name)
-            return True
-        return False
+        if name == self.own_name:
+            return False
+        return self._admit(self._index(name), name)
 
     def observe_reference(self, name: str) -> bool:
-        """The seed-state :meth:`observe` body, verbatim (modulo the
-        digest memo it always had) — swapped in class-wide by
+        """The seed-state :meth:`observe` control flow (modulo the digest
+        memo it always had) — swapped in class-wide by
         :func:`repro.perf.reference.reference_event_loop` so the
         benchmark reference arm pays the original per-call index math."""
         if name == self.own_name:
             return False
         index = bucket_index(self.own_id, self._digest(name))
-        bucket = self._buckets.setdefault(index, [])
-        if name in bucket:
-            bucket.remove(name)
-            bucket.append(name)  # refresh to most-recently-seen
+        if name in self._buckets.get(index, ()):
+            self._seen[name] = self._tick()
             return True
+        return self._admit(index, name)
+
+    def _admit(self, index: int, name: str) -> bool:
+        """Add a non-member to bucket ``index`` if it has room."""
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = set()
         if len(bucket) < self.bucket_size:
-            bucket.append(name)
+            bucket.add(name)
+            self._seen[name] = self._tick()
             return True
         return False
 
     def remove(self, name: str) -> None:
-        for bucket in self._buckets.values():
-            if name in bucket:
-                bucket.remove(name)
-                return
+        if self._seen.pop(name, None) is not None:
+            self._buckets[self._index(name)].remove(name)
 
     def __contains__(self, name: str) -> bool:
-        return any(name in bucket for bucket in self._buckets.values())
+        return name in self._seen
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return len(self._seen)
 
     def all_peers(self) -> List[str]:
+        """Every member: buckets in creation order, each stalest first."""
+        by_tick = self._seen.__getitem__
         peers: List[str] = []
         for bucket in self._buckets.values():
-            peers.extend(bucket)
+            peers.extend(sorted(bucket, key=by_tick))
         return peers
 
     def closest(self, target: bytes, count: int = BUCKET_SIZE) -> List[str]:

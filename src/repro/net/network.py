@@ -21,13 +21,7 @@ from ..chain.types import Hash32
 from .latency import GeographicLatency, LatencyModel, LognormalLatency
 from .messages import Message, NewBlock
 from .node import FullNode
-from .simulator import (
-    EventHandle,
-    Simulator,
-    _heappush,
-    _INF,
-    _new_handle,
-)
+from .simulator import Simulator, _heappush, _INF
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Observability
@@ -305,17 +299,15 @@ class Network:
                     delay = self.latency.sample(rng)
             sim = self.sim
             if type(sim) is Simulator and sim.obs is None and 0.0 <= delay < _INF:
-                # Inline Simulator.schedule's obs-disabled hot body.
-                # Only for the exact base class — subclasses and the
-                # calendar-queue engine own their insert discipline.
-                seq = next(sim._sequence)
-                handle = _new_handle(EventHandle)
-                handle.time = time = sim.now + delay
-                handle.callback = target.receive
-                handle.args = (message,)
-                handle.cancelled = False
-                handle.seq = seq
-                _heappush(sim._queue, (time, seq, handle))
+                # A handle-free delivery entry (nothing cancels a
+                # delivery).  Only for the exact base class with obs
+                # off — subclasses and the calendar-queue engine own
+                # their insert discipline, and observed runs trace
+                # through handles.
+                _heappush(
+                    sim._queue,
+                    (sim.now + delay, next(sim._sequence), target, message),
+                )
             else:
                 sim.schedule(delay, target.receive, message)
             return
@@ -446,10 +438,8 @@ class Network:
         inline_sched = type(sim) is Simulator and sim.obs is None
         if inline_sched:
             queue = sim._queue
-            seq_iter = sim._sequence
+            next_seq = sim._sequence.__next__
             now = sim.now
-            # One shared args tuple per wave: handles never mutate it.
-            args = (message,)
         sent = 0
         undeliverable = 0
         try:
@@ -488,14 +478,9 @@ class Network:
                 else:
                     delay = sample(rng)
                 if inline_sched and 0.0 <= delay < _INF:
-                    seq = next(seq_iter)
-                    handle = _new_handle(EventHandle)
-                    handle.time = time = now + delay
-                    handle.callback = target.receive
-                    handle.args = args
-                    handle.cancelled = False
-                    handle.seq = seq
-                    _heappush(queue, (time, seq, handle))
+                    _heappush(
+                        queue, (now + delay, next_seq(), target, message)
+                    )
                 else:
                     # Degenerate delay or a non-base-class engine:
                     # schedule() validates and raises exactly like the
@@ -545,9 +530,7 @@ class Network:
         inline_sched = type(sim) is Simulator and sim.obs is None
         if inline_sched:
             queue = sim._queue
-            seq_iter = sim._sequence
-            # One shared args tuple per wave: handles never mutate it.
-            args = (message,)
+            next_seq = sim._sequence.__next__
         sent = 0
         lost = 0
         undeliverable = 0
@@ -592,14 +575,9 @@ class Network:
                     first = first_sent.setdefault(key, now)
                     delivery_delays.append(now + delay - first)
                 if inline_sched and 0.0 <= delay < _INF:
-                    seq = next(seq_iter)
-                    handle = _new_handle(EventHandle)
-                    handle.time = time = now + delay
-                    handle.callback = target.receive
-                    handle.args = args
-                    handle.cancelled = False
-                    handle.seq = seq
-                    _heappush(queue, (time, seq, handle))
+                    _heappush(
+                        queue, (now + delay, next_seq(), target, message)
+                    )
                 else:
                     # Degenerate delay or a non-base-class engine:
                     # schedule() validates and raises exactly like the

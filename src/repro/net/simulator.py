@@ -10,6 +10,17 @@ queue with stable FIFO ordering for simultaneous events, and cancellable
 handles — because determinism is the property the experiments lean on:
 a seeded scenario replays identically down to the block hashes.
 
+The queue holds two entry shapes, both ordered by ``(time, seq)``:
+
+* ``(time, seq, handle)`` — a :meth:`Simulator.schedule` callback with
+  its cancellable :class:`EventHandle` (timers, retries, observed runs);
+* ``(time, seq, node, message)`` — a message delivery, fired as
+  ``node.receive(message)``.  Nothing cancels a delivery, so it needs no
+  handle; the network's inline send paths push these directly.
+
+``seq`` is unique, so heap comparisons never reach the third element
+and the two shapes interleave in exactly the order one shape would.
+
 Observability (:mod:`repro.obs`) is opt-in: construct with ``obs=`` to
 record ``event.scheduled`` / ``event.fired`` / ``event.cancelled`` trace
 events and ``sim.events.*`` counters.  With ``obs=None`` (the default)
@@ -21,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Observability
@@ -74,6 +85,10 @@ _new_handle = EventHandle.__new__
 class Simulator:
     """The virtual clock and event queue.
 
+    Every queue reader fires both entry shapes of the module docstring.
+    A delivery's ``receive`` is looked up when it fires, so a class-wide
+    swap of ``receive`` applies to deliveries already queued.
+
     The queue is a binary heap by default.  Setting the class switch
     :attr:`use_bucket_queue` makes ``Simulator(...)`` construct a
     :class:`~repro.net.bucketqueue.BucketSimulator` instead — a
@@ -117,7 +132,8 @@ class Simulator:
         obs: Optional["Observability"] = None,
     ) -> None:
         self.now = start_time
-        self._queue: List[Tuple[float, int, EventHandle]] = []
+        #: ``(time, seq, handle)`` and ``(time, seq, node, message)``.
+        self._queue: List[tuple] = []
         self._sequence = itertools.count()
         self.events_processed = 0
         self.obs = obs
@@ -200,29 +216,39 @@ class Simulator:
         if self._tracer is not None:
             self._tracer.emit(self.now, "event.cancelled", seq=handle.seq)
 
-    def _note_fired(self, handle: EventHandle) -> None:
+    def _note_fired(self, seq: int, callback: Callable) -> None:
         if self._ctr_fired is not None:
             self._ctr_fired.inc()
         if self._tracer is not None:
             self._tracer.emit(
                 self.now,
                 "event.fired",
-                fn=_callback_label(handle.callback),
-                seq=handle.seq,
+                fn=_callback_label(callback),
+                seq=seq,
             )
 
     def step(self) -> bool:
         """Process the next event; returns False when the queue is empty.
 
-        Shares the hot ``run_until`` dispatch discipline: cancelled
-        entries drain with one attribute test, no-arg callbacks skip the
-        empty-tuple unpack, and ``heappop`` is bound once at module
-        import instead of per call.
+        Shares the hot ``run_until`` dispatch discipline: deliveries
+        fire without a handle, cancelled entries drain with one
+        attribute test, no-arg callbacks skip the empty-tuple unpack,
+        and ``heappop`` is bound once at module import instead of per
+        call.
         """
         queue = self._queue
         obs = self.obs
         while queue:
-            time, _, handle = _heappop(queue)
+            entry = _heappop(queue)
+            if len(entry) == 4:
+                self.now = entry[0]
+                self.events_processed += 1
+                node = entry[2]
+                if obs is not None:
+                    self._note_fired(entry[1], node.receive)
+                node.receive(entry[3])
+                return True
+            time, seq, handle = entry
             if handle.cancelled:
                 if obs is not None:
                     self._note_cancelled(handle)
@@ -230,7 +256,7 @@ class Simulator:
             self.now = time
             self.events_processed += 1
             if obs is not None:
-                self._note_fired(handle)
+                self._note_fired(seq, handle.callback)
             args = handle.args
             if args:
                 handle.callback(*args)
@@ -250,11 +276,13 @@ class Simulator:
         if self.obs is not None:
             return self._run_until_observed(end_time, max_events)
         # Obs-disabled hot loop: the heap, pop, and counters live in
-        # locals; cancelled entries drain with a single attribute test;
-        # ``events_processed`` flushes once at exit (the ``finally``
-        # keeps it right even if a callback raises).  Trajectory is
-        # identical to the observed loop — nothing here touches RNG
-        # state or event order.
+        # locals; deliveries (4-entries, nearly every event in a
+        # partition run) fire as ``node.receive(message)`` with no
+        # handle to read; cancelled handles drain with a single
+        # attribute test; ``events_processed`` flushes once at exit (the
+        # ``finally`` keeps it right even if a callback raises).
+        # Trajectory is identical to the observed loop — nothing here
+        # touches RNG state or event order.
         queue = self._queue
         heappop = heapq.heappop
         processed = 0
@@ -263,24 +291,27 @@ class Simulator:
                 # Pop-first: one heap operation per event instead of a
                 # peek plus a pop; the one overshooting entry is pushed
                 # back when the horizon is reached.  No-arg callbacks
-                # (timers, retries — the majority in pure event-loop
-                # workloads) dispatch through a plain call instead of
-                # unpacking an empty tuple.
+                # (timers, retries) dispatch through a plain call
+                # instead of unpacking an empty tuple.
                 while queue:
                     entry = heappop(queue)
                     time = entry[0]
                     if time > end_time:
                         _heappush(queue, entry)
                         break
-                    handle = entry[2]
-                    if handle.cancelled:
-                        continue
-                    self.now = time
-                    args = handle.args
-                    if args:
-                        handle.callback(*args)
+                    if len(entry) == 4:
+                        self.now = time
+                        entry[2].receive(entry[3])
                     else:
-                        handle.callback()
+                        handle = entry[2]
+                        if handle.cancelled:
+                            continue
+                        self.now = time
+                        args = handle.args
+                        if args:
+                            handle.callback(*args)
+                        else:
+                            handle.callback()
                     processed += 1
                     # Batched same-timestamp dispatch: a run of events
                     # with exactly this timestamp (census fan-outs,
@@ -293,24 +324,31 @@ class Simulator:
                     # (larger seq), exactly as the reference loop
                     # orders them.
                     while queue and queue[0][0] == time:
-                        handle = heappop(queue)[2]
-                        if handle.cancelled:
-                            continue
-                        args = handle.args
-                        if args:
-                            handle.callback(*args)
+                        entry = heappop(queue)
+                        if len(entry) == 4:
+                            entry[2].receive(entry[3])
                         else:
-                            handle.callback()
+                            handle = entry[2]
+                            if handle.cancelled:
+                                continue
+                            args = handle.args
+                            if args:
+                                handle.callback(*args)
+                            else:
+                                handle.callback()
                         processed += 1
             else:
+                # The storm guard is checked per live event, the tie
+                # run included (a tie run must not overshoot the budget
+                # unnoticed); the over-budget entry stays queued.
                 while queue:
                     entry = heappop(queue)
                     time = entry[0]
                     if time > end_time:
                         _heappush(queue, entry)
                         break
-                    handle = entry[2]
-                    if handle.cancelled:
+                    delivery = len(entry) == 4
+                    if not delivery and entry[2].cancelled:
                         continue
                     if processed >= max_events:
                         _heappush(queue, entry)
@@ -319,19 +357,20 @@ class Simulator:
                             f"t={end_time}"
                         )
                     self.now = time
-                    args = handle.args
-                    if args:
-                        handle.callback(*args)
+                    if delivery:
+                        entry[2].receive(entry[3])
                     else:
-                        handle.callback()
+                        handle = entry[2]
+                        args = handle.args
+                        if args:
+                            handle.callback(*args)
+                        else:
+                            handle.callback()
                     processed += 1
-                    # Same-timestamp drain, with the storm guard kept
-                    # per event (a tie run must not overshoot the
-                    # budget unnoticed).
                     while queue and queue[0][0] == time:
                         entry = heappop(queue)
-                        handle = entry[2]
-                        if handle.cancelled:
+                        delivery = len(entry) == 4
+                        if not delivery and entry[2].cancelled:
                             continue
                         if processed >= max_events:
                             _heappush(queue, entry)
@@ -339,11 +378,15 @@ class Simulator:
                                 f"exceeded {max_events} events before "
                                 f"t={end_time}"
                             )
-                        args = handle.args
-                        if args:
-                            handle.callback(*args)
+                        if delivery:
+                            entry[2].receive(entry[3])
                         else:
-                            handle.callback()
+                            handle = entry[2]
+                            args = handle.args
+                            if args:
+                                handle.callback(*args)
+                            else:
+                                handle.callback()
                         processed += 1
         finally:
             self.events_processed += processed
@@ -355,17 +398,19 @@ class Simulator:
         self, end_time: float, max_events: Optional[int] = None
     ) -> int:
         """The pre-optimization :meth:`run_until` body, used whenever
-        observability is attached (and kept verbatim as the oracle the
+        observability is attached (and kept as the oracle the
         trajectory-equality tests compare the hot loop against)."""
         processed = 0
         while self._queue:
-            time, _, handle = self._queue[0]
+            entry = self._queue[0]
+            time = entry[0]
             if time > end_time:
                 break
-            if handle.cancelled:
+            delivery = len(entry) == 4
+            if not delivery and entry[2].cancelled:
                 heapq.heappop(self._queue)
                 if self.obs is not None:
-                    self._note_cancelled(handle)
+                    self._note_cancelled(entry[2])
                 continue
             if max_events is not None and processed >= max_events:
                 raise SimulationError(
@@ -374,9 +419,16 @@ class Simulator:
             heapq.heappop(self._queue)
             self.now = time
             self.events_processed += 1
-            if self.obs is not None:
-                self._note_fired(handle)
-            handle.callback(*handle.args)
+            if delivery:
+                node = entry[2]
+                if self.obs is not None:
+                    self._note_fired(entry[1], node.receive)
+                node.receive(entry[3])
+            else:
+                handle = entry[2]
+                if self.obs is not None:
+                    self._note_fired(entry[1], handle.callback)
+                handle.callback(*handle.args)
             processed += 1
         self.now = max(self.now, end_time)
         return processed
@@ -385,17 +437,19 @@ class Simulator:
         """Drain the queue completely (bounded by ``max_events``).
 
         The per-event cost of the budget is one integer comparison; the
-        full-queue scan for a live (non-cancelled) event runs at most
-        once, when the budget is actually reached — the seed version
-        re-scanned the whole queue on every event past the budget,
-        which made a storm's failure path itself O(n²).
+        full-queue scan for a live entry (any delivery, or a handle not
+        cancelled) runs at most once, when the budget is actually
+        reached — the seed version re-scanned the whole queue on every
+        event past the budget, which made a storm's failure path itself
+        O(n²).
         """
         processed = 0
         step = self.step
         while self._queue:
             if processed >= max_events:
                 if any(
-                    not handle.cancelled for _, _, handle in self._queue
+                    len(entry) == 4 or not entry[2].cancelled
+                    for entry in self._queue
                 ):
                     raise SimulationError(f"exceeded {max_events} events")
                 # Only cancelled entries remain: drain them (keeping the

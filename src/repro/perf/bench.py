@@ -693,6 +693,16 @@ def validate_report(payload: Dict[str, Any]) -> List[str]:
                 problems.append(f"case {label}: {arm_name} digest invalid")
         if not isinstance(row.get("digests_match"), bool):
             problems.append(f"case {label}: digests_match must be a bool")
+        # Both arms run the same workload, so they must do the same
+        # work: a lost or extra event could otherwise hide behind a
+        # matching end-state digest.
+        fast_work = row.get("fast", {}).get("work")
+        reference_work = row.get("reference", {}).get("work")
+        if fast_work != reference_work:
+            problems.append(
+                f"case {label}: fast work {fast_work!r} != "
+                f"reference work {reference_work!r}"
+            )
         has_memory = (
             "memory_ratio" in row
             or "memory_ok" in row

@@ -130,3 +130,115 @@ class TestRoutingTable:
             table.observe(f"eth-node{index}")
             table.observe(f"etc-node{index}")
         assert len(table) == 20
+
+
+class ListRoutingTable:
+    """The list-based table the stamp representation replaced, kept as
+    the differential oracle: each bucket is a list in least-recently-seen
+    order, and a refresh moves the peer to the end."""
+
+    def __init__(self, own_name, bucket_size=BUCKET_SIZE):
+        self.own_name = own_name
+        self.own_id = node_id_digest(own_name)
+        self.bucket_size = bucket_size
+        self._buckets = {}
+
+    def observe(self, name):
+        if name == self.own_name:
+            return False
+        index = bucket_index(self.own_id, node_id_digest(name))
+        bucket = self._buckets.setdefault(index, [])
+        if name in bucket:
+            bucket.remove(name)
+            bucket.append(name)
+            return True
+        if len(bucket) < self.bucket_size:
+            bucket.append(name)
+            return True
+        return False
+
+    def remove(self, name):
+        for bucket in self._buckets.values():
+            if name in bucket:
+                bucket.remove(name)
+                return
+
+    def __contains__(self, name):
+        return any(name in bucket for bucket in self._buckets.values())
+
+    def __len__(self):
+        return sum(len(bucket) for bucket in self._buckets.values())
+
+    def all_peers(self):
+        peers = []
+        for bucket in self._buckets.values():
+            peers.extend(bucket)
+        return peers
+
+    def closest(self, target, count=BUCKET_SIZE):
+        return sorted(
+            self.all_peers(),
+            key=lambda name: xor_distance(node_id_digest(name), target),
+        )[:count]
+
+    def random_peers(self, count, rng):
+        peers = self.all_peers()
+        if len(peers) <= count:
+            return peers
+        return rng.sample(peers, count)
+
+    def bucket_fill(self):
+        return {i: len(b) for i, b in self._buckets.items() if b}
+
+
+class TestStampRepresentation:
+    """The recency-stamp table against the list-based oracle."""
+
+    def assert_same_view(self, table, oracle, rng_seed, names):
+        assert table.all_peers() == oracle.all_peers()
+        assert len(table) == len(oracle)
+        assert table.bucket_fill() == oracle.bucket_fill()
+        for name in names:
+            assert (name in table) == (name in oracle)
+        for count in (1, 3, 40):
+            assert table.random_peers(count, random.Random(rng_seed)) == (
+                oracle.random_peers(count, random.Random(rng_seed))
+            )
+        target = node_id_digest(f"target-{rng_seed}")
+        assert table.closest(target) == oracle.closest(target)
+        assert table.closest(target, count=3) == oracle.closest(target, 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("observe_name", ["observe", "observe_reference"])
+    def test_random_sequences_match_list_oracle(self, seed, observe_name):
+        rng = random.Random(seed)
+        bucket_size = rng.choice((1, 2, 3, BUCKET_SIZE))
+        table = RoutingTable("me", bucket_size=bucket_size)
+        oracle = ListRoutingTable("me", bucket_size=bucket_size)
+        observe = getattr(table, observe_name)
+        names = ["me"] + [f"peer{i}" for i in range(40)]
+        last = None
+        for step in range(400):
+            roll = rng.random()
+            if roll < 0.15 and last is not None:
+                name = last  # re-observe the most recent entry
+            elif roll < 0.2:
+                name = "me"  # self-observe
+            else:
+                name = rng.choice(names)
+            if rng.random() < 0.2:
+                table.remove(name)
+                oracle.remove(name)
+                if rng.random() < 0.5:
+                    # Remove then re-add: the peer re-enters as the
+                    # most recently seen member of its bucket.
+                    assert observe(name) == oracle.observe(name)
+            else:
+                assert observe(name) == oracle.observe(name)
+            last = name
+            if step % 25 == 0:
+                self.assert_same_view(table, oracle, step, names)
+        self.assert_same_view(table, oracle, seed, names)
+        # Small buckets really filled up and turned peers away.
+        if bucket_size < BUCKET_SIZE:
+            assert max(oracle.bucket_fill().values()) == bucket_size

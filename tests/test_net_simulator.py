@@ -1,5 +1,7 @@
 """Discrete-event engine: ordering, cancellation, determinism."""
 
+import heapq
+
 import pytest
 
 from repro.net.simulator import SimulationError, Simulator
@@ -214,3 +216,145 @@ class TestScheduleValidation:
         sim.schedule(2.0, fired.append, "b")
         sim.run_all()
         assert fired == ["a", "b"]
+
+
+class _Recipient:
+    """A stand-in node: deliveries fire as ``recipient.receive(message)``."""
+
+    def __init__(self, log, sim):
+        self.log = log
+        self.sim = sim
+
+    def receive(self, message):
+        self.log.append((self.sim.now, message))
+
+
+def push_delivery(sim, delay, node, message):
+    """Queue a handle-free delivery exactly as the network's inline send
+    paths do: a ``(time, seq, node, message)`` heap entry."""
+    heapq.heappush(
+        sim._queue, (sim.now + delay, next(sim._sequence), node, message)
+    )
+
+
+class TestDeliveryEntries:
+    """Handle-free ``(time, seq, node, message)`` entries next to the
+    ``(time, seq, handle)`` entries of scheduled callbacks."""
+
+    def make(self):
+        sim = Simulator()
+        log = []
+        return sim, log, _Recipient(log, sim)
+
+    def test_deliveries_and_timers_fire_in_seq_order_at_one_time(self):
+        sim, log, node = self.make()
+        push_delivery(sim, 1.0, node, "d0")
+        sim.schedule(1.0, lambda: log.append((sim.now, "t1")))
+        push_delivery(sim, 1.0, node, "d2")
+        sim.schedule(1.0, lambda: log.append((sim.now, "t3")))
+        push_delivery(sim, 0.5, node, "early")
+        assert sim.run_until(2.0) == 5
+        assert log == [
+            (0.5, "early"),
+            (1.0, "d0"),
+            (1.0, "t1"),
+            (1.0, "d2"),
+            (1.0, "t3"),
+        ]
+        assert sim.events_processed == 5
+
+    def test_cancelled_timer_between_deliveries_is_skipped(self):
+        sim, log, node = self.make()
+        push_delivery(sim, 1.0, node, "a")
+        sim.schedule(1.0, log.append, "dead").cancel()
+        push_delivery(sim, 1.0, node, "b")
+        assert sim.run_until(5.0) == 2
+        assert log == [(1.0, "a"), (1.0, "b")]
+        assert sim.events_processed == 2
+
+    def test_receive_is_looked_up_when_the_delivery_fires(self):
+        sim, log, node = self.make()
+        push_delivery(sim, 1.0, node, "m")
+        node.receive = lambda message: log.append(("swapped", message))
+        sim.run_all()
+        assert log == [("swapped", "m")]
+
+    def test_step_fires_delivery_entries(self):
+        sim, log, node = self.make()
+        push_delivery(sim, 2.0, node, "second")
+        push_delivery(sim, 1.0, node, "first")
+        assert sim.step()
+        assert log == [(1.0, "first")]
+        assert sim.now == 1.0 and sim.events_processed == 1
+        assert sim.step()
+        assert not sim.step()
+        assert log == [(1.0, "first"), (2.0, "second")]
+
+    def test_run_all_counts_deliveries_and_guards_them(self):
+        sim, log, node = self.make()
+        for index in range(3):
+            push_delivery(sim, float(index), node, index)
+        assert sim.run_all(max_events=3) == 3
+        for index in range(4):
+            push_delivery(sim, float(index), node, index)
+        with pytest.raises(SimulationError):
+            sim.run_all(max_events=3)
+
+    def test_run_all_stops_when_only_cancelled_timers_remain(self):
+        sim, log, node = self.make()
+        push_delivery(sim, 1.0, node, "live")
+        sim.schedule(2.0, log.append, "dead").cancel()
+        assert sim.run_all(max_events=1) == 1
+        assert log == [(1.0, "live")]
+        assert sim.pending == 0
+
+    def test_max_events_guard_keeps_over_budget_delivery_queued(self):
+        sim, log, node = self.make()
+        push_delivery(sim, 1.0, node, "a")
+        push_delivery(sim, 2.0, node, "b")
+        push_delivery(sim, 3.0, node, "c")
+        with pytest.raises(SimulationError):
+            sim.run_until(10.0, max_events=2)
+        assert log == [(1.0, "a"), (2.0, "b")]
+        assert sim.events_processed == 2
+        assert sim.pending == 1
+        assert sim.run_until(10.0) == 1
+        assert log[-1] == (3.0, "c")
+
+    def test_max_events_guard_inside_a_tie_run(self):
+        sim, log, node = self.make()
+        for tag in "abc":
+            push_delivery(sim, 1.0, node, tag)
+        with pytest.raises(SimulationError):
+            sim.run_until(10.0, max_events=2)
+        assert [message for _, message in log] == ["a", "b"]
+        assert sim.pending == 1
+
+    def test_max_events_guard_skips_cancelled_timers(self):
+        sim, log, node = self.make()
+        sim.schedule(1.0, log.append, "dead").cancel()
+        push_delivery(sim, 1.0, node, "live")
+        assert sim.run_until(10.0, max_events=1) == 1
+        assert log == [(1.0, "live")]
+
+    def test_observed_loop_fires_and_traces_deliveries(self):
+        from repro.obs import MetricsRegistry, Observability, Tracer
+
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        sim = Simulator(obs=Observability(metrics=registry, tracer=tracer))
+        log = []
+        node = _Recipient(log, sim)
+        push_delivery(sim, 1.0, node, "m")
+        sim.schedule(1.0, log.append, "dead").cancel()
+        sim.schedule(1.5, lambda: log.append((sim.now, "t")))
+        assert sim.run_until(2.0) == 2
+        assert log == [(1.0, "m"), (1.5, "t")]
+        assert registry.counter("sim.events.fired").value == 2
+        assert registry.counter("sim.events.cancelled").value == 1
+        fired = [e for e in tracer.tail() if e["kind"] == "event.fired"]
+        assert [(e["seq"], e["fn"]) for e in fired] == [
+            (0, "_Recipient.receive"),
+            (2, "TestDeliveryEntries.test_observed_loop_fires_and_traces_"
+                "deliveries.<locals>.<lambda>"),
+        ]

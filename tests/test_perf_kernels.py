@@ -398,6 +398,23 @@ class TestBenchHarness:
             "schema" in problem for problem in validate_report({"cases": []})
         )
 
+    def test_validate_report_flags_unequal_work(self):
+        import copy
+        import json
+        from pathlib import Path
+
+        from repro.perf.bench import validate_report
+
+        root = Path(__file__).resolve().parent.parent
+        for name in ("BENCH_eventloop.json", "BENCH_forksim.json"):
+            payload = json.loads((root / name).read_text())
+            assert validate_report(payload) == []
+            broken = copy.deepcopy(payload)
+            broken["cases"][0]["reference"]["work"] += 1
+            problems = validate_report(broken)
+            assert len(problems) == 1
+            assert "work" in problems[0]
+
     def test_unknown_report_selection_raises(self):
         from repro.perf.bench import run_bench
 

@@ -13,18 +13,23 @@ import pickle
 
 import pytest
 
+from repro.faults import ChurnBurst, FaultSchedule, LinkFault, SplitFault
 from repro.harness import (
     NullCache,
     NullProgress,
     WorkerPool,
+    chaos_partition_spec,
     echoes_spec,
     execute_job,
     figure_spec,
     observations_spec,
+    partition_spec,
     perf_probe_spec,
     simulate_spec,
 )
+from repro.net.node import ResiliencePolicy
 from repro.scenarios.partition_event import (
+    ChaosPartitionConfig,
     PartitionScenario,
     PartitionScenarioConfig,
 )
@@ -115,6 +120,30 @@ SUMMARY_SPECS = {
         PartitionScenarioConfig(
             num_nodes=14, num_miners=4, post_fork_horizon=1200.0
         ),
+    ),
+    "partition": partition_spec(
+        PartitionScenarioConfig(
+            num_nodes=14, num_miners=4, post_fork_horizon=600.0
+        )
+    ),
+    "chaos-partition": chaos_partition_spec(
+        ChaosPartitionConfig(
+            num_nodes=14,
+            num_miners=4,
+            post_fork_horizon=600.0,
+            faults=FaultSchedule(
+                faults=(
+                    ChurnBurst(start=200.0, duration=200.0, rate=0.01,
+                               downtime=60.0),
+                    LinkFault(start=250.0, duration=150.0, loss_rate=0.2,
+                              scope="region"),
+                    SplitFault(start=400.0, duration=150.0, scope="region",
+                               groups=(("na",), ("eu", "as"))),
+                ),
+                seed=7,
+            ).to_dict(),
+            resilience=ResiliencePolicy().to_dict(),
+        )
     ),
 }
 

@@ -56,7 +56,18 @@ def build_net(latency, seed=7, num_nodes=12, offline=(3,)):
 
 
 def queue_snapshot(sim):
-    return sorted((t, s, h.callback.__self__.name) for t, s, h in sim._queue)
+    """``(time, seq, recipient)`` per queued entry, of either shape:
+    a handle-free delivery ``(time, seq, node, message)`` or a scheduled
+    ``(time, seq, handle)`` whose callback is a bound ``receive``."""
+    return sorted(
+        (
+            entry[0],
+            entry[1],
+            entry[2].name if len(entry) == 4
+            else entry[2].callback.__self__.name,
+        )
+        for entry in sim._queue
+    )
 
 
 def transport_counters(net):
