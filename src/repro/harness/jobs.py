@@ -78,7 +78,9 @@ __all__ = [
 #: v2: PartitionResult grew a ``robustness`` field (repro.faults).
 #: v3: the ``echoes`` value dropped its replay records; its detector
 #: pickles packed columns instead of Echo objects.
-CACHE_SCHEMA_VERSION = 3
+#: v4: a ``simulate-chunk`` value carries its ForkSimCheckpoint as an
+#: object instead of a base64 JSON dict.
+CACHE_SCHEMA_VERSION = 4
 
 
 def canonical_json(params: Dict[str, Any]) -> str:
@@ -405,12 +407,17 @@ def _run_simulate(params: Dict[str, Any], cache, registry=None) -> ForkSimResult
 def _run_simulate_chunk(
     params: Dict[str, Any], cache, registry=None
 ) -> Dict[str, Any]:
-    """Resume-or-start one horizon chunk; returns a JSON-safe summary.
+    """Resume-or-start one horizon chunk; returns the chunk's summary.
 
-    The heavyweight objects stay in the cache: this runner's *return
-    value* is a small dict (digest, block count, serialized checkpoint)
-    so chunk results stay cheap to ship across worker pipes and into
-    sweep ledgers.  Chaining is recursive-through-the-cache: a cold
+    The value is a dict of the chunk's digest and block count plus its
+    :class:`~repro.sim.checkpoint.ForkSimCheckpoint` *object* (``None``
+    on the final chunk, whose full result goes under the ``simulate``
+    key instead).  The cache pickles the checkpoint's ``array('q')``
+    columns as raw bytes, so handing it to the next chunk costs no JSON
+    encoding; ``to_dict``/``from_dict`` remain the checkpoint's wire
+    format for anything outside the cache.  Resuming copies the
+    snapshot's columns, so one cached checkpoint can seed any number of
+    resumes.  Chaining is recursive-through-the-cache: a cold
     intermediate chunk recomputes its predecessor via :func:`run_cached`,
     while the scheduled stage order makes that a pure cache hit in
     practice.
@@ -420,13 +427,13 @@ def _run_simulate_chunk(
     chunk_days = params["chunk_days"]
     if chunk_days < 1:
         raise ValueError("chunk_days must be >= 1")
-    checkpoint = None
+    checkpoint: Optional[ForkSimCheckpoint] = None
     prev_upto = upto - chunk_days
     if prev_upto > 0:
         previous = run_cached(
             simulate_chunk_spec(config, prev_upto, chunk_days), cache
         )
-        checkpoint = ForkSimCheckpoint.from_dict(previous["checkpoint"])
+        checkpoint = previous["checkpoint"]
     simulation = ForkSimulation(config, obs=_registry_obs(registry))
     result = simulation.run(resume_from=checkpoint, until_day=upto)
     if result.checkpoint is None:
@@ -439,11 +446,7 @@ def _run_simulate_chunk(
         "days": config.days,
         "digest": result.digest(),
         "blocks": len(result.eth_trace) + len(result.etc_trace),
-        "checkpoint": (
-            result.checkpoint.to_dict()
-            if result.checkpoint is not None
-            else None
-        ),
+        "checkpoint": result.checkpoint,
     }
 
 

@@ -108,6 +108,19 @@ def _summarize_fallback(value: Any) -> Dict[str, Any]:
     return {"type": type_name, "value": value}
 
 
+def _summarize_chunk(value: Dict[str, Any]) -> Dict[str, Any]:
+    # A pickle digest is no fingerprint here: unpickling interns the
+    # checkpoint's attribute names, so a value returned by a worker
+    # shares strings differently from one built in-process and pickles
+    # to other bytes.  The checkpoint's canonical-JSON digest is stable.
+    checkpoint = value["checkpoint"]
+    return dict(
+        value,
+        type="SimulateChunk",
+        checkpoint=None if checkpoint is None else checkpoint.digest(),
+    )
+
+
 def _observation_summary(observation: Observation) -> Dict[str, Any]:
     # Short horizons leave some details at inf/nan ("never stabilized",
     # "no day 14"); canonical JSON has no such numbers, so they are named.
@@ -128,6 +141,8 @@ def summarize(kind: str, value: Any) -> Dict[str, Any]:
             "type": "Observations",
             "observations": [_observation_summary(item) for item in value],
         }
+    elif kind == "simulate-chunk":
+        summary = _summarize_chunk(value)
     elif isinstance(value, EchoBundle):
         summary = {
             "type": "EchoBundle",

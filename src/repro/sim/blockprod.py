@@ -299,11 +299,12 @@ class BlockProducer:
         lives in locals, the three always-present trace columns buffer
         interleaved through one bound ``array.extend`` per block (de-
         interleaved by stepped slices in the flush), the miner-label
-        intern table is a bound ``dict.get``, and the Homestead/Frontier
-        difficulty rule is
-        inlined as straight integer arithmetic (generic rules fall back
-        to the per-config closure from
-        :attr:`~repro.chain.config.ChainConfig.fast_difficulty`).
+        intern table is a bound ``dict.get``, the Homestead/Frontier
+        difficulty rule is inlined as straight integer arithmetic
+        (generic rules fall back to the per-config closure from
+        :attr:`~repro.chain.config.ChainConfig.fast_difficulty`), and
+        the standard pool and transaction samplers run inline from the
+        parameters they publish (``categorical_parts``, ``tx_parts``).
         """
         if hashrate <= 0:
             raise ValueError("cannot mine with zero hashrate")
@@ -384,6 +385,15 @@ class BlockProducer:
         clock = self.clock
         has_tx = tx_sampler is not None
 
+        # The standard transaction sampler likewise publishes
+        # ``tx_parts``, so the Homestead workload loop draws each block's
+        # transactions inline; any other callable runs the general loop.
+        tx_parts = getattr(tx_sampler, "tx_parts", None)
+        if tx_parts is not None:
+            rate_per_second, contract_p = tx_parts
+            gauss = rng.gauss
+            _exp = math.exp
+
         rule = self.config.difficulty_rule
         compute = rule.compute
         bomb_delay = self.config.bomb_delay
@@ -419,8 +429,9 @@ class BlockProducer:
         # per-iteration mode checks, specialized once more on whether a
         # transaction sampler is installed (so the difficulty-only loop
         # carries no dead ``has_tx`` tests and the workload loop no
-        # always-true ones); every other combination runs the general
-        # loop in the ``else`` branch.  All bodies are
+        # always-true ones; the workload loop also needs the inline
+        # transaction parameters); every other combination runs the
+        # general loop in the ``else`` branch.  All bodies are
         # expression-for-expression the same where they overlap, and all
         # are held to the reference trajectory by the differential tests.
         # The ``finally`` flush keeps the derived columns (numbers, the
@@ -500,13 +511,16 @@ class BlockProducer:
                             pool_ids[slot] = miner_id
                     put((new_timestamp, difficulty, miner_id))
                     timestamp = clock = new_timestamp
-            elif homestead and inline_expo and inline_sampler:
+            elif (
+                homestead and inline_expo and inline_sampler
+                and tx_parts is not None
+            ):
                 for produced in range(1, n + 1):
                     if clock >= end:
                         produced -= 1
                         break
                     # Same body as the loop above, with the transaction
-                    # draw between the interval and the winning miner —
+                    # draws between the interval and the winning miner —
                     # advance_one's exact RNG order.
                     interval = -_log(1.0 - rng_random()) / (
                         hashrate / difficulty
@@ -534,7 +548,30 @@ class BlockProducer:
                     difficulty += bomb_term
                     if difficulty < min_difficulty:
                         difficulty = min_difficulty
-                    tx_count, contract_count = tx_sampler(rng, step)
+                    # The per_block_sampler closure, expression for
+                    # expression.  Plain loops: at ~7 transactions per
+                    # block, building itertools pipelines costs more
+                    # than the few iterations they would save.
+                    lam = rate_per_second * step
+                    tx_count = contract_count = 0
+                    if lam > 1000:
+                        tx_count = max(0, _round(gauss(lam, math.sqrt(lam))))
+                    elif lam > 0:
+                        threshold = _exp(-lam)
+                        product = rng_random()
+                        while product > threshold:
+                            tx_count += 1
+                            product *= rng_random()
+                    if tx_count <= 64:
+                        for _ in range(tx_count):
+                            if rng_random() < contract_p:
+                                contract_count += 1
+                    else:
+                        mean = tx_count * contract_p
+                        sigma = math.sqrt(mean * (1 - contract_p) + 1e-9)
+                        contract_count = max(
+                            0, min(tx_count, _round(gauss(mean, sigma)))
+                        )
                     point = rng_random()
                     if point >= pooled_mass:
                         slot = getrandbits(solo_bits)

@@ -23,6 +23,14 @@ running days ``[0, k)``, checkpointing, and resuming through ``[k,
 days)`` yields a :meth:`~repro.sim.engine.ForkSimResult.digest`
 byte-identical to the single-shot run — through any number of chunk
 boundaries, and through a JSON round-trip of the checkpoint itself.
+
+The harness's ``simulate-chunk`` jobs hand checkpoints to each other
+through the result cache *as objects*: pickle writes the packed columns
+as raw bytes.  :meth:`ForkSimCheckpoint.to_dict` / ``from_dict`` are the
+JSON wire format (base64 columns) for anything outside that cache, and
+:meth:`ForkSimCheckpoint.digest` fingerprints that canonical form.
+Resuming copies the snapshot's columns, so one checkpoint can seed any
+number of independent resumes.
 """
 
 from __future__ import annotations

@@ -101,6 +101,12 @@ class TransactionWorkload:
         Transactions arrive uniformly in time, so a block claims a share
         of the day's total proportional to the gap it closes.  The
         contract share is binomial around the day's expected fraction.
+
+        The returned closure publishes its parameters as
+        ``sampler.tx_parts = (rate_per_second, contract_p)`` (mirroring
+        the pool sampler's ``categorical_parts``), so
+        :meth:`~repro.sim.blockprod.BlockProducer.advance_batch` can run
+        the same draws inline; the closure itself stays the reference.
         """
         contract_p = self.contract_fraction(day)
         rate_per_second = daily_total / seconds_in_day
@@ -127,6 +133,7 @@ class TransactionWorkload:
             )
             return count, contracts
 
+        sampler.tx_parts = (rate_per_second, contract_p)
         return sampler
 
 

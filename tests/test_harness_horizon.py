@@ -8,6 +8,8 @@ run, and the final chunk publishes the full result under the plain
 ``simulate`` cache key so downstream jobs cannot tell the difference.
 """
 
+import json
+
 import pytest
 
 from repro.harness import (
@@ -16,16 +18,32 @@ from repro.harness import (
     run_all,
     run_all_chunked,
     run_cached,
+    run_job,
     simulate_chunk_spec,
     simulate_spec,
 )
 from repro.scenarios.partition_event import PartitionScenarioConfig
-from repro.sim.engine import ForkSimConfig, run_fork_sim
+from repro.sim.checkpoint import ForkSimCheckpoint
+from repro.sim.engine import ForkSimConfig, ForkSimulation, run_fork_sim
 
 DAYS = 6
 QUICK_PARTITION = PartitionScenarioConfig(
     num_nodes=14, num_miners=4, post_fork_horizon=1200.0
 )
+
+
+class _MemoryCache:
+    """A cache that hands back the very object it stored, so a test can
+    see whether a resume mutates the cached checkpoint."""
+
+    def __init__(self):
+        self.values = {}
+
+    def lookup(self, key):
+        return key in self.values, self.values.get(key)
+
+    def store(self, key, value):
+        self.values[key] = value
 
 
 def _runall_kwargs(root, out):
@@ -94,6 +112,44 @@ class TestChunkRunner:
         partial = run_cached(simulate_chunk_spec(config, 3, 3), cache)
         assert partial["checkpoint"] is not None
         assert not cache.contains(simulate_spec(config).cache_key())
+
+    def test_intermediate_chunk_caches_checkpoint_object(self, tmp_path):
+        config = ForkSimConfig(days=DAYS, prefork_days=2, seed=7)
+        cache = ResultCache(tmp_path / "cache")
+        spec = simulate_chunk_spec(config, 3, 3)
+        run_cached(spec, cache)
+        hit, value = cache.lookup(spec.cache_key())
+        assert hit
+        assert isinstance(value["checkpoint"], ForkSimCheckpoint)
+        assert value["checkpoint"].day == 3
+
+    def test_resumes_do_not_mutate_cached_checkpoint(self):
+        config = ForkSimConfig(days=DAYS, prefork_days=2, seed=7)
+        cache = _MemoryCache()
+        checkpoint = run_cached(simulate_chunk_spec(config, 3, 3), cache)[
+            "checkpoint"
+        ]
+        before = checkpoint.digest()
+        # Both resumes load the same cached object through the runner.
+        final = simulate_chunk_spec(config, DAYS, 3)
+        first = run_job(final, cache)
+        second = run_job(final, cache)
+        assert first["digest"] == second["digest"]
+        assert first["digest"] == run_fork_sim(config).digest()
+        assert checkpoint.digest() == before
+
+    def test_object_and_json_roundtrip_resume_identically(self):
+        config = ForkSimConfig(days=DAYS, prefork_days=2, seed=7)
+        checkpoint = run_cached(
+            simulate_chunk_spec(config, 2, 2), _MemoryCache()
+        )["checkpoint"]
+        wire = ForkSimCheckpoint.from_dict(
+            json.loads(json.dumps(checkpoint.to_dict()))
+        )
+        from_object = ForkSimulation(config).run(resume_from=checkpoint)
+        from_wire = ForkSimulation(config).run(resume_from=wire)
+        assert from_object.digest() == from_wire.digest()
+        assert from_object.digest() == run_fork_sim(config).digest()
 
 
 class TestHorizonChunkedRunAll:

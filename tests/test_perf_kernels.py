@@ -60,41 +60,84 @@ def trace_columns(trace: ChainTrace):
     )
 
 
+def mine_both_ways(n, hashrate, make_tx_sampler):
+    """Mine ``n`` blocks with ``advance_batch`` and with ``advance_one``
+    (each arm gets its own ``make_tx_sampler()``), assert the two
+    trajectories are identical, and return the batched producer."""
+    landscape = eth_pool_landscape()
+    batched = make_producer()
+    stepped = make_producer()
+    produced = batched.advance_batch(
+        n, hashrate, landscape.make_sampler(0.0), make_tx_sampler()
+    )
+    sampler = landscape.make_sampler(0.0)
+    tx_sampler = make_tx_sampler()
+    for _ in range(n):
+        stepped.advance_one(hashrate, sampler, tx_sampler)
+
+    assert produced == n
+    assert trace_columns(batched.trace) == trace_columns(stepped.trace)
+    assert (batched.number, batched.timestamp, batched.clock,
+            batched.difficulty) == (
+        stepped.number, stepped.timestamp, stepped.clock,
+        stepped.difficulty,
+    )
+    # The strongest claim: both arms consumed the exact same draws.
+    assert batched.rng.getstate() == stepped.rng.getstate()
+    return batched
+
+
 class TestBatchKernel:
     @pytest.mark.parametrize("with_tx", [False, True])
     def test_batch_matches_advance_one_trajectory(self, with_tx):
-        landscape = eth_pool_landscape()
-        hashrate = 4.5e12
-        n = 4_000
-
-        batched = make_producer()
-        stepped = make_producer()
         workload = eth_workload()
 
-        def tx_sampler_for(producer):
+        def make_tx_sampler():
             if not with_tx:
                 return None
-            rng = random.Random(7)
-            total = workload.daily_count(0, rng)
+            total = workload.daily_count(0, random.Random(7))
             return workload.per_block_sampler(0, total)
 
-        produced = batched.advance_batch(
-            n, hashrate, landscape.make_sampler(0.0), tx_sampler_for(batched)
-        )
-        sampler = landscape.make_sampler(0.0)
-        tx_sampler = tx_sampler_for(stepped)
-        for _ in range(n):
-            stepped.advance_one(hashrate, sampler, tx_sampler)
+        mine_both_ways(4_000, 4.5e12, make_tx_sampler)
 
-        assert produced == n
-        assert trace_columns(batched.trace) == trace_columns(stepped.trace)
-        assert (batched.number, batched.timestamp, batched.clock,
-                batched.difficulty) == (
-            stepped.number, stepped.timestamp, stepped.clock,
-            stepped.difficulty,
+    #: Daily totals steering the inlined transaction draws through every
+    #: branch of the ``per_block_sampler`` closure (blocks are ~14 s apart
+    #: at this hashrate and difficulty), each with a check that the
+    #: branch was really taken.
+    TX_BRANCHES = {
+        # lam <= 0: no draws at all.
+        "no-demand": (0, lambda counts: max(counts) == 0),
+        # lam ~ 0.08: Knuth's loop, mostly zero-transaction blocks.
+        "mostly-empty": (
+            500, lambda counts: counts.count(0) > len(counts) // 2
+        ),
+        # lam ~ 100: Knuth's loop with counts past 64, where the
+        # contract share switches to the clamped Gaussian.
+        "binomial-gauss": (600_000, lambda counts: max(counts) > 64),
+        # lam > 1000 on every block: the Gaussian Poisson approximation.
+        "poisson-gauss": (100_000_000, lambda counts: min(counts) > 1000),
+    }
+
+    @pytest.mark.parametrize("branch", sorted(TX_BRANCHES))
+    def test_inline_transaction_draws_match_closure(self, branch):
+        total, taken = self.TX_BRANCHES[branch]
+        workload = eth_workload()
+        batched = mine_both_ways(
+            2_000, 4.5e12, lambda: workload.per_block_sampler(0, total)
         )
-        # The strongest claim: both arms consumed the exact same draws.
-        assert batched.rng.getstate() == stepped.rng.getstate()
+        assert taken(list(batched.trace.tx_counts))
+
+    def test_tx_sampler_without_parts_takes_general_loop(self):
+        # A transaction sampler that publishes no tx_parts (a user
+        # callable, here wrapping the standard closure) must run through
+        # the general loop and still match advance_one draw for draw.
+        closure = eth_workload().per_block_sampler(0, 600_000)
+
+        def tx_sampler(rng, gap):
+            return closure(rng, gap)
+
+        assert not hasattr(tx_sampler, "tx_parts")
+        mine_both_ways(1_000, 4.5e12, lambda: tx_sampler)
 
     def test_batch_matches_across_landscapes_and_days(self):
         for landscape in (

@@ -25,6 +25,7 @@ from repro.harness import (
     observations_spec,
     partition_spec,
     perf_probe_spec,
+    simulate_chunk_spec,
     simulate_spec,
 )
 from repro.net.node import ResiliencePolicy
@@ -112,6 +113,10 @@ SUMMARY_SPECS = {
     "perf-probe": perf_probe_spec(
         ForkSimConfig(days=3, prefork_days=1, seed=11, with_transactions=False)
     ),
+    "simulate": simulate_spec(SMALL),
+    # An intermediate chunk: its value carries a ForkSimCheckpoint, which
+    # the summary fingerprints by its canonical-JSON digest.
+    "simulate-chunk": simulate_chunk_spec(SMALL, 2, 1),
     "echoes": echoes_spec(SMALL),
     "figure-1": figure_spec(1, SMALL),
     "figure-5": figure_spec(5, SMALL),
