@@ -66,8 +66,32 @@ import time
 from typing import Optional
 
 
+def _add_pool_arguments(
+    parser: argparse.ArgumentParser, manifest_name: str
+) -> None:
+    """The pool, cache and output flags shared by the three sweeps."""
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (1 = in-process serial)")
+    parser.add_argument("--cache-dir", type=str, default=".repro-cache",
+                        help="content-addressed result cache location")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="recompute everything; never read or write "
+                             "the cache")
+    parser.add_argument("--output-dir", type=str, default="runs",
+                        help="where the artifacts land")
+    parser.add_argument("--manifest", type=str, default=None,
+                        help=f"run-manifest path (default: "
+                             f"<output-dir>/{manifest_name})")
+    parser.add_argument("--timeout", type=float, default=900.0,
+                        help="per-job deadline in seconds before the "
+                             "worker is killed and the job retried")
+    parser.add_argument("--retries", type=int, default=1,
+                        help="extra attempts after a timeout or crash")
+
+
 def _add_chunked_arguments(parser: argparse.ArgumentParser) -> None:
-    """The chunked/resumable sweep flags shared by run-all + fault-sweep."""
+    """The chunked/resumable sweep flags shared by run-all, fault-sweep
+    and topology-sweep."""
     parser.add_argument("--chunk-size", type=int, default=None,
                         metavar="N",
                         help="run through the sweep ledger in chunks of N "
@@ -132,23 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runall.add_argument("--days", type=int, default=150)
     runall.add_argument("--seed", type=int, default=2016_07_20)
     runall.add_argument("--sample-days", type=int, default=7)
-    runall.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (1 = in-process serial)")
-    runall.add_argument("--cache-dir", type=str, default=".repro-cache",
-                        help="content-addressed result cache location")
-    runall.add_argument("--no-cache", action="store_true",
-                        help="recompute everything; never read or write "
-                             "the cache")
-    runall.add_argument("--output-dir", type=str, default="runs",
-                        help="where figure tables and the scoreboard land")
-    runall.add_argument("--manifest", type=str, default=None,
-                        help="run-manifest path (default: "
-                             "<output-dir>/manifest.json)")
-    runall.add_argument("--timeout", type=float, default=900.0,
-                        help="per-job deadline in seconds before the "
-                             "worker is killed and the job retried")
-    runall.add_argument("--retries", type=int, default=1,
-                        help="extra attempts after a timeout or crash")
+    _add_pool_arguments(runall, "manifest.json")
     runall.add_argument("--cache-max-bytes", type=int, default=None,
                         help="after the run, evict least-recently-stored "
                              "cache entries until the cache fits this "
@@ -184,16 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="split axis: cross-region cut duration (s)")
     sweep.add_argument("--no-resilience", action="store_true",
                        help="control arm: legacy protocol under fire")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1 = in-process serial)")
-    sweep.add_argument("--cache-dir", type=str, default=".repro-cache")
-    sweep.add_argument("--no-cache", action="store_true")
-    sweep.add_argument("--output-dir", type=str, default="runs")
-    sweep.add_argument("--manifest", type=str, default=None,
-                       help="manifest path (default: "
-                            "<output-dir>/fault-sweep-manifest.json)")
-    sweep.add_argument("--timeout", type=float, default=900.0)
-    sweep.add_argument("--retries", type=int, default=1)
+    _add_pool_arguments(sweep, "fault-sweep-manifest.json")
     sweep.add_argument("--max-events", type=int, default=None,
                        help="per-cell event budget; a cell that exceeds "
                             "it fails (mainly for fault-injection tests "
@@ -226,16 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="skip the marked-transaction inference cells")
     topo.add_argument("--infer-probes", type=int, default=5,
                       help="marked transactions injected per target node")
-    topo.add_argument("--jobs", type=int, default=1,
-                      help="worker processes (1 = in-process serial)")
-    topo.add_argument("--cache-dir", type=str, default=".repro-cache")
-    topo.add_argument("--no-cache", action="store_true")
-    topo.add_argument("--output-dir", type=str, default="runs")
-    topo.add_argument("--manifest", type=str, default=None,
-                      help="manifest path (default: "
-                           "<output-dir>/topology-sweep-manifest.json)")
-    topo.add_argument("--timeout", type=float, default=900.0)
-    topo.add_argument("--retries", type=int, default=1)
+    _add_pool_arguments(topo, "topology-sweep-manifest.json")
     _add_chunked_arguments(topo)
 
     trace = sub.add_parser(
@@ -397,8 +387,17 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _check_chunked_arguments(args) -> Optional[str]:
-    """Validate the shared chunked-sweep flags; an error string or None."""
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _check_sweep_arguments(args) -> Optional[str]:
+    """Validate the pool and chunk flags; an error string or None."""
+    if args.jobs < 1:
+        return "--jobs must be >= 1"
+    if args.retries < 0:
+        return "--retries must be >= 0"
     if args.chunk_size is not None and args.chunk_size < 1:
         return "--chunk-size must be >= 1"
     if args.max_quarantined is not None and args.max_quarantined < 0:
@@ -412,8 +411,37 @@ def _check_chunked_arguments(args) -> Optional[str]:
     return None
 
 
-def _report_chunked(result) -> int:
-    """Print a ChunkedSweepResult's outcome; returns its exit code."""
+def _run_sweep_command(args, entry, *config, **settings) -> int:
+    """Run one sweep entry with the shared flags and report its outcome.
+
+    Returns the exit code: 0 ok, 1 failed, 2 usage (including a ledger
+    that refuses the sweep), 3 interrupted, 4 degraded.
+    """
+    from .harness import LedgerError, ProgressReporter
+
+    error = _check_sweep_arguments(args)
+    if error:
+        return _usage_error(error)
+    try:
+        result = entry(
+            *config,
+            jobs=args.jobs,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            output_dir=args.output_dir,
+            manifest_path=args.manifest,
+            timeout=args.timeout,
+            retries=args.retries,
+            progress=ProgressReporter(),
+            retry_backoff=args.retry_backoff,
+            chunk_size=args.chunk_size,
+            resume=args.resume,
+            max_quarantined=args.max_quarantined,
+            ledger_dir=args.ledger_dir,
+            lease_seconds=args.lease_seconds,
+            **settings,
+        )
+    except LedgerError as exc:
+        return _usage_error(str(exc))
     print()
     if result.manifest is not None:
         print(result.manifest.summary())
@@ -421,10 +449,10 @@ def _report_chunked(result) -> int:
             print(f"  wrote {path}")
     if result.error:
         print(f"  {result.error}", file=sys.stderr)
-    for entry in result.quarantined:
+    for row in result.quarantined:
         print(
-            f"  quarantined chunk {entry['chunk_id'][:12]} "
-            f"({entry['label']}): {entry['error']}",
+            f"  quarantined chunk {row['chunk_id'][:12]} "
+            f"({row['label']}): {row['error']}",
             file=sys.stderr,
         )
     print(f"  sweep {result.state} (exit {result.exit_code})",
@@ -433,104 +461,40 @@ def _report_chunked(result) -> int:
 
 
 def cmd_run_all(args) -> int:
-    from .harness import ProgressReporter, run_all, run_all_chunked
+    # Looked up per call (not at import): the benchmark's span shim
+    # wraps ``run_all`` wherever the ``repro`` modules bind it.
+    from .harness import run_all
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print("error: --retries must be >= 0", file=sys.stderr)
-        return 2
-    error = _check_chunked_arguments(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    if args.cache_max_bytes is not None and args.cache_max_bytes < 0:
+        return _usage_error("--cache-max-bytes must be >= 0")
     if args.horizon_chunk_days is not None:
         if args.horizon_chunk_days < 1:
-            print("error: --horizon-chunk-days must be >= 1",
-                  file=sys.stderr)
-            return 2
+            return _usage_error("--horizon-chunk-days must be >= 1")
         if args.chunk_size is None:
-            print("error: --horizon-chunk-days requires --chunk-size "
-                  "(it rides on the sweep ledger)", file=sys.stderr)
-            return 2
+            return _usage_error("--horizon-chunk-days requires --chunk-size "
+                                "(it rides on the sweep ledger)")
         if args.no_cache:
-            print("error: --horizon-chunk-days cannot be combined with "
-                  "--no-cache; simulate chunks chain their checkpoints "
-                  "through the cache", file=sys.stderr)
-            return 2
-    if args.chunk_size is not None:
-        from .harness import LedgerError
-
-        try:
-            result = run_all_chunked(
-                days=args.days,
-                seed=args.seed,
-                prefork_days=7,
-                jobs=args.jobs,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                output_dir=args.output_dir,
-                manifest_path=args.manifest,
-                timeout=args.timeout,
-                retries=args.retries,
-                sample_days=args.sample_days,
-                progress=ProgressReporter(),
-                retry_backoff=args.retry_backoff,
-                chunk_size=args.chunk_size,
-                resume=args.resume,
-                max_quarantined=args.max_quarantined,
-                ledger_dir=args.ledger_dir,
-                lease_seconds=args.lease_seconds,
-                horizon_chunk_days=args.horizon_chunk_days,
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _report_chunked(result)
-    manifest = run_all(
+            return _usage_error("--horizon-chunk-days cannot be combined "
+                                "with --no-cache; simulate chunks chain "
+                                "their checkpoints through the cache")
+    return _run_sweep_command(
+        args,
+        run_all,
         days=args.days,
         seed=args.seed,
         prefork_days=7,
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        output_dir=args.output_dir,
-        manifest_path=args.manifest,
-        timeout=args.timeout,
-        retries=args.retries,
         sample_days=args.sample_days,
-        progress=ProgressReporter(),
         cache_max_bytes=args.cache_max_bytes,
-        retry_backoff=args.retry_backoff,
+        horizon_chunk_days=args.horizon_chunk_days,
     )
-    print()
-    print(manifest.summary())
-    for path in manifest.outputs:
-        print(f"  wrote {path}")
-    return 1 if manifest.failures else 0
 
 
 def cmd_fault_sweep(args) -> int:
-    from .harness import (
-        FaultSweepConfig,
-        ProgressReporter,
-        run_fault_sweep,
-        run_fault_sweep_chunked,
-    )
+    from .harness import FaultSweepConfig, run_fault_sweep
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print("error: --retries must be >= 0", file=sys.stderr)
-        return 2
     if args.max_events is not None and args.max_events < 1:
-        print("error: --max-events must be >= 1", file=sys.stderr)
-        return 2
-    error = _check_chunked_arguments(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    config_kwargs = dict(
+        return _usage_error("--max-events must be >= 1")
+    config = FaultSweepConfig(
         num_nodes=args.nodes,
         num_miners=args.miners,
         post_fork_horizon=args.horizon,
@@ -539,73 +503,16 @@ def cmd_fault_sweep(args) -> int:
         loss_rates=tuple(args.loss),
         split_durations=tuple(args.split),
         resilience=not args.no_resilience,
+        **({} if args.max_events is None else {"max_events": args.max_events}),
     )
-    if args.max_events is not None:
-        config_kwargs["max_events"] = args.max_events
-    config = FaultSweepConfig(**config_kwargs)
-    if args.chunk_size is not None:
-        from .harness import LedgerError
-
-        try:
-            result = run_fault_sweep_chunked(
-                config,
-                jobs=args.jobs,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                output_dir=args.output_dir,
-                manifest_path=args.manifest,
-                timeout=args.timeout,
-                retries=args.retries,
-                progress=ProgressReporter(),
-                retry_backoff=args.retry_backoff,
-                chunk_size=args.chunk_size,
-                resume=args.resume,
-                max_quarantined=args.max_quarantined,
-                ledger_dir=args.ledger_dir,
-                lease_seconds=args.lease_seconds,
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _report_chunked(result)
-    manifest = run_fault_sweep(
-        config,
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        output_dir=args.output_dir,
-        manifest_path=args.manifest,
-        timeout=args.timeout,
-        retries=args.retries,
-        progress=ProgressReporter(),
-        retry_backoff=args.retry_backoff,
-    )
-    print()
-    print(manifest.summary())
-    for path in manifest.outputs:
-        print(f"  wrote {path}")
-    return 1 if manifest.failures else 0
+    return _run_sweep_command(args, run_fault_sweep, config)
 
 
 def cmd_topology_sweep(args) -> int:
-    from .harness import (
-        ProgressReporter,
-        TopologySweepConfig,
-        run_topology_sweep,
-        run_topology_sweep_chunked,
-    )
+    from .harness import TopologySweepConfig, run_topology_sweep
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print("error: --retries must be >= 0", file=sys.stderr)
-        return 2
     if args.infer_probes < 1:
-        print("error: --infer-probes must be >= 1", file=sys.stderr)
-        return 2
-    error = _check_chunked_arguments(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error("--infer-probes must be >= 1")
     try:
         config = TopologySweepConfig(
             num_nodes=args.nodes,
@@ -620,48 +527,8 @@ def cmd_topology_sweep(args) -> int:
             infer_probes=args.infer_probes,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.chunk_size is not None:
-        from .harness import LedgerError
-
-        try:
-            result = run_topology_sweep_chunked(
-                config,
-                jobs=args.jobs,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                output_dir=args.output_dir,
-                manifest_path=args.manifest,
-                timeout=args.timeout,
-                retries=args.retries,
-                progress=ProgressReporter(),
-                retry_backoff=args.retry_backoff,
-                chunk_size=args.chunk_size,
-                resume=args.resume,
-                max_quarantined=args.max_quarantined,
-                ledger_dir=args.ledger_dir,
-                lease_seconds=args.lease_seconds,
-            )
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _report_chunked(result)
-    manifest = run_topology_sweep(
-        config,
-        jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        output_dir=args.output_dir,
-        manifest_path=args.manifest,
-        timeout=args.timeout,
-        retries=args.retries,
-        progress=ProgressReporter(),
-        retry_backoff=args.retry_backoff,
-    )
-    print()
-    print(manifest.summary())
-    for path in manifest.outputs:
-        print(f"  wrote {path}")
-    return 1 if manifest.failures else 0
+        return _usage_error(str(exc))
+    return _run_sweep_command(args, run_topology_sweep, config)
 
 
 def cmd_trace(args) -> int:

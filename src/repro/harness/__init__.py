@@ -14,15 +14,23 @@ into declarative, cacheable, parallel experiment jobs:
 * :mod:`~repro.harness.manifest` — per-invocation JSON run manifests
   (specs, keys, wall times, cache hits/misses, failures).
 * :mod:`~repro.harness.progress` — stderr narration for CLI runs.
-* :mod:`~repro.harness.runall` — the ``run-all`` orchestrator: all five
-  figures plus the observation scoreboard in one parallel pass.
 * :mod:`~repro.harness.ledger` — the durable WAL-SQLite **sweep
   ledger**: per-chunk leases, retries, and quarantine, shared safely by
   concurrent processes.
 * :mod:`~repro.harness.sweeprun` — chunked, resumable sweep execution
-  (:class:`SweepRunner`) over content-addressed chunks, with the
+  (:class:`SweepRunner`) over content-addressed chunks, the
   :class:`CrashyPool` fault-injection rig that proves crash-anywhere
-  resumability.
+  resumability, and :func:`run_sweep`, the one sweep driver: stages
+  run single-shot through the pool or chunked over the ledger, then
+  one combine step writes the manifest and the artifacts.
+* The three sweeps on top of it, each only stages, a per-chunk
+  summary and an artifact writer, each taking the
+  :class:`SweepSettings` keywords and returning a
+  :class:`SweepResult`: :mod:`~repro.harness.runall` (``run_all``: all
+  five figures plus the observation scoreboard),
+  :mod:`~repro.harness.faultsweep` (``run_fault_sweep``: the chaos
+  grid) and :mod:`~repro.harness.toposweep` (``run_topology_sweep``:
+  the topology families).
 
 The load-bearing invariant: an identical config + seed produces a
 bit-identical simulation whether run in-process or in a worker
@@ -35,8 +43,6 @@ from .faultsweep import (
     FaultSweepConfig,
     build_fault_grid,
     run_fault_sweep,
-    run_fault_sweep_chunked,
-    sweep_digest,
 )
 from .ledger import (
     ChunkDef,
@@ -51,7 +57,6 @@ from .toposweep import (
     TopologySweepConfig,
     build_topology_grid,
     run_topology_sweep,
-    run_topology_sweep_chunked,
 )
 from .jobs import (
     CACHE_SCHEMA_VERSION,
@@ -79,7 +84,7 @@ from .jobs import (
 from .manifest import MANIFEST_SCHEMA_VERSION, JobRecord, RunManifest
 from .pool import DEFAULT_TIMEOUT, JobResult, WorkerPool
 from .progress import NullProgress, ProgressReporter
-from .runall import DEFAULT_CACHE_DIR, build_waves, run_all, run_all_chunked
+from .runall import DEFAULT_CACHE_DIR, build_waves, run_all
 from .sweeprun import (
     EXIT_DEGRADED,
     EXIT_FAILED,
@@ -87,12 +92,15 @@ from .sweeprun import (
     EXIT_OK,
     EXIT_USAGE,
     ChunkFailure,
-    ChunkedSweepResult,
     CrashyPool,
     SweepChunk,
     SweepOutcome,
+    SweepResult,
     SweepRunner,
+    SweepSettings,
     plan_chunks,
+    run_sweep,
+    sweep_digest,
     sweep_key_for,
 )
 
@@ -102,7 +110,6 @@ __all__ = [
     "ChunkDef",
     "ChunkFailure",
     "ChunkRow",
-    "ChunkedSweepResult",
     "ClaimedChunk",
     "CrashyPool",
     "DEFAULT_CACHE_DIR",
@@ -132,7 +139,9 @@ __all__ = [
     "SweepChunk",
     "SweepLedger",
     "SweepOutcome",
+    "SweepResult",
     "SweepRunner",
+    "SweepSettings",
     "WorkerPool",
     "build_fault_grid",
     "build_topology_grid",
@@ -150,13 +159,11 @@ __all__ = [
     "register_runner",
     "registered_kinds",
     "run_all",
-    "run_all_chunked",
     "run_cached",
     "run_fault_sweep",
-    "run_fault_sweep_chunked",
     "run_topology_sweep",
-    "run_topology_sweep_chunked",
     "run_job",
+    "run_sweep",
     "simulate_chunk_spec",
     "simulate_spec",
     "topology_partition_spec",

@@ -10,7 +10,7 @@ sweep answers it with a grid over three axes —
 
 each cell one :class:`~repro.scenarios.partition_event.ChaosPartitionConfig`
 run as a ``chaos-partition`` job.  Cells are independent, so the sweep
-reuses PR 2's machinery unchanged: content-addressed caching (a cell's
+reuses the harness machinery unchanged: content-addressed caching (a cell's
 fault schedule is hashed into its cache key), the process pool, and the
 run manifest.  The all-zero cell is kept as the control arm.
 
@@ -25,40 +25,28 @@ Artifacts land in ``output_dir``:
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
-import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.report import RobustnessReport
 from ..faults.schedule import ChurnBurst, FaultSchedule, LinkFault, SplitFault
 from ..net.node import ResiliencePolicy
 from ..scenarios.partition_event import ChaosPartitionConfig
 from .jobs import JobSpec, chaos_partition_spec
-from .manifest import JobRecord, RunManifest
-from .pool import DEFAULT_TIMEOUT, WorkerPool
-from .progress import NullProgress
+from .pool import JobResult
 from .sweeprun import (
-    EXIT_DEGRADED,
-    EXIT_FAILED,
-    EXIT_INTERRUPTED,
-    EXIT_OK,
-    ChunkedSweepResult,
-    SweepRunner,
-    plan_chunks,
-    sweep_key_for,
+    SweepResult,
+    SweepSettings,
+    run_sweep,
+    write_sweep_tables,
 )
 
 __all__ = [
     "FaultSweepConfig",
-    "ChunkedSweepResult",
     "build_fault_grid",
     "run_fault_sweep",
-    "run_fault_sweep_chunked",
-    "sweep_digest",
 ]
 
 #: Pre-fork settling time hard-coded in PartitionScenario.run().
@@ -158,208 +146,77 @@ def build_fault_grid(
     return grid
 
 
-def sweep_digest(cell_digests: List[str]) -> str:
-    """The sweep's reproducibility fingerprint: hash of the ordered
-    per-cell report digests."""
-    payload = json.dumps(cell_digests, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+#: ``RobustnessReport`` fields copied into each ``robustness.csv`` row.
+_CSV_FIELDS = (
+    "baseline_reachable",
+    "minimum_reachable",
+    "recovery_time",
+    "orphan_rate",
+    "mean_propagation_delay",
+    "messages_lost",
+    "messages_blocked",
+    "dials_timed_out",
+    "peers_evicted_unresponsive",
+    "peers_banned",
+)
 
 
 def _write_sweep_artifacts(
     output_dir: Path,
-    manifest: RunManifest,
     config: FaultSweepConfig,
-    cells: List[Tuple[Tuple[float, float, float], RobustnessReport]],
+    summaries: List[Dict[str, Any]],
     extra: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Write ``robustness.{txt,csv,json}`` from per-cell reports, in the
-    given (canonical grid) order; returns the sweep digest.  ``extra``
-    merges additional keys into the JSON payload (the chunked path adds
-    quarantine and ledger sections)."""
+) -> Tuple[List[str], str]:
+    """Write ``robustness.{txt,csv,json}`` from the chunk (or stage)
+    summaries, in the given (canonical grid) order; returns the paths
+    written and the sweep digest.  ``extra`` merges additional keys into
+    the JSON payload (the chunked path adds quarantine and ledger
+    sections)."""
+    cells = [cell for summary in summaries for cell in summary["cells"]]
     rows: List[Dict[str, Any]] = []
     lines: List[str] = []
-    cells_json: List[Dict[str, Any]] = []
-    for (churn, loss, split), report in cells:
-        cell = {"churn": churn, "loss": loss, "split": split}
+    for cell in cells:
+        churn, loss, split = cell["churn"], cell["loss"], cell["split"]
+        report = RobustnessReport.from_dict(cell["report"])
         lines.append(
             f"churn={churn:g} loss={loss:g} split={split:g}s  "
             + report.render()
         )
+        # csv writes None (no recovery, no propagation sample) as "".
         rows.append(
             {
-                **cell,
-                "baseline_reachable": report.baseline_reachable,
-                "minimum_reachable": report.minimum_reachable,
-                "recovery_time": (
-                    "" if report.recovery_time is None else report.recovery_time
-                ),
-                "orphan_rate": report.orphan_rate,
-                "mean_propagation_delay": (
-                    ""
-                    if report.mean_propagation_delay is None
-                    else report.mean_propagation_delay
-                ),
-                "messages_lost": report.messages_lost,
-                "messages_blocked": report.messages_blocked,
-                "dials_timed_out": report.dials_timed_out,
-                "peers_evicted_unresponsive": report.peers_evicted_unresponsive,
-                "peers_banned": report.peers_banned,
-                "digest": report.digest(),
+                "churn": churn,
+                "loss": loss,
+                "split": split,
+                **{name: getattr(report, name) for name in _CSV_FIELDS},
+                "digest": cell["digest"],
             }
         )
-        cells_json.append({**cell, "digest": report.digest(), "report": report.to_dict()})
-
-    text_path = output_dir / "robustness.txt"
-    text_path.write_text("\n".join(lines) + "\n" if lines else "")
-    manifest.outputs.append(str(text_path))
-
-    csv_path = output_dir / "robustness.csv"
-    if rows:
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        manifest.outputs.append(str(csv_path))
-
-    digest = sweep_digest([c["digest"] for c in cells_json])
-    json_path = output_dir / "robustness.json"
-    json_path.write_text(
-        json.dumps(
-            {
-                "seed": config.seed,
-                "sweep_digest": digest,
-                "cells": cells_json,
-                **(extra or {}),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    return write_sweep_tables(
+        output_dir, "robustness", lines, rows, cells,
+        {"seed": config.seed, **(extra or {})},
     )
-    manifest.outputs.append(str(json_path))
-    return digest
 
 
 def run_fault_sweep(
-    config: Optional[FaultSweepConfig] = None,
-    jobs: int = 1,
-    cache_dir: Optional[Union[str, Path]] = ".repro-cache",
-    output_dir: Union[str, Path] = "runs",
-    manifest_path: Optional[Union[str, Path]] = None,
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
-    retries: int = 1,
-    progress=None,
-    retry_backoff: float = 0.0,
-) -> RunManifest:
-    """Run the grid, write the robustness artifacts, return the manifest."""
-    config = config or FaultSweepConfig()
-    progress = progress or NullProgress()
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = Path(manifest_path or output_dir / "fault-sweep-manifest.json")
+    config: Optional[FaultSweepConfig] = None, **settings: Any
+) -> SweepResult:
+    """Run the grid and write the robustness artifacts.
 
-    grid = build_fault_grid(config)
-
-    manifest = RunManifest(
-        command=(
-            f"fault-sweep --nodes {config.num_nodes} --seed {config.seed}"
-            f" --jobs {jobs}"
-            + (" --no-cache" if cache_dir is None else "")
-        ),
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        started_at=time.time(),
-    )
-
-    pool = WorkerPool(
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        timeout=timeout,
-        retries=retries,
-        progress=progress,
-        retry_backoff=retry_backoff,
-    )
-
-    start = time.perf_counter()
-    by_label: Dict[str, Any] = {}
-    for result in pool.run([spec for _, spec in grid]):
-        manifest.add(result.record)
-        if result.record.status == "ok":
-            by_label[result.spec.label] = result.value
-    manifest.total_wall_time = time.perf_counter() - start
-
-    cells: List[Tuple[Tuple[float, float, float], RobustnessReport]] = []
-    for (churn, loss, split), spec in grid:
-        report = getattr(by_label.get(spec.label), "robustness", None)
-        if report is not None:
-            cells.append(((churn, loss, split), report))
-    _write_sweep_artifacts(output_dir, manifest, config, cells)
-
-    manifest.write(manifest_path)
-    progress.note(f"manifest: {manifest_path}")
-    return manifest
-
-
-# --------------------------------------------------------------------------
-# the chunked, resumable path
-
-
-def run_fault_sweep_chunked(
-    config: Optional[FaultSweepConfig] = None,
-    jobs: int = 1,
-    cache_dir: Optional[Union[str, Path]] = ".repro-cache",
-    output_dir: Union[str, Path] = "runs",
-    manifest_path: Optional[Union[str, Path]] = None,
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
-    retries: int = 1,
-    progress=None,
-    retry_backoff: float = 0.0,
-    chunk_size: int = 2,
-    resume: bool = False,
-    max_quarantined: Optional[int] = None,
-    ledger_dir: Optional[Union[str, Path]] = None,
-    lease_seconds: float = 300.0,
-    chunk_retries: int = 1,
-) -> ChunkedSweepResult:
-    """The crash-safe sweep: grid → content-addressed chunks → ledger.
-
-    Kill this anywhere (worker, orchestrator, whole machine) and run it
-    again with ``resume=True``: finished chunks are stitched from their
-    persisted artifacts, unfinished ones recompute, and the combined
-    ``robustness.json`` sweep digest is byte-identical to the
-    uninterrupted single-shot run.  Chunks that keep failing are
-    quarantined; the sweep then completes *degraded* with the
-    quarantined chunks listed in the manifest and the JSON payload.
+    ``settings`` are the :class:`~repro.harness.sweeprun.SweepSettings`
+    keywords.  With ``chunk_size`` set the sweep is crash-safe over the ledger
+    (default ``<output_dir>/sweep-ledger``): kill it anywhere and rerun
+    with ``resume=True``; finished chunks are stitched from their
+    persisted artifacts and the ``robustness.json`` sweep digest is
+    byte-identical to the single-shot run.  Chunks that keep failing
+    are quarantined and the sweep completes *degraded*.
     """
     config = config or FaultSweepConfig()
-    progress = progress or NullProgress()
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = Path(
-        manifest_path or output_dir / "fault-sweep-manifest.json"
-    )
-    ledger_dir = Path(ledger_dir or output_dir / "sweep-ledger")
-
+    settings = SweepSettings(**settings)
     grid = build_fault_grid(config)
-    cell_by_key = {
-        spec.cache_key(): (cell, spec) for cell, spec in grid
-    }
-    salt = {"sweep": "fault-sweep", "config": asdict(config)}
-    chunks = plan_chunks(
-        [[spec for _, spec in grid]], chunk_size, salt=salt
-    )
-    sweep_key = sweep_key_for(chunks, salt=salt)
+    cell_by_key = {spec.cache_key(): cell for cell, spec in grid}
 
-    pool = WorkerPool(
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        timeout=timeout,
-        retries=retries,
-        progress=progress,
-        retry_backoff=retry_backoff,
-    )
-
-    def summarize(chunk, results) -> Dict[str, Any]:
+    def summarize(results: List[JobResult]) -> Dict[str, Any]:
         cells = []
         for result in results:
             report = getattr(result.value, "robustness", None)
@@ -368,7 +225,7 @@ def run_fault_sweep_chunked(
                     f"{result.spec.label}: no robustness report on the "
                     f"result (not a chaos-partition cell?)"
                 )
-            (churn, loss, split), _ = cell_by_key[result.spec.cache_key()]
+            churn, loss, split = cell_by_key[result.spec.cache_key()]
             cells.append(
                 {
                     "churn": churn,
@@ -378,123 +235,18 @@ def run_fault_sweep_chunked(
                     "report": report.to_dict(),
                 }
             )
-        return {
-            "cells": cells,
-            "records": [asdict(result.record) for result in results],
-        }
+        return {"cells": cells}
 
-    runner = SweepRunner(
-        ledger_dir,
-        pool,
+    return run_sweep(
+        [[spec for _, spec in grid]],
         summarize,
-        lease_seconds=lease_seconds,
-        chunk_retries=chunk_retries,
-        max_quarantined=max_quarantined,
-        progress=progress,
-    )
-    start = time.perf_counter()
-    outcome = runner.run(chunks, sweep_key=sweep_key, resume=resume)
-
-    if outcome.state == "interrupted":
-        counts = outcome.counts
-        progress.note(
-            f"interrupted: {counts.get('done', 0)}/{counts.get('total', 0)}"
-            f" chunk(s) done; resume with --resume"
-        )
-        return ChunkedSweepResult(
-            state="interrupted", exit_code=EXIT_INTERRUPTED,
-            error=outcome.error,
-        )
-    if outcome.state == "failed":
-        return ChunkedSweepResult(
-            state="failed", exit_code=EXIT_FAILED, error=outcome.error,
-            quarantined=[
-                {
-                    "chunk_id": row.chunk_id,
-                    "label": row.label,
-                    "error": row.error,
-                    "failures": row.failures,
-                }
-                for row in outcome.quarantined
-            ],
-        )
-
-    # -- combine: stitch chunk artifacts in canonical order ----------------
-    manifest = RunManifest(
-        command=(
-            f"fault-sweep --nodes {config.num_nodes} --seed {config.seed}"
-            f" --jobs {jobs} --chunk-size {chunk_size}"
-            + (" --resume" if resume else "")
-            + (" --no-cache" if cache_dir is None else "")
+        partial(
+            _write_sweep_artifacts, Path(settings.output_dir), config
         ),
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        started_at=time.time(),
-    )
-    cells: List[Tuple[Tuple[float, float, float], RobustnessReport]] = []
-    for chunk, summary in outcome.summaries:
-        for record in summary["records"]:
-            manifest.add(JobRecord(**record))
-        for cell in summary["cells"]:
-            cells.append(
-                (
-                    (cell["churn"], cell["loss"], cell["split"]),
-                    RobustnessReport.from_dict(cell["report"]),
-                )
-            )
-    quarantined_payload: List[Dict[str, Any]] = []
-    for row in outcome.quarantined:
-        chunk = next(c for c in chunks if c.chunk_id == row.chunk_id)
-        quarantined_payload.append(
-            {
-                "chunk_id": row.chunk_id,
-                "label": row.label,
-                "error": row.error,
-                "failures": row.failures,
-                "cells": [spec.label for spec in chunk.specs],
-            }
-        )
-        for spec in chunk.specs:
-            manifest.add(
-                JobRecord(
-                    label=spec.label,
-                    kind=spec.kind,
-                    key=spec.cache_key(),
-                    status="failed",
-                    cache_hit=False,
-                    wall_time=0.0,
-                    attempts=row.attempts,
-                    error=f"chunk {row.chunk_id[:12]} quarantined: "
-                          f"{row.error}",
-                )
-            )
-    manifest.total_wall_time = time.perf_counter() - start
-
-    digest = _write_sweep_artifacts(
-        output_dir,
-        manifest,
-        config,
-        cells,
-        extra={
-            "degraded": outcome.state == "degraded",
-            "quarantined": quarantined_payload,
-            "ledger": {
-                "chunks": outcome.counts,
-                "metrics": outcome.metrics,
-            },
-        },
-    )
-    manifest.write(manifest_path)
-    progress.note(f"manifest: {manifest_path}")
-    if outcome.state == "degraded":
-        progress.note(
-            f"sweep completed DEGRADED: {len(quarantined_payload)} "
-            f"quarantined chunk(s)"
-        )
-    return ChunkedSweepResult(
-        state=outcome.state,
-        exit_code=EXIT_DEGRADED if outcome.state == "degraded" else EXIT_OK,
-        manifest=manifest,
-        sweep_digest=digest,
-        quarantined=quarantined_payload,
+        settings,
+        command=f"fault-sweep --nodes {config.num_nodes} --seed "
+                f"{config.seed} --jobs {settings.jobs}",
+        manifest_name="fault-sweep-manifest.json",
+        ledger_name="sweep-ledger",
+        salt={"sweep": "fault-sweep", "config": asdict(config)},
     )

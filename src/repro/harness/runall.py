@@ -16,16 +16,16 @@ cache hits and the whole pass is a few pickle loads.
 
 Artifacts land in ``output_dir`` (``figureN.txt``/``.csv`` and
 ``observations.txt``); the run manifest (JSON) records every job's
-cache key, hit/miss, wall time, and attempts.
+cache key, hit/miss, wall time, and attempts.  The waves run through
+the shared sweep driver (:func:`~repro.harness.sweeprun.run_sweep`),
+single-shot or chunked over the sweep ledger.
 """
 
 from __future__ import annotations
 
-import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from ..scenarios.partition_event import PartitionScenarioConfig
 from ..sim.engine import ForkSimConfig
@@ -39,21 +39,10 @@ from .jobs import (
     simulate_spec,
 )
 from .cache import ResultCache
-from .manifest import JobRecord, RunManifest
-from .pool import DEFAULT_TIMEOUT, WorkerPool
-from .progress import NullProgress
-from .sweeprun import (
-    EXIT_DEGRADED,
-    EXIT_FAILED,
-    EXIT_INTERRUPTED,
-    EXIT_OK,
-    ChunkedSweepResult,
-    SweepRunner,
-    plan_chunks,
-    sweep_key_for,
-)
+from .pool import JobResult
+from .sweeprun import SweepResult, SweepSettings, run_sweep
 
-__all__ = ["run_all", "run_all_chunked", "build_waves", "DEFAULT_CACHE_DIR"]
+__all__ = ["run_all", "build_waves", "DEFAULT_CACHE_DIR"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -134,164 +123,62 @@ def run_all(
     days: int = 150,
     seed: int = 2016_07_20,
     prefork_days: int = 7,
-    jobs: int = 1,
-    cache_dir: Optional[Union[str, Path]] = DEFAULT_CACHE_DIR,
-    output_dir: Union[str, Path] = "runs",
-    manifest_path: Optional[Union[str, Path]] = None,
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
-    retries: int = 1,
+    *,
     sample_days: int = 7,
-    progress=None,
     partition_config: Optional[PartitionScenarioConfig] = None,
     cache_max_bytes: Optional[int] = None,
-    retry_backoff: float = 0.0,
-) -> RunManifest:
-    """Produce all five figures and the scoreboard; returns the manifest.
-
-    ``cache_dir=None`` disables caching entirely (the ``--no-cache``
-    path); every job then recomputes its inputs from scratch.
-    ``cache_max_bytes`` bounds the cache after the run: oldest entries
-    are evicted (LRU by mtime) until the total fits.
-    """
-    progress = progress or NullProgress()
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = Path(manifest_path or output_dir / "manifest.json")
-
-    sim_config = ForkSimConfig(days=days, prefork_days=prefork_days, seed=seed)
-    waves = build_waves(sim_config, partition_config)
-
-    manifest = RunManifest(
-        command=(
-            f"run-all --days {days} --seed {seed} --jobs {jobs}"
-            + (" --no-cache" if cache_dir is None else "")
-        ),
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        started_at=time.time(),
-    )
-
-    pool = WorkerPool(
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        timeout=timeout,
-        retries=retries,
-        progress=progress,
-        retry_backoff=retry_backoff,
-    )
-
-    start = time.perf_counter()
-    values: Dict[str, object] = {}
-    for wave in waves:
-        for result in pool.run(wave):
-            manifest.add(result.record)
-            if result.record.status == "ok":
-                values[result.spec.label] = result.value
-    manifest.total_wall_time = time.perf_counter() - start
-
-    # -- write artifacts ---------------------------------------------------
-    for wave in waves:
-        for spec in wave:
-            value = values.get(spec.label)
-            if value is not None:
-                manifest.outputs.extend(
-                    _write_value_artifacts(
-                        output_dir, spec.label, value, sample_days
-                    )
-                )
-
-    manifest.write(manifest_path)
-    progress.note(f"manifest: {manifest_path}")
-
-    if cache_dir is not None and cache_max_bytes is not None:
-        pruned = ResultCache(cache_dir).prune(cache_max_bytes)
-        if pruned.evicted:
-            progress.note(
-                f"cache pruned: evicted {pruned.evicted} entries "
-                f"({pruned.bytes_evicted} bytes), "
-                f"{pruned.remaining_bytes} bytes remain"
-            )
-    return manifest
-
-
-# --------------------------------------------------------------------------
-# the chunked, resumable path
-
-
-def run_all_chunked(
-    days: int = 150,
-    seed: int = 2016_07_20,
-    prefork_days: int = 7,
-    jobs: int = 1,
-    cache_dir: Optional[Union[str, Path]] = DEFAULT_CACHE_DIR,
-    output_dir: Union[str, Path] = "runs",
-    manifest_path: Optional[Union[str, Path]] = None,
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
-    retries: int = 1,
-    sample_days: int = 7,
-    progress=None,
-    partition_config: Optional[PartitionScenarioConfig] = None,
-    retry_backoff: float = 0.0,
-    chunk_size: int = 2,
-    resume: bool = False,
-    max_quarantined: Optional[int] = None,
-    ledger_dir: Optional[Union[str, Path]] = None,
-    lease_seconds: float = 300.0,
-    chunk_retries: int = 1,
     horizon_chunk_days: Optional[int] = None,
-) -> ChunkedSweepResult:
-    """``run_all`` through the sweep ledger: waves become stages.
+    **settings: Any,
+) -> SweepResult:
+    """Produce all five figures and the scoreboard.
 
-    Each dependency wave maps to a ledger *stage*, so the barrier
-    semantics survive chunking — no figure chunk can be claimed until
-    every root-wave chunk is ``done``.  Figure/observation files are
-    written as each chunk finishes (they are the chunk's real output);
-    on ``resume`` the done chunks' files are already on disk and the
-    combine step only re-stitches the manifest.
+    ``settings`` are the :class:`~repro.harness.sweeprun.SweepSettings`
+    keywords (``jobs``, ``cache_dir``, ``output_dir``, ``chunk_size``,
+    ...).  ``cache_dir=None`` disables caching entirely (the
+    ``--no-cache`` path).  ``cache_max_bytes`` bounds the cache once the
+    run has written its artifacts: oldest entries are evicted (LRU by
+    mtime) until the total fits.
 
-    ``horizon_chunk_days`` additionally splits the simulation root
-    *within* its horizon into checkpointed ``simulate-chunk`` stages —
-    a killed run resumes from the last finished day range instead of
-    re-mining from day zero, and the stitched result is byte-identical
-    to a single-shot run (the resume-digest contract of
-    :class:`~repro.sim.checkpoint.ForkSimCheckpoint`).  Requires a
-    cache: chunks hand checkpoints to their successors through it.
+    ``chunk_size`` runs the waves through the sweep ledger (default
+    ``<output_dir>/run-all-ledger``), one ledger *stage* per wave, so no
+    figure chunk can be claimed before every root-wave chunk is
+    ``done``.  Figure/observation files are written as each chunk (or,
+    single-shot, each wave) finishes; on ``resume`` the done chunks'
+    files are already on disk.  ``horizon_chunk_days`` additionally
+    splits the simulation root *within* its horizon into checkpointed
+    ``simulate-chunk`` stages, so a killed run resumes from the last
+    finished day range, byte-identically (the resume-digest contract of
+    :class:`~repro.sim.checkpoint.ForkSimCheckpoint`).  It needs the
+    ledger and a cache: chunks hand checkpoints on through it.
     """
-    if horizon_chunk_days is not None and cache_dir is None:
-        raise ValueError(
-            "horizon_chunk_days requires a result cache; simulate "
-            "chunks chain their checkpoints through it"
-        )
-    progress = progress or NullProgress()
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = Path(manifest_path or output_dir / "manifest.json")
-    ledger_dir = Path(ledger_dir or output_dir / "run-all-ledger")
-
+    settings = SweepSettings(**settings)
+    cache_dir = settings.cache_dir
+    if horizon_chunk_days is not None:
+        if settings.chunk_size is None:
+            raise ValueError(
+                "horizon_chunk_days requires chunk_size; simulate chunks "
+                "ride on the sweep ledger"
+            )
+        if cache_dir is None:
+            raise ValueError(
+                "horizon_chunk_days requires a result cache; simulate "
+                "chunks chain their checkpoints through it"
+            )
+    if cache_max_bytes is not None and cache_max_bytes < 0:
+        raise ValueError("cache_max_bytes must be >= 0")
+    output_dir = Path(settings.output_dir)
     sim_config = ForkSimConfig(days=days, prefork_days=prefork_days, seed=seed)
-    waves = build_waves(
-        sim_config, partition_config, horizon_chunk_days=horizon_chunk_days
-    )
     salt = {
         "sweep": "run-all",
         "sim": asdict(sim_config),
         "partition": asdict(partition_config or PartitionScenarioConfig()),
     }
+    command = f"run-all --days {days} --seed {seed} --jobs {settings.jobs}"
     if horizon_chunk_days is not None:
         salt["horizon_chunk_days"] = horizon_chunk_days
-    chunks = plan_chunks(waves, chunk_size, salt=salt)
-    sweep_key = sweep_key_for(chunks, salt=salt)
+        command += f" --horizon-chunk-days {horizon_chunk_days}"
 
-    pool = WorkerPool(
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        timeout=timeout,
-        retries=retries,
-        progress=progress,
-        retry_backoff=retry_backoff,
-    )
-
-    def summarize(chunk, results) -> Dict[str, Any]:
+    def summarize(results: List[JobResult]) -> Dict[str, Any]:
         outputs: List[str] = []
         for result in results:
             outputs.extend(
@@ -299,111 +186,31 @@ def run_all_chunked(
                     output_dir, result.spec.label, result.value, sample_days
                 )
             )
-        return {
-            "outputs": outputs,
-            "records": [asdict(result.record) for result in results],
-        }
+        return {"outputs": outputs}
 
-    runner = SweepRunner(
-        ledger_dir,
-        pool,
+    def write_artifacts(summaries, extra):
+        return [path for s in summaries for path in s["outputs"]], None
+
+    result = run_sweep(
+        build_waves(sim_config, partition_config, horizon_chunk_days),
         summarize,
-        lease_seconds=lease_seconds,
-        chunk_retries=chunk_retries,
-        max_quarantined=max_quarantined,
-        progress=progress,
+        write_artifacts,
+        settings,
+        command=command,
+        manifest_name="manifest.json",
+        ledger_name="run-all-ledger",
+        salt=salt,
     )
-    start = time.perf_counter()
-    outcome = runner.run(chunks, sweep_key=sweep_key, resume=resume)
-
-    if outcome.state == "interrupted":
-        counts = outcome.counts
-        progress.note(
-            f"interrupted: {counts.get('done', 0)}/{counts.get('total', 0)}"
-            f" chunk(s) done; resume with --resume"
-        )
-        return ChunkedSweepResult(
-            state="interrupted", exit_code=EXIT_INTERRUPTED,
-            error=outcome.error,
-        )
-    if outcome.state == "failed":
-        return ChunkedSweepResult(
-            state="failed", exit_code=EXIT_FAILED, error=outcome.error,
-            quarantined=[
-                {
-                    "chunk_id": row.chunk_id,
-                    "label": row.label,
-                    "error": row.error,
-                    "failures": row.failures,
-                }
-                for row in outcome.quarantined
-            ],
-        )
-
-    manifest = RunManifest(
-        command=(
-            f"run-all --days {days} --seed {seed} --jobs {jobs}"
-            f" --chunk-size {chunk_size}"
-            + (
-                f" --horizon-chunk-days {horizon_chunk_days}"
-                if horizon_chunk_days is not None
-                else ""
+    if (
+        result.manifest is not None
+        and cache_dir is not None
+        and cache_max_bytes is not None
+    ):
+        pruned = ResultCache(cache_dir).prune(cache_max_bytes)
+        if pruned.evicted and settings.progress is not None:
+            settings.progress.note(
+                f"cache pruned: evicted {pruned.evicted} entries "
+                f"({pruned.bytes_evicted} bytes), "
+                f"{pruned.remaining_bytes} bytes remain"
             )
-            + (" --resume" if resume else "")
-            + (" --no-cache" if cache_dir is None else "")
-        ),
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        started_at=time.time(),
-    )
-    for chunk, summary in outcome.summaries:
-        for record in summary["records"]:
-            manifest.add(JobRecord(**record))
-        manifest.outputs.extend(summary["outputs"])
-    quarantined_payload: List[Dict[str, Any]] = []
-    for row in outcome.quarantined:
-        chunk = next(c for c in chunks if c.chunk_id == row.chunk_id)
-        quarantined_payload.append(
-            {
-                "chunk_id": row.chunk_id,
-                "label": row.label,
-                "error": row.error,
-                "failures": row.failures,
-                "jobs": [spec.label for spec in chunk.specs],
-            }
-        )
-        for spec in chunk.specs:
-            manifest.add(
-                JobRecord(
-                    label=spec.label,
-                    kind=spec.kind,
-                    key=spec.cache_key(),
-                    status="failed",
-                    cache_hit=False,
-                    wall_time=0.0,
-                    attempts=row.attempts,
-                    error=f"chunk {row.chunk_id[:12]} quarantined: "
-                          f"{row.error}",
-                )
-            )
-    manifest.total_wall_time = time.perf_counter() - start
-    manifest.write(manifest_path)
-    progress.note(f"manifest: {manifest_path}")
-    if outcome.state == "degraded":
-        progress.note(
-            f"run-all completed DEGRADED: {len(quarantined_payload)} "
-            f"quarantined chunk(s)"
-        )
-    return ChunkedSweepResult(
-        state=outcome.state,
-        exit_code=EXIT_DEGRADED if outcome.state == "degraded" else EXIT_OK,
-        manifest=manifest,
-        quarantined=quarantined_payload,
-    )
-
-
-def main(argv=None) -> int:  # pragma: no cover - thin convenience wrapper
-    """Allow ``python -m repro.harness.runall`` during development."""
-    from ..__main__ import main as cli_main
-
-    return cli_main(["run-all", *(argv or sys.argv[1:])])
+    return result

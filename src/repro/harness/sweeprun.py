@@ -20,6 +20,14 @@ artifact per finished chunk, so that:
   uninterrupted single-shot run (the repo's determinism contract, now
   extended across process deaths).
 
+:func:`run_sweep` is the one driver every sweep command goes through
+(``run-all``, ``fault-sweep``, ``topology-sweep``).  A sweep supplies
+its stages, a per-chunk ``summarize`` and an artifact writer; the
+driver runs the stages either single-shot (straight through the pool,
+no ledger) or chunked (through :class:`SweepRunner`), then builds the
+manifest, the quarantine payload and the artifacts the same way for
+both.
+
 :class:`CrashyPool` is the proof harness: a pool wrapper that injects
 orchestrator crashes at scheduled chunk executions so the differential
 tests can kill a sweep anywhere and show the stitched result unchanged.
@@ -27,6 +35,7 @@ tests can kill a sweep anywhere and show the stitched result unchanged.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -36,7 +45,7 @@ import tempfile
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
     Any,
@@ -52,19 +61,23 @@ from typing import (
 from ..obs import MetricsRegistry
 from .jobs import JobSpec, canonical_json
 from .ledger import ChunkDef, SweepLedger
-from .manifest import RunManifest
-from .pool import WorkerPool
+from .manifest import JobRecord, RunManifest
+from .pool import DEFAULT_TIMEOUT, JobResult, WorkerPool
 from .progress import NullProgress
 
 __all__ = [
     "SweepChunk",
     "SweepOutcome",
-    "ChunkedSweepResult",
+    "SweepResult",
+    "SweepSettings",
     "SweepRunner",
     "CrashyPool",
     "ChunkFailure",
     "plan_chunks",
+    "run_sweep",
+    "sweep_digest",
     "sweep_key_for",
+    "write_sweep_tables",
     "load_chunk_artifact",
     "EXIT_OK",
     "EXIT_FAILED",
@@ -73,14 +86,23 @@ __all__ = [
     "EXIT_DEGRADED",
 ]
 
-#: CLI exit codes for chunked sweeps.  ``EXIT_INTERRUPTED`` means the
-#: ledger was checkpointed and ``--resume`` will continue the sweep;
-#: ``EXIT_DEGRADED`` means the sweep completed but quarantined chunks.
+#: CLI exit codes for sweeps.  ``EXIT_FAILED`` means failed jobs
+#: (single-shot) or a blown quarantine budget (chunked);
+#: ``EXIT_INTERRUPTED`` means the ledger was checkpointed and
+#: ``--resume`` will continue the sweep; ``EXIT_DEGRADED`` means the
+#: sweep completed but quarantined chunks.
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 3
 EXIT_DEGRADED = 4
+
+_EXIT_CODES = {
+    "complete": EXIT_OK,
+    "failed": EXIT_FAILED,
+    "interrupted": EXIT_INTERRUPTED,
+    "degraded": EXIT_DEGRADED,
+}
 
 
 @dataclass(frozen=True)
@@ -299,15 +321,17 @@ class SweepOutcome:
 
 
 @dataclass
-class ChunkedSweepResult:
-    """What a chunked sweep *invocation* accomplished, CLI-facing: the
-    outcome state mapped to an exit code, plus the stitched manifest
-    when the sweep reached a terminal state."""
+class SweepResult:
+    """What one sweep *invocation* accomplished, CLI-facing: the outcome
+    state mapped to an exit code, plus the manifest when the sweep got
+    as far as writing its artifacts."""
 
     #: ``complete`` | ``degraded`` | ``interrupted`` | ``failed``.
     state: str
     exit_code: int
-    #: None when interrupted (the ledger holds the progress) or failed.
+    #: None when a chunked sweep was interrupted (the ledger holds the
+    #: progress) or blew its quarantine budget; a single-shot sweep with
+    #: failed jobs still writes it (state ``failed``).
     manifest: Optional[RunManifest] = None
     sweep_digest: Optional[str] = None
     #: ``{chunk_id, label, error, failures, ...}`` per quarantined chunk.
@@ -634,3 +658,248 @@ class SweepRunner:
             counts=counts,
             metrics=metrics,
         )
+
+
+# --------------------------------------------------------------------------
+# the sweep driver
+
+
+def sweep_digest(cell_digests: List[str]) -> str:
+    """The sweep's reproducibility fingerprint: hash of the ordered
+    per-cell report digests."""
+    payload = json.dumps(cell_digests, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def write_sweep_tables(
+    output_dir: Path,
+    stem: str,
+    lines: List[str],
+    rows: List[Dict[str, Any]],
+    cells: List[Dict[str, Any]],
+    payload: Dict[str, Any],
+) -> Tuple[List[str], str]:
+    """Write ``<stem>.txt`` (``lines``), ``<stem>.csv`` (``rows``, if
+    any) and ``<stem>.json`` (``payload`` plus ``cells`` and their sweep
+    digest); returns the paths written and the digest."""
+    digest = sweep_digest([cell["digest"] for cell in cells])
+    text_path = output_dir / f"{stem}.txt"
+    text_path.write_text("\n".join(lines) + "\n" if lines else "")
+    outputs = [str(text_path)]
+    if rows:
+        csv_path = output_dir / f"{stem}.csv"
+        with csv_path.open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        outputs.append(str(csv_path))
+    json_path = output_dir / f"{stem}.json"
+    json_path.write_text(
+        json.dumps(
+            {**payload, "sweep_digest": digest, "cells": cells},
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+    outputs.append(str(json_path))
+    return outputs, digest
+
+
+#: Turns one chunk's (or single-shot stage's) ok results into a JSON-able
+#: summary; the chunked path persists it as the chunk artifact.
+Summarize = Callable[[List[JobResult]], Dict[str, Any]]
+#: ``(summaries in canonical order, chunked-only JSON extras)`` →
+#: ``(paths written, sweep digest or None)``.
+WriteArtifacts = Callable[
+    [List[Dict[str, Any]], Optional[Dict[str, Any]]],
+    Tuple[List[str], Optional[str]],
+]
+
+
+def _quarantined(
+    rows: Sequence[Any], chunks: Sequence[SweepChunk]
+) -> Tuple[List[Dict[str, Any]], List[JobRecord]]:
+    """The quarantine payload, plus one failed record per member job."""
+    by_id = {chunk.chunk_id: chunk for chunk in chunks}
+    payload: List[Dict[str, Any]] = []
+    records: List[JobRecord] = []
+    for row in rows:
+        specs = by_id[row.chunk_id].specs
+        payload.append(
+            {
+                "chunk_id": row.chunk_id,
+                "label": row.label,
+                "error": row.error,
+                "failures": row.failures,
+                "cells": [spec.label for spec in specs],
+            }
+        )
+        records.extend(
+            JobRecord(
+                label=spec.label,
+                kind=spec.kind,
+                key=spec.cache_key(),
+                status="failed",
+                cache_hit=False,
+                wall_time=0.0,
+                attempts=row.attempts,
+                error=f"chunk {row.chunk_id[:12]} quarantined: {row.error}",
+            )
+            for spec in specs
+        )
+    return payload, records
+
+
+@dataclass(frozen=True)
+class SweepSettings:
+    """The pool and ledger settings every sweep entry takes as keywords.
+
+    ``cache_dir=None`` disables the cache (``--no-cache``);
+    ``chunk_size=None`` is single-shot, anything else runs through the
+    ledger in ``ledger_dir`` (default under ``output_dir``).
+    """
+
+    jobs: int = 1
+    cache_dir: Optional[Union[str, Path]] = ".repro-cache"
+    output_dir: Union[str, Path] = "runs"
+    manifest_path: Optional[Union[str, Path]] = None
+    timeout: Optional[float] = DEFAULT_TIMEOUT
+    retries: int = 1
+    progress: Any = None
+    retry_backoff: float = 0.0
+    chunk_size: Optional[int] = None
+    resume: bool = False
+    max_quarantined: Optional[int] = None
+    ledger_dir: Optional[Union[str, Path]] = None
+    lease_seconds: float = 300.0
+    chunk_retries: int = 1
+
+
+def run_sweep(
+    stages: Sequence[Sequence[JobSpec]],
+    summarize: Summarize,
+    write_artifacts: WriteArtifacts,
+    settings: SweepSettings,
+    *,
+    command: str,
+    manifest_name: str,
+    ledger_name: str,
+    salt: Dict[str, Any],
+) -> SweepResult:
+    """Run ``stages`` (barriers, in order) and write the sweep's artifacts.
+
+    Single-shot (``settings.chunk_size`` unset): each stage is one
+    :meth:`WorkerPool.run`, summarized over its ok results; no ledger is
+    opened (DESIGN §5 has the cost that rules one out).  Chunked: the
+    stages become ``chunk_size``-job chunks run by a :class:`SweepRunner`
+    over the ledger in ``settings.ledger_dir`` (default
+    ``<output_dir>/<ledger_name>``).  Either way ``write_artifacts`` gets
+    the summaries in canonical order, plus, chunked, the
+    ``degraded``/``quarantined``/``ledger`` JSON extras.  ``salt`` scopes
+    the chunk addresses.
+    """
+    chunk_size = settings.chunk_size
+    if settings.resume and chunk_size is None:
+        raise ValueError("resume requires chunk_size")
+    progress = settings.progress or NullProgress()
+    cache_dir = settings.cache_dir
+    output_dir = Path(settings.output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = Path(settings.manifest_path or output_dir / manifest_name)
+    pool = WorkerPool(
+        workers=settings.jobs,
+        cache_dir=str(cache_dir) if cache_dir else None,
+        timeout=settings.timeout,
+        retries=settings.retries,
+        progress=progress,
+        retry_backoff=settings.retry_backoff,
+    )
+    started_at = time.time()
+    start = time.perf_counter()
+
+    extra: Optional[Dict[str, Any]] = None
+    quarantined: List[Dict[str, Any]] = []
+    if chunk_size is None:
+        records: List[JobRecord] = []
+        summaries: List[Dict[str, Any]] = []
+        for stage in stages:
+            results = pool.run(list(stage))
+            records.extend(result.record for result in results)
+            ok = [result for result in results if result.record.status == "ok"]
+            summaries.append(summarize(ok))
+        failed = any(record.status != "ok" for record in records)
+        state = "failed" if failed else "complete"
+    else:
+        command += f" --chunk-size {chunk_size}" + (
+            " --resume" if settings.resume else ""
+        )
+        chunks = plan_chunks(stages, chunk_size, salt=salt)
+        runner = SweepRunner(
+            Path(settings.ledger_dir or output_dir / ledger_name),
+            pool,
+            lambda chunk, results: {
+                **summarize(results),
+                "records": [asdict(result.record) for result in results],
+            },
+            lease_seconds=settings.lease_seconds,
+            chunk_retries=settings.chunk_retries,
+            max_quarantined=settings.max_quarantined,
+            progress=progress,
+        )
+        outcome = runner.run(
+            chunks,
+            sweep_key=sweep_key_for(chunks, salt=salt),
+            resume=settings.resume,
+        )
+        state = outcome.state
+        quarantined, failed_records = _quarantined(outcome.quarantined, chunks)
+        if state in ("interrupted", "failed"):
+            if state == "interrupted":
+                counts = outcome.counts
+                progress.note(
+                    f"interrupted: {counts.get('done', 0)}/"
+                    f"{counts.get('total', 0)} chunk(s) done; resume with "
+                    f"--resume"
+                )
+            return SweepResult(
+                state=state, exit_code=_EXIT_CODES[state],
+                error=outcome.error, quarantined=quarantined,
+            )
+        summaries = [summary for _, summary in outcome.summaries]
+        records = [
+            JobRecord(**record)
+            for summary in summaries
+            for record in summary["records"]
+        ] + failed_records
+        extra = {
+            "degraded": state == "degraded",
+            "quarantined": quarantined,
+            "ledger": {"chunks": outcome.counts, "metrics": outcome.metrics},
+        }
+
+    manifest = RunManifest(
+        command=command + (" --no-cache" if cache_dir is None else ""),
+        workers=settings.jobs,
+        cache_dir=str(cache_dir) if cache_dir else None,
+        started_at=started_at,
+    )
+    for record in records:
+        manifest.add(record)
+    manifest.total_wall_time = time.perf_counter() - start
+    outputs, digest = write_artifacts(summaries, extra)
+    manifest.outputs.extend(outputs)
+    manifest.write(manifest_path)
+    progress.note(f"manifest: {manifest_path}")
+    if state == "degraded":
+        progress.note(
+            f"sweep completed DEGRADED: {len(quarantined)} quarantined "
+            f"chunk(s)"
+        )
+    return SweepResult(
+        state=state,
+        exit_code=_EXIT_CODES[state],
+        manifest=manifest,
+        sweep_digest=digest,
+        quarantined=quarantined,
+    )

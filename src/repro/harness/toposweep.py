@@ -8,8 +8,9 @@ clustering, so the sweep re-runs the scenario once per topology family
 (``topology-partition`` jobs) and, optionally, scores a DEthna-style
 marked-transaction inference run per family (``topology-infer`` jobs).
 
-Cells are independent harness jobs, so both the single-shot path and the
-chunked/resumable path (DESIGN §10 ledger machinery) apply unchanged.
+Cells are independent harness jobs run by the shared sweep driver
+(:func:`~repro.harness.sweeprun.run_sweep`), single-shot or chunked and
+resumable over the DESIGN §10 ledger.
 Artifacts land in ``output_dir``:
 
 * ``topology.txt`` — one line per family (degree stats, loss, recovery
@@ -21,13 +22,11 @@ Artifacts land in ``output_dir``:
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
-import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..net.topology import TOPOLOGY_KINDS, TopologySpec, build_topology
 from ..scenarios.partition_event import PartitionResult, TopologyPartitionConfig
@@ -35,32 +34,24 @@ from ..scenarios.topology_inference import (
     TopologyInferenceConfig,
     TopologyInferenceResult,
 )
-from .faultsweep import sweep_digest
 from .jobs import (
     JobSpec,
     canonical_json,
     topology_infer_spec,
     topology_partition_spec,
 )
-from .manifest import JobRecord, RunManifest
-from .pool import DEFAULT_TIMEOUT, WorkerPool
-from .progress import NullProgress
+from .pool import JobResult
 from .sweeprun import (
-    EXIT_DEGRADED,
-    EXIT_FAILED,
-    EXIT_INTERRUPTED,
-    EXIT_OK,
-    ChunkedSweepResult,
-    SweepRunner,
-    plan_chunks,
-    sweep_key_for,
+    SweepResult,
+    SweepSettings,
+    run_sweep,
+    write_sweep_tables,
 )
 
 __all__ = [
     "TopologySweepConfig",
     "build_topology_grid",
     "run_topology_sweep",
-    "run_topology_sweep_chunked",
 ]
 
 #: A sweep cell: ``(family, role)`` where role is ``"partition"`` or
@@ -206,13 +197,14 @@ def _cell_payload(
 
 def _write_sweep_artifacts(
     output_dir: Path,
-    manifest: RunManifest,
     config: TopologySweepConfig,
-    cells: List[Dict[str, Any]],
+    summaries: List[Dict[str, Any]],
     extra: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Write ``topology.{txt,csv,json}`` in canonical grid order;
-    returns the sweep digest."""
+) -> Tuple[List[str], str]:
+    """Write ``topology.{txt,csv,json}`` from the chunk (or stage)
+    summaries, in canonical grid order; returns the paths written and
+    the sweep digest."""
+    cells = [cell for summary in summaries for cell in summary["cells"]]
     by_cell = {(c["family"], c["role"]): c["payload"] for c in cells}
     rows: List[Dict[str, Any]] = []
     lines: List[str] = []
@@ -252,9 +244,7 @@ def _write_sweep_artifacts(
                 "degree_gini": stats["degree_gini"],
                 "node_loss_fraction": partition["node_loss_fraction"],
                 "minimum_etc_reachable": partition["minimum_etc_reachable"],
-                "stabilization_time": (
-                    "" if stabilization is None else stabilization
-                ),
+                "stabilization_time": stabilization,  # csv writes None as ""
                 "stabilized": partition["stabilized"],
                 "infer_precision": "" if infer is None else infer["precision"],
                 "infer_recall": "" if infer is None else infer["recall"],
@@ -266,278 +256,57 @@ def _write_sweep_artifacts(
     )
     lines.insert(0, conclusion)
 
-    text_path = output_dir / "topology.txt"
-    text_path.write_text("\n".join(lines) + "\n" if lines else "")
-    manifest.outputs.append(str(text_path))
-
-    csv_path = output_dir / "topology.csv"
-    if rows:
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        manifest.outputs.append(str(csv_path))
-
-    digest = sweep_digest([c["digest"] for c in cells])
-    json_path = output_dir / "topology.json"
-    json_path.write_text(
-        json.dumps(
-            {
-                "seed": config.seed,
-                "sweep_digest": digest,
-                "conclusion": {
-                    "stabilized_families": stabilized,
-                    "reported_families": families_reported,
-                    "holds": stabilized == families_reported
-                    and families_reported > 0,
-                },
-                "cells": cells,
-                **(extra or {}),
+    return write_sweep_tables(
+        output_dir, "topology", lines, rows, cells,
+        {
+            "seed": config.seed,
+            "conclusion": {
+                "stabilized_families": stabilized,
+                "reported_families": families_reported,
+                "holds": stabilized == families_reported
+                and families_reported > 0,
             },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+            **(extra or {}),
+        },
     )
-    manifest.outputs.append(str(json_path))
-    return digest
 
 
 def run_topology_sweep(
-    config: Optional[TopologySweepConfig] = None,
-    jobs: int = 1,
-    cache_dir: Optional[Union[str, Path]] = ".repro-cache",
-    output_dir: Union[str, Path] = "runs",
-    manifest_path: Optional[Union[str, Path]] = None,
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
-    retries: int = 1,
-    progress=None,
-    retry_backoff: float = 0.0,
-) -> RunManifest:
-    """Run the families, write the topology artifacts, return the
-    manifest."""
-    config = config or TopologySweepConfig()
-    progress = progress or NullProgress()
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = Path(
-        manifest_path or output_dir / "topology-sweep-manifest.json"
-    )
+    config: Optional[TopologySweepConfig] = None, **settings: Any
+) -> SweepResult:
+    """Run the families and write the topology artifacts.
 
-    grid = build_topology_grid(config)
-
-    manifest = RunManifest(
-        command=(
-            f"topology-sweep --nodes {config.num_nodes} --seed {config.seed}"
-            f" --jobs {jobs}"
-            + (" --no-cache" if cache_dir is None else "")
-        ),
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        started_at=time.time(),
-    )
-
-    pool = WorkerPool(
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        timeout=timeout,
-        retries=retries,
-        progress=progress,
-        retry_backoff=retry_backoff,
-    )
-
-    start = time.perf_counter()
-    by_key: Dict[str, Any] = {}
-    for result in pool.run([spec for _, spec in grid]):
-        manifest.add(result.record)
-        if result.record.status == "ok":
-            by_key[result.spec.cache_key()] = result.value
-    manifest.total_wall_time = time.perf_counter() - start
-
-    cells: List[Dict[str, Any]] = []
-    for cell, spec in grid:
-        value = by_key.get(spec.cache_key())
-        if value is not None:
-            cells.append(_cell_payload(config, cell, value))
-    _write_sweep_artifacts(output_dir, manifest, config, cells)
-
-    manifest.write(manifest_path)
-    progress.note(f"manifest: {manifest_path}")
-    return manifest
-
-
-# --------------------------------------------------------------------------
-# the chunked, resumable path
-
-
-def run_topology_sweep_chunked(
-    config: Optional[TopologySweepConfig] = None,
-    jobs: int = 1,
-    cache_dir: Optional[Union[str, Path]] = ".repro-cache",
-    output_dir: Union[str, Path] = "runs",
-    manifest_path: Optional[Union[str, Path]] = None,
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
-    retries: int = 1,
-    progress=None,
-    retry_backoff: float = 0.0,
-    chunk_size: int = 2,
-    resume: bool = False,
-    max_quarantined: Optional[int] = None,
-    ledger_dir: Optional[Union[str, Path]] = None,
-    lease_seconds: float = 300.0,
-    chunk_retries: int = 1,
-) -> ChunkedSweepResult:
-    """Crash-safe topology sweep over the DESIGN §10 chunk ledger.
-
-    Kill it anywhere and rerun with ``resume=True``: finished chunks are
-    stitched from their persisted summaries and the combined
-    ``topology.json`` sweep digest is byte-identical to the single-shot
-    run.  Chunks that keep failing are quarantined (degraded, exit 4).
+    ``settings`` are the :class:`~repro.harness.sweeprun.SweepSettings`
+    keywords.  With ``chunk_size`` set the sweep runs over the DESIGN §10 ledger
+    (default ``<output_dir>/sweep-ledger``), resumable with the same
+    ``topology.json`` sweep digest as the single-shot run; chunks that
+    keep failing are quarantined (degraded, exit 4).
     """
     config = config or TopologySweepConfig()
-    progress = progress or NullProgress()
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = Path(
-        manifest_path or output_dir / "topology-sweep-manifest.json"
-    )
-    ledger_dir = Path(ledger_dir or output_dir / "sweep-ledger")
-
+    settings = SweepSettings(**settings)
     grid = build_topology_grid(config)
-    cell_by_key = {spec.cache_key(): (cell, spec) for cell, spec in grid}
-    salt = {"sweep": "topology-sweep", "config": asdict(config)}
-    chunks = plan_chunks([[spec for _, spec in grid]], chunk_size, salt=salt)
-    sweep_key = sweep_key_for(chunks, salt=salt)
+    cell_by_key = {spec.cache_key(): cell for cell, spec in grid}
 
-    pool = WorkerPool(
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        timeout=timeout,
-        retries=retries,
-        progress=progress,
-        retry_backoff=retry_backoff,
-    )
-
-    def summarize(chunk, results) -> Dict[str, Any]:
-        summarized = []
-        for result in results:
-            cell, _ = cell_by_key[result.spec.cache_key()]
-            summarized.append(_cell_payload(config, cell, result.value))
+    def summarize(results: List[JobResult]) -> Dict[str, Any]:
         return {
-            "cells": summarized,
-            "records": [asdict(result.record) for result in results],
+            "cells": [
+                _cell_payload(
+                    config, cell_by_key[result.spec.cache_key()], result.value
+                )
+                for result in results
+            ]
         }
 
-    runner = SweepRunner(
-        ledger_dir,
-        pool,
+    return run_sweep(
+        [[spec for _, spec in grid]],
         summarize,
-        lease_seconds=lease_seconds,
-        chunk_retries=chunk_retries,
-        max_quarantined=max_quarantined,
-        progress=progress,
-    )
-    start = time.perf_counter()
-    outcome = runner.run(chunks, sweep_key=sweep_key, resume=resume)
-
-    if outcome.state == "interrupted":
-        counts = outcome.counts
-        progress.note(
-            f"interrupted: {counts.get('done', 0)}/{counts.get('total', 0)}"
-            f" chunk(s) done; resume with --resume"
-        )
-        return ChunkedSweepResult(
-            state="interrupted", exit_code=EXIT_INTERRUPTED,
-            error=outcome.error,
-        )
-    if outcome.state == "failed":
-        return ChunkedSweepResult(
-            state="failed", exit_code=EXIT_FAILED, error=outcome.error,
-            quarantined=[
-                {
-                    "chunk_id": row.chunk_id,
-                    "label": row.label,
-                    "error": row.error,
-                    "failures": row.failures,
-                }
-                for row in outcome.quarantined
-            ],
-        )
-
-    # -- combine: stitch chunk summaries in canonical order ----------------
-    manifest = RunManifest(
-        command=(
-            f"topology-sweep --nodes {config.num_nodes} --seed {config.seed}"
-            f" --jobs {jobs} --chunk-size {chunk_size}"
-            + (" --resume" if resume else "")
-            + (" --no-cache" if cache_dir is None else "")
+        partial(
+            _write_sweep_artifacts, Path(settings.output_dir), config
         ),
-        workers=jobs,
-        cache_dir=str(cache_dir) if cache_dir else None,
-        started_at=time.time(),
-    )
-    by_cell: Dict[Cell, Dict[str, Any]] = {}
-    for chunk, summary in outcome.summaries:
-        for record in summary["records"]:
-            manifest.add(JobRecord(**record))
-        for cell_json in summary["cells"]:
-            by_cell[(cell_json["family"], cell_json["role"])] = cell_json
-    cells = [
-        by_cell[cell] for cell, _ in grid if cell in by_cell
-    ]
-    quarantined_payload: List[Dict[str, Any]] = []
-    for row in outcome.quarantined:
-        chunk = next(c for c in chunks if c.chunk_id == row.chunk_id)
-        quarantined_payload.append(
-            {
-                "chunk_id": row.chunk_id,
-                "label": row.label,
-                "error": row.error,
-                "failures": row.failures,
-                "cells": [spec.label for spec in chunk.specs],
-            }
-        )
-        for spec in chunk.specs:
-            manifest.add(
-                JobRecord(
-                    label=spec.label,
-                    kind=spec.kind,
-                    key=spec.cache_key(),
-                    status="failed",
-                    cache_hit=False,
-                    wall_time=0.0,
-                    attempts=row.attempts,
-                    error=f"chunk {row.chunk_id[:12]} quarantined: "
-                          f"{row.error}",
-                )
-            )
-    manifest.total_wall_time = time.perf_counter() - start
-
-    digest = _write_sweep_artifacts(
-        output_dir,
-        manifest,
-        config,
-        cells,
-        extra={
-            "degraded": outcome.state == "degraded",
-            "quarantined": quarantined_payload,
-            "ledger": {
-                "chunks": outcome.counts,
-                "metrics": outcome.metrics,
-            },
-        },
-    )
-    manifest.write(manifest_path)
-    progress.note(f"manifest: {manifest_path}")
-    if outcome.state == "degraded":
-        progress.note(
-            f"sweep completed DEGRADED: {len(quarantined_payload)} "
-            f"quarantined chunk(s)"
-        )
-    return ChunkedSweepResult(
-        state=outcome.state,
-        exit_code=EXIT_DEGRADED if outcome.state == "degraded" else EXIT_OK,
-        manifest=manifest,
-        sweep_digest=digest,
-        quarantined=quarantined_payload,
+        settings,
+        command=f"topology-sweep --nodes {config.num_nodes} --seed "
+                f"{config.seed} --jobs {settings.jobs}",
+        manifest_name="topology-sweep-manifest.json",
+        ledger_name="sweep-ledger",
+        salt={"sweep": "topology-sweep", "config": asdict(config)},
     )

@@ -114,6 +114,7 @@ class TestParser:
         assert main(["run-all", "--chunk-size", "2",
                      "--max-quarantined", "-1"]) == 2
         assert main(["fault-sweep", "--max-events", "0"]) == 2
+        assert main(["run-all", "--cache-max-bytes", "-1"]) == 2
         capsys.readouterr()
 
     def test_trace_defaults(self):

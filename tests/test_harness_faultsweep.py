@@ -12,7 +12,6 @@ from repro.harness import (
     NullProgress,
     build_fault_grid,
     run_fault_sweep,
-    run_fault_sweep_chunked,
     sweep_digest,
 )
 
@@ -56,7 +55,7 @@ class TestRunFaultSweep:
             cache_dir=tmp_path / "cache",
             output_dir=tmp_path / "out",
             progress=NullProgress(),
-        )
+        ).manifest
         return manifest, tmp_path
 
     def test_all_cells_succeed_and_artifacts_land(self, outcome):
@@ -73,6 +72,14 @@ class TestRunFaultSweep:
         assert len(lines) == 4
         assert "recovery=" in lines[0]
 
+    def test_single_shot_opens_no_ledger(self, outcome):
+        _, tmp_path = outcome
+        assert not (tmp_path / "out" / "sweep-ledger").exists()
+        payload = json.loads(
+            (tmp_path / "out" / "robustness.json").read_text()
+        )
+        assert not {"degraded", "quarantined", "ledger"} & set(payload)
+
     def test_warm_cache_reproduces_sweep_digest(self, outcome):
         manifest, tmp_path = outcome
         first = json.loads(
@@ -84,7 +91,7 @@ class TestRunFaultSweep:
             cache_dir=tmp_path / "cache",
             output_dir=tmp_path / "out2",
             progress=NullProgress(),
-        )
+        ).manifest
         assert not second_manifest.failures
         records = second_manifest.jobs
         assert all(record.cache_hit for record in records)
@@ -129,13 +136,13 @@ class TestChunkedSweep:
             cache_dir=tmp_path / "cache",
             output_dir=tmp_path / "single",
             progress=NullProgress(),
-        )
+        ).manifest
         assert not manifest.failures
         single = json.loads(
             (tmp_path / "single" / "robustness.json").read_text()
         )
 
-        result = run_fault_sweep_chunked(
+        result = run_fault_sweep(
             TINY,
             jobs=1,
             cache_dir=tmp_path / "cache",
@@ -163,7 +170,7 @@ class TestChunkedSweep:
         # must complete DEGRADED (exit 4) with the quarantine manifest,
         # not hang or hard-fail.
         poisoned = dataclasses.replace(TINY, max_events=10)
-        result = run_fault_sweep_chunked(
+        result = run_fault_sweep(
             poisoned,
             jobs=1,
             cache_dir=None,
@@ -191,7 +198,7 @@ class TestChunkedSweep:
 
     def test_quarantine_budget_fails_the_sweep(self, tmp_path):
         poisoned = dataclasses.replace(TINY, max_events=10)
-        result = run_fault_sweep_chunked(
+        result = run_fault_sweep(
             poisoned,
             jobs=1,
             cache_dir=None,

@@ -1,6 +1,6 @@
 """Horizon-chunked ``run-all``: one horizon split into resumable day ranges.
 
-``run_all_chunked(horizon_chunk_days=...)`` replaces the single
+``run_all(chunk_size=..., horizon_chunk_days=...)`` replaces the single
 ``simulate`` root with a chain of ``simulate-chunk`` jobs that hand a
 checkpoint to their successor through the cache.  The contract: the
 chunked run's artifacts are byte-identical to the classic single-shot
@@ -16,7 +16,6 @@ from repro.harness import (
     ResultCache,
     build_waves,
     run_all,
-    run_all_chunked,
     run_cached,
     run_job,
     simulate_chunk_spec,
@@ -154,9 +153,9 @@ class TestChunkRunner:
 
 class TestHorizonChunkedRunAll:
     def test_artifacts_match_classic_run(self, tmp_path):
-        classic = run_all(**_runall_kwargs(tmp_path / "a", "out"))
+        classic = run_all(**_runall_kwargs(tmp_path / "a", "out")).manifest
         assert not classic.failures
-        result = run_all_chunked(
+        result = run_all(
             **_runall_kwargs(tmp_path / "b", "out"),
             chunk_size=2,
             horizon_chunk_days=2,
@@ -176,7 +175,7 @@ class TestHorizonChunkedRunAll:
 
     def test_requires_cache(self, tmp_path):
         with pytest.raises(ValueError, match="cache"):
-            run_all_chunked(
+            run_all(
                 days=DAYS,
                 prefork_days=2,
                 cache_dir=None,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import RunManifest, build_waves, run_all, run_all_chunked
+from repro.harness import RunManifest, build_waves, run_all
 from repro.scenarios.partition_event import PartitionScenarioConfig
 from repro.sim.engine import ForkSimConfig
 
@@ -25,8 +25,8 @@ def cold_and_warm(tmp_path_factory):
         timeout=300.0,
         partition_config=QUICK_PARTITION,
     )
-    cold = run_all(**kwargs)
-    warm = run_all(**kwargs)
+    cold = run_all(**kwargs).manifest
+    warm = run_all(**kwargs).manifest
     return root, cold, warm
 
 
@@ -80,10 +80,14 @@ class TestCacheBehavior:
             output_dir=tmp_path / "out",
             timeout=300.0,
             partition_config=QUICK_PARTITION,
-        )
+        ).manifest
         assert manifest.cache_hits == 0
         assert manifest.cache_dir is None
         assert not manifest.failures
+
+    def test_single_shot_opens_no_ledger(self, cold_and_warm):
+        root, _, _ = cold_and_warm
+        assert not (root / "out" / "run-all-ledger").exists()
 
 
 class TestChunkedRunAll:
@@ -92,7 +96,7 @@ class TestChunkedRunAll:
         # pure cache hits, and its figure/scoreboard files must be
         # byte-identical to the classic path's.
         root, _, _ = cold_and_warm
-        result = run_all_chunked(
+        result = run_all(
             days=DAYS,
             prefork_days=2,
             jobs=1,
@@ -129,6 +133,26 @@ class TestChunkedRunAll:
         finally:
             ledger.close()
         assert stages == [0, 1, 2, 2, 2]
+
+    def test_chunked_run_prunes_cache_to_budget(self, tmp_path):
+        result = run_all(
+            days=2,
+            prefork_days=2,
+            jobs=1,
+            cache_dir=tmp_path / "cache",
+            output_dir=tmp_path / "out",
+            timeout=300.0,
+            partition_config=QUICK_PARTITION,
+            cache_max_bytes=0,
+            chunk_size=3,
+        )
+        assert result.state == "complete"
+        assert not list((tmp_path / "cache").glob("*/*.pkl"))
+
+    def test_unknown_setting_is_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            run_all(days=2, output_dir=tmp_path / "out", chunk_sise=2)
+        assert not (tmp_path / "out").exists()
 
 
 class TestWavePlan:

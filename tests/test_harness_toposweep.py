@@ -10,7 +10,6 @@ from repro.harness import (
     TopologySweepConfig,
     build_topology_grid,
     run_topology_sweep,
-    run_topology_sweep_chunked,
     topology_infer_spec,
     topology_partition_spec,
 )
@@ -78,7 +77,7 @@ class TestRunTopologySweep:
             cache_dir=tmp_path / "cache",
             output_dir=tmp_path / "out",
             progress=NullProgress(),
-        )
+        ).manifest
         return manifest, tmp_path
 
     def test_all_cells_succeed_and_artifacts_land(self, outcome):
@@ -97,6 +96,12 @@ class TestRunTopologySweep:
         assert len(lines) == 3  # header + one row per family
         assert "infer P=" in lines[1]
 
+    def test_single_shot_opens_no_ledger(self, outcome):
+        _, tmp_path = outcome
+        assert not (tmp_path / "out" / "sweep-ledger").exists()
+        payload = json.loads((tmp_path / "out" / "topology.json").read_text())
+        assert not {"degraded", "quarantined", "ledger"} & set(payload)
+
     def test_warm_cache_reproduces_sweep_digest(self, outcome):
         manifest, tmp_path = outcome
         first = json.loads((tmp_path / "out" / "topology.json").read_text())
@@ -106,7 +111,7 @@ class TestRunTopologySweep:
             cache_dir=tmp_path / "cache",
             output_dir=tmp_path / "out2",
             progress=NullProgress(),
-        )
+        ).manifest
         assert not second_manifest.failures
         assert all(record.cache_hit for record in second_manifest.jobs)
         second = json.loads(
@@ -143,13 +148,13 @@ class TestChunkedTopologySweep:
             cache_dir=tmp_path / "cache-a",
             output_dir=tmp_path / "single",
             progress=NullProgress(),
-        )
+        ).manifest
         assert not single.failures
         single_payload = json.loads(
             (tmp_path / "single" / "topology.json").read_text()
         )
 
-        result = run_topology_sweep_chunked(
+        result = run_topology_sweep(
             TINY,
             jobs=1,
             cache_dir=tmp_path / "cache-b",

@@ -27,17 +27,26 @@ from repro.harness import (
     perf_probe_spec,
     simulate_chunk_spec,
     simulate_spec,
+    topology_infer_spec,
+    topology_partition_spec,
 )
 from repro.net.node import ResiliencePolicy
+from repro.net.topology import TopologySpec
 from repro.scenarios.partition_event import (
     ChaosPartitionConfig,
     PartitionScenario,
     PartitionScenarioConfig,
+    TopologyPartitionConfig,
 )
+from repro.scenarios.topology_inference import TopologyInferenceConfig
 from repro.serve.summary import summarize, summary_digest
 from repro.sim.engine import ForkSimConfig, ForkSimulation, run_fork_sim
 
 SMALL = ForkSimConfig(days=3, prefork_days=2)
+#: Small degree-skewed and geo-clustered graphs for the topology-sweep
+#: cell kinds.
+POWERLAW = TopologySpec(kind="powerlaw", num_nodes=12, target_degree=3, seed=5)
+GEO = TopologySpec(kind="geo", num_nodes=12, target_degree=3, seed=5)
 
 
 class TestInProcessDeterminism:
@@ -148,6 +157,24 @@ SUMMARY_SPECS = {
                 seed=7,
             ).to_dict(),
             resilience=ResiliencePolicy().to_dict(),
+        )
+    ),
+    # The topology sweep's two cell kinds, on the graph families whose
+    # builders and transports the plain partition spec never touches.
+    "topology-partition": topology_partition_spec(
+        TopologyPartitionConfig(
+            num_nodes=12,
+            num_miners=3,
+            fork_block=10,
+            post_fork_horizon=600.0,
+            target_degree=3,
+            topology=GEO.to_dict(),
+            latency="geo",
+        )
+    ),
+    "topology-infer": topology_infer_spec(
+        TopologyInferenceConfig(
+            topology=POWERLAW.to_dict(), seed=5, probes_per_target=2
         )
     ),
 }
