@@ -536,12 +536,11 @@ def _run_obs_probe(params: Dict[str, Any], cache) -> Dict[str, Any]:
 
 @register_runner("perf-probe")
 def _run_perf_probe(params: Dict[str, Any], cache) -> Dict[str, Any]:
-    from ..perf.reference import reference_block_loop
+    from ..perf.reference import ReferenceForkSimulation
 
     config = ForkSimConfig.from_dict(params["config"])
     fast = run_fork_sim(config)
-    with reference_block_loop():
-        reference = run_fork_sim(config)
+    reference = ReferenceForkSimulation(config).run()
     fast_digest = fast.digest()
     reference_digest = reference.digest()
     return {

@@ -107,19 +107,6 @@ class RoutingTable:
             return False
         return self._admit(self._index(name), name)
 
-    def observe_reference(self, name: str) -> bool:
-        """The seed-state :meth:`observe` control flow (modulo the digest
-        memo it always had) — swapped in class-wide by
-        :func:`repro.perf.reference.reference_event_loop` so the
-        benchmark reference arm pays the original per-call index math."""
-        if name == self.own_name:
-            return False
-        index = bucket_index(self.own_id, self._digest(name))
-        if name in self._buckets.get(index, ()):
-            self._seen[name] = self._tick()
-            return True
-        return self._admit(index, name)
-
     def _admit(self, index: int, name: str) -> bool:
         """Add a non-member to bucket ``index`` if it has room."""
         bucket = self._buckets.get(index)

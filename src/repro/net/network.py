@@ -99,12 +99,6 @@ class NetworkCensus:
 class Network:
     """Transport + membership for one simulated P2P universe."""
 
-    #: Class-level switch for the :meth:`send` fast path.  The benchmark
-    #: reference arm (:mod:`repro.perf.reference`) flips this to False to
-    #: time the pre-optimization transport; trajectories are identical
-    #: either way.
-    use_fast_path = True
-
     def __init__(
         self,
         sim: Simulator,
@@ -259,8 +253,7 @@ class Network:
     def send(self, source: str, destination: str, message: Message) -> None:
         """Deliver ``message`` after a sampled latency (maybe drop it)."""
         if (
-            self.use_fast_path
-            and self._plain_obs
+            self._plain_obs
             and self.faults is None
             and not self.loss_rate
             and not self.track_block_propagation
@@ -270,7 +263,7 @@ class Network:
             # single latency draw on ``sim_rng`` (the inline sampler is
             # probe-verified to consume draws exactly like the library
             # one), same (time, seq) enqueue — trajectory-identical to
-            # the full path below, minus a dozen dead branch tests and
+            # :meth:`_send_ladder`, minus a dozen dead branch tests and
             # up to three call frames per message.
             nodes = self.nodes
             target = nodes.get(destination)
@@ -301,9 +294,8 @@ class Network:
             if type(sim) is Simulator and sim.obs is None and 0.0 <= delay < _INF:
                 # A handle-free delivery entry (nothing cancels a
                 # delivery).  Only for the exact base class with obs
-                # off — subclasses and the calendar-queue engine own
-                # their insert discipline, and observed runs trace
-                # through handles.
+                # off — subclasses own their insert discipline, and
+                # observed runs trace through handles.
                 _heappush(
                     sim._queue,
                     (sim.now + delay, next(sim._sequence), target, message),
@@ -311,6 +303,14 @@ class Network:
             else:
                 sim.schedule(delay, target.receive, message)
             return
+        self._send_ladder(source, destination, message)
+
+    def _send_ladder(
+        self, source: str, destination: str, message: Message
+    ) -> None:
+        """The full :meth:`send` body: the seed-state fault / loss /
+        trace / metrics branch ladder, for every send the plain fast
+        path does not cover."""
         target = self.nodes.get(destination)
         if target is None or not target.online:
             self.messages_undeliverable += 1
@@ -398,14 +398,13 @@ class Network:
         are the hot waves; at 40-node partition rates this is most of
         the transport's per-message overhead.
 
-        With the fast path disabled (the benchmark reference arm) or
-        any tracer/metrics attached, it literally *is* the send loop,
-        so observed runs and the reference arm keep the seed-state
-        behaviour to the byte.
+        With any tracer/metrics attached it literally *is* the send
+        loop, so observed runs keep the seed-state behaviour to the
+        byte.
         """
         if not destinations:
             return
-        if not (self.use_fast_path and self._plain_obs):
+        if not self._plain_obs:
             for destination in destinations:
                 self.send(source, destination, message)
             return
@@ -501,11 +500,11 @@ class Network:
 
         The chaos scenarios live here: ``faults`` stays attached for the
         whole run and block-propagation tracking is on, so the plain
-        kernel never fires.  The ladder below is the full :meth:`send`
-        branch ladder with the per-message invariants hoisted — the
-        fault judge, loss rate, ``NewBlock`` test, and the propagation
-        book-keeping dict — drawing from ``sim_rng`` and the fault
-        injector's RNG in exactly the per-send order.
+        kernel never fires.  The ladder below is :meth:`_send_ladder`
+        with the per-message invariants hoisted — the fault judge, loss
+        rate, ``NewBlock`` test, and the propagation book-keeping dict —
+        drawing from ``sim_rng`` and the fault injector's RNG in exactly
+        the per-send order.
         """
         nodes = self.nodes
         sim = self.sim

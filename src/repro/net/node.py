@@ -576,8 +576,8 @@ class FullNode:
         dataclasses, so ``type(message)`` is the ladder's answer); a
         subclassed message — none exist in the repo, but the contract
         allows them — falls back to the ladder.  Handler order and
-        side effects are identical to :meth:`receive_reference`, the
-        seed body kept verbatim for the benchmark reference arm.
+        side effects are identical to the seed body, kept verbatim as
+        :class:`repro.perf.reference.ReferenceNode`'s ``receive``.
         """
         if not self.online:
             return
@@ -599,32 +599,9 @@ class FullNode:
         else:
             self._dispatch_ladder(message)
 
-    def receive_reference(self, message: Message) -> None:
-        """The seed-state :meth:`receive` body, verbatim.
-
-        :func:`repro.perf.reference.reference_event_loop` swaps this in
-        class-wide so the benchmark reference arm dispatches through the
-        original ``isinstance`` ladder.
-        """
-        if not self.online:
-            return
-        sender = message.sender_id
-        if self.resilience is not None:
-            if self._now() < self._banned_until.get(sender, 0.0):
-                return  # banned peers get silence, not service
-            self._note_alive(sender)
-            if isinstance(message, Ping):
-                self._send(sender, Pong(sender_id=self.name))
-                return
-            if isinstance(message, Pong):
-                self._ping_pending.pop(sender, None)
-                return
-        self.routing.observe(sender)
-        self._dispatch_ladder(message)
-
     def _dispatch_ladder(self, message: Message) -> None:
-        """The seed dispatch ladder (shared by the reference arm and the
-        fast path's subclassed-message fallback)."""
+        """The seed dispatch ladder (the fast path's subclassed-message
+        fallback, and the reference node's only dispatch)."""
         if isinstance(message, Status):
             self._on_status(message)
         elif isinstance(message, Disconnect):
@@ -702,14 +679,14 @@ class FullNode:
         with dict probes before any validation — so on the obs-disabled
         path those verdicts are pre-checked inline and only blocks with a
         known parent pay the full import machinery.  Outcome-identical to
-        :meth:`_on_blocks_reference`: the pre-check reproduces exactly the
+        :meth:`_on_blocks_observed`: the pre-check reproduces exactly the
         "known" and "unknown-parent" early returns of
         :meth:`~repro.chain.chainstore.Blockchain.import_block`.
         """
         net = self.network
         if net is None or net.obs is not None:
             # Orphan/import trace events must still fire per block.
-            self._on_blocks_reference(message)
+            self._on_blocks_observed(message)
             return
         sender = message.sender_id
         block_index = self.chain.block_index
@@ -733,10 +710,11 @@ class FullNode:
         if first_orphan is not None:
             self._request_ancestor(sender, first_orphan.parent_hash)
 
-    def _on_blocks_reference(self, message: Blocks) -> None:
-        """The seed-state :meth:`_on_blocks` body, verbatim — swapped in
-        class-wide by :func:`repro.perf.reference.reference_event_loop`,
-        and the obs-enabled fallback of the fast path."""
+    def _on_blocks_observed(self, message: Blocks) -> None:
+        """The seed-state :meth:`_on_blocks` body, verbatim: every block
+        through :meth:`_adopt_block`.  The obs-enabled fallback of the
+        fast path, and :class:`repro.perf.reference.ReferenceNode`'s
+        ``_on_blocks``."""
         first_orphan: Optional[Block] = None
         for block in message.blocks:
             status = self._adopt_block(
@@ -769,14 +747,6 @@ class FullNode:
             return
         self._adopt_block(block, origin=message.sender_id)
 
-    def _on_new_block_reference(self, message: NewBlock) -> None:
-        """The seed-state :meth:`_on_new_block` body, verbatim — swapped
-        in class-wide by
-        :func:`repro.perf.reference.reference_event_loop`."""
-        if bytes(message.block.block_hash) in self.seen_blocks:
-            return
-        self._adopt_block(message.block, origin=message.sender_id)
-
     def _on_new_block_hashes(self, message: NewBlockHashes) -> None:
         # Announcements are the highest-volume message and almost always
         # already seen: probe the dedup set and block index directly
@@ -796,21 +766,6 @@ class FullNode:
             unknown = tuple(
                 h for h in hashes if h not in seen and h not in block_index
             )
-        if unknown:
-            self._send(
-                message.sender_id,
-                GetBlocks(sender_id=self.name, hashes=unknown),
-            )
-
-    def _on_new_block_hashes_reference(self, message: NewBlockHashes) -> None:
-        """The seed-state :meth:`_on_new_block_hashes` body, verbatim —
-        swapped in class-wide by
-        :func:`repro.perf.reference.reference_event_loop`."""
-        unknown = tuple(
-            h
-            for h in message.hashes
-            if bytes(h) not in self.seen_blocks and h not in self.chain
-        )
         if unknown:
             self._send(
                 message.sender_id,
@@ -840,29 +795,6 @@ class FullNode:
                         break
                     append(nxt)
                     cursor = nxt.header
-        if found:
-            self._send(
-                message.sender_id,
-                Blocks(sender_id=self.name, blocks=tuple(found)),
-            )
-
-    def _on_get_blocks_reference(self, message: GetBlocks) -> None:
-        """The seed-state :meth:`_on_get_blocks` body, verbatim — swapped
-        in class-wide by
-        :func:`repro.perf.reference.reference_event_loop`."""
-        found: List[Block] = []
-        for block_hash in message.hashes:
-            block = self.chain.block_by_hash(block_hash)
-            if block is not None:
-                found.append(block)
-                # Serve a short run of descendants to accelerate catch-up.
-                cursor = block
-                for _ in range(31):
-                    nxt = self.chain.block_by_number(cursor.number + 1)
-                    if nxt is None or nxt.parent_hash != cursor.block_hash:
-                        break
-                    found.append(nxt)
-                    cursor = nxt
         if found:
             self._send(
                 message.sender_id,

@@ -86,29 +86,8 @@ class Simulator:
     """The virtual clock and event queue.
 
     Every queue reader fires both entry shapes of the module docstring.
-    A delivery's ``receive`` is looked up when it fires, so a class-wide
-    swap of ``receive`` applies to deliveries already queued.
-
-    The queue is a binary heap by default.  Setting the class switch
-    :attr:`use_bucket_queue` makes ``Simulator(...)`` construct a
-    :class:`~repro.net.bucketqueue.BucketSimulator` instead — a
-    calendar-queue engine that amortizes heap discipline over time
-    buckets (see :mod:`repro.net.bucketqueue`).  Both engines fire
-    events in identical ``(time, seq)`` order; the switch follows the
-    same opt-in pattern as :attr:`repro.net.network.Network.use_fast_path`.
+    A delivery's ``receive`` is looked up on the node when it fires.
     """
-
-    #: Class-level switch: when True, ``Simulator(...)`` builds a
-    #: :class:`~repro.net.bucketqueue.BucketSimulator`.  Subclasses are
-    #: never redirected (the benchmark's ReferenceSimulator stays put).
-    use_bucket_queue = False
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Simulator and cls.use_bucket_queue:
-            from .bucketqueue import BucketSimulator
-
-            return object.__new__(BucketSimulator)
-        return object.__new__(cls)
 
     # ``self.now`` is written once per event and the queue/sequence are
     # read on every ``schedule``: slot storage keeps those accesses off

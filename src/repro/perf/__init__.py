@@ -4,16 +4,17 @@ The fast paths live where the hot loops are — the batched block
 kernel in :meth:`repro.sim.blockprod.BlockProducer.advance_batch`, the
 inlined difficulty rules in :func:`repro.chain.difficulty.make_fast_rule`,
 the tightened event loop in :meth:`repro.net.simulator.Simulator.run_until`,
-the calendar-queue engine in :class:`repro.net.bucketqueue.BucketSimulator`,
 and the plain-transport fast path plus delivery-wave kernels in
 :class:`repro.net.network.Network`.  This package holds what keeps them
 honest:
 
 :mod:`repro.perf.reference`
-    The seed-state implementations, kept verbatim, plus context managers
-    that swap them in process-wide.  Every benchmark times fast-vs-
-    reference on the *same* workload and every differential test asserts
-    the two arms produce bit-identical trajectories.
+    The seed-state implementations, kept verbatim, as standalone
+    classes and subclasses a run opts into by constructing them
+    (:class:`ReferenceForkSimulation`, :class:`ReferencePartitionScenario`
+    and their parts).  Every benchmark times fast-vs-reference on the
+    *same* workload and every differential test asserts the two arms
+    produce bit-identical trajectories.
 
 :mod:`repro.perf.bench`
     The benchmark harness behind ``python -m repro bench``: canonical
@@ -35,12 +36,17 @@ from typing import TYPE_CHECKING
 __all__ = [
     "BENCH_SCHEMA",
     "NodeStats",
+    "ReferenceBlockProducer",
+    "ReferenceForkSimulation",
+    "ReferenceNetwork",
+    "ReferenceNode",
+    "ReferencePartitionScenario",
+    "ReferenceRoutingTable",
     "ReferenceSimulator",
     "add_bench_arguments",
     "bench_from_args",
     "main",
-    "reference_block_loop",
-    "reference_event_loop",
+    "reference_sampler",
     "run_bench",
     "validate_report",
 ]
@@ -54,9 +60,14 @@ _EXPORTS = {
     "run_bench": "bench",
     "validate_report": "bench",
     "NodeStats": "soa",
+    "ReferenceBlockProducer": "reference",
+    "ReferenceForkSimulation": "reference",
+    "ReferenceNetwork": "reference",
+    "ReferenceNode": "reference",
+    "ReferencePartitionScenario": "reference",
+    "ReferenceRoutingTable": "reference",
     "ReferenceSimulator": "reference",
-    "reference_block_loop": "reference",
-    "reference_event_loop": "reference",
+    "reference_sampler": "reference",
 }
 
 
@@ -86,8 +97,13 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
         validate_report,
     )
     from .reference import (  # noqa: F401
+        ReferenceBlockProducer,
+        ReferenceForkSimulation,
+        ReferenceNetwork,
+        ReferenceNode,
+        ReferencePartitionScenario,
+        ReferenceRoutingTable,
         ReferenceSimulator,
-        reference_block_loop,
-        reference_event_loop,
+        reference_sampler,
     )
     from .soa import NodeStats  # noqa: F401

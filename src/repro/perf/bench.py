@@ -36,11 +36,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .reference import (
-    ReferenceSimulator,
-    reference_block_loop,
-    reference_event_loop,
-)
+from .reference import ReferenceForkSimulation, ReferenceSimulator
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -56,17 +52,8 @@ BENCH_SCHEMA = "repro.bench/1"
 #: Case name -> report name; drives ``--only`` filtering too.
 _REPORTS: Dict[str, Sequence[str]] = {
     "forksim": ("forksim_difficulty", "forksim_workload", "forksim_analysis"),
-    "eventloop": (
-        "eventloop_chain",
-        "eventloop_bucket",
-        "partition",
-        "chaos_partition",
-    ),
+    "eventloop": ("eventloop_chain", "partition", "chaos_partition"),
 }
-
-#: When set (``--profile``), :func:`_case_row` re-runs each case's fast
-#: arm once under cProfile and writes a cumulative top-N report here.
-_PROFILE_DIR: Optional[Path] = None
 
 #: Entries in each ``--profile`` report (top N by cumulative time).
 _PROFILE_TOP_N = 40
@@ -141,10 +128,14 @@ def _case_row(
     ref_fn: Callable[[], Any],
     measure: Callable[[Any], Tuple[int, str]],
     repeats: int,
+    profile_dir: Optional[Path],
     measure_memory: bool = False,
     memory_min_ratio: Optional[float] = None,
 ) -> Dict[str, Any]:
     """One benchmark row: timed arms, digests, optional memory arms.
+
+    With a ``profile_dir`` (``--profile``) the fast arm runs once more
+    under cProfile and a cumulative top-N report lands there.
 
     With ``measure_memory`` each arm also runs once more under
     tracemalloc (untimed — tracing is ~2x allocation overhead, so it
@@ -160,10 +151,10 @@ def _case_row(
     fast_work, fast_digest = measure(fast_value)
     ref_work, ref_digest = measure(ref_value)
     speedup = ref_secs / fast_secs if fast_secs > 0 else float("inf")
-    if _PROFILE_DIR is not None:
+    if profile_dir is not None:
         # Separate, untimed run: the profiler's tracing overhead must
         # never leak into the recorded wall times above.
-        _write_profile(name, fast_fn)
+        _write_profile(profile_dir, name, fast_fn)
     row = {
         "case": name,
         "params": params,
@@ -189,7 +180,9 @@ def _case_row(
     return row
 
 
-def _write_profile(case: str, fast_fn: Callable[[], Any]) -> Path:
+def _write_profile(
+    profile_dir: Path, case: str, fast_fn: Callable[[], Any]
+) -> Path:
     """Profile one extra fast-arm run; write the top-N cumulative table."""
     import cProfile
     import io
@@ -204,7 +197,7 @@ def _write_profile(case: str, fast_fn: Callable[[], Any]) -> Path:
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(_PROFILE_TOP_N)
-    path = _PROFILE_DIR / f"profile_{case}.txt"
+    path = profile_dir / f"profile_{case}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         f"cProfile of the fast arm, case {case!r} "
@@ -217,7 +210,12 @@ def _write_profile(case: str, fast_fn: Callable[[], Any]) -> Path:
 
 
 def _forksim_case(
-    name: str, days: int, with_transactions: bool, seed: int, repeats: int
+    name: str,
+    days: int,
+    with_transactions: bool,
+    seed: int,
+    repeats: int,
+    profile_dir: Optional[Path],
 ) -> Dict[str, Any]:
     from ..sim.engine import ForkSimConfig, run_fork_sim
 
@@ -232,8 +230,7 @@ def _forksim_case(
         return run_fork_sim(config)
 
     def reference():
-        with reference_block_loop():
-            return run_fork_sim(config)
+        return ReferenceForkSimulation(config).run()
 
     def measure(result) -> Tuple[int, str]:
         blocks = len(result.eth_trace.numbers) + len(result.etc_trace.numbers)
@@ -251,6 +248,7 @@ def _forksim_case(
         reference,
         measure,
         repeats,
+        profile_dir,
         measure_memory=True,
     )
 
@@ -260,6 +258,7 @@ def _forksim_analysis_case(
     days: int,
     seed: int,
     repeats: int,
+    profile_dir: Optional[Path],
     memory_min_ratio: float,
 ) -> Dict[str, Any]:
     """The figure/observation pass ``run-all`` runs, against the oracle.
@@ -342,6 +341,7 @@ def _forksim_analysis_case(
         reference,
         measure,
         repeats,
+        profile_dir,
         measure_memory=True,
         memory_min_ratio=memory_min_ratio,
     )
@@ -350,7 +350,9 @@ def _forksim_analysis_case(
 # -- event-loop cases -------------------------------------------------------
 
 
-def _eventloop_chain_case(ticks: int, repeats: int) -> Dict[str, Any]:
+def _eventloop_chain_case(
+    ticks: int, repeats: int, profile_dir: Optional[Path]
+) -> Dict[str, Any]:
     """Pure simulator microbench: four interleaved periodic timers.
 
     No network, no RNG — isolates the ``run_until`` hot loop from
@@ -399,79 +401,7 @@ def _eventloop_chain_case(ticks: int, repeats: int) -> Dict[str, Any]:
         run(ReferenceSimulator),
         measure,
         repeats,
-    )
-
-
-def _eventloop_bucket_case(events: int, repeats: int) -> Dict[str, Any]:
-    """Calendar-queue microbench: a dense, self-sustaining event storm.
-
-    Drives the schedulers at partition-scenario arrival rates: every
-    fired event draws from a per-run seeded RNG and schedules followers
-    — usually nearby (dense buckets), sometimes a same-timestamp burst
-    of three (FIFO ties inside one bucket), occasionally a far jump
-    (the sparse tail the heap fallback covers).  Fast arm =
-    :class:`~repro.net.bucketqueue.BucketSimulator`; reference arm =
-    the seed heapq loop.  Both arms replay the identical schedule
-    because the RNG is only consumed inside callbacks, in firing order
-    — which is exactly what the digest then locks down.
-    """
-    import itertools
-    import random as _random
-
-    from ..net.bucketqueue import BucketSimulator
-
-    def run(sim_cls):
-        def thunk():
-            sim = sim_cls()
-            rng = _random.Random(0xB0C5)
-            random_ = rng.random
-            fired: List[int] = []
-            append = fired.append
-            schedule = sim.schedule
-            ids = itertools.count()
-
-            def spawn():
-                label = next(ids)
-
-                def callback() -> None:
-                    append(label)
-                    if len(fired) >= events:
-                        return
-                    u = random_()
-                    if u < 0.30:
-                        delay = random_() * 0.5
-                        for _ in range(3):
-                            schedule(delay, spawn())
-                    elif u < 0.85:
-                        schedule(random_() * 1.5, spawn())
-                    else:
-                        schedule(10.0 + random_() * 40.0, spawn())
-
-                return callback
-
-            for _ in range(64):
-                schedule(random_() * 1.0, spawn())
-            sim.run_until(1e9)
-            return sim.events_processed, fired
-
-        return thunk
-
-    def measure(value) -> Tuple[int, str]:
-        processed, fired = value
-        hasher = hashlib.sha256()
-        for label in fired:
-            hasher.update(label.to_bytes(8, "little"))
-        hasher.update(str(processed).encode())
-        return processed, hasher.hexdigest()
-
-    return _case_row(
-        "eventloop_bucket",
-        {"events": events, "seeds": 64},
-        "events",
-        run(BucketSimulator),
-        run(ReferenceSimulator),
-        measure,
-        repeats,
+        profile_dir,
     )
 
 
@@ -501,27 +431,20 @@ def _partition_digest(result) -> str:
 
 
 def _scenario_case(
-    name: str, config, params: Dict[str, Any], repeats: int
+    name: str,
+    config,
+    params: Dict[str, Any],
+    repeats: int,
+    profile_dir: Optional[Path],
 ) -> Dict[str, Any]:
-    from ..net.simulator import Simulator
     from ..scenarios.partition_event import PartitionScenario
+    from .reference import ReferencePartitionScenario
 
-    def run(sim_cls, reference: bool):
+    def run(scenario_cls):
         def thunk():
-            sims: List[Simulator] = []
-
-            def factory(**kwargs):
-                sim = sim_cls(**kwargs)
-                sims.append(sim)
-                return sim
-
-            scenario = PartitionScenario(config, simulator_factory=factory)
-            if reference:
-                with reference_event_loop():
-                    result = scenario.run()
-            else:
-                result = scenario.run()
-            return result, sims[-1].events_processed
+            scenario = scenario_cls(config)
+            result = scenario.run()
+            return result, scenario.events_processed
 
         return thunk
 
@@ -533,14 +456,17 @@ def _scenario_case(
         name,
         params,
         "events",
-        run(Simulator, reference=False),
-        run(ReferenceSimulator, reference=True),
+        run(PartitionScenario),
+        run(ReferencePartitionScenario),
         measure,
         repeats,
+        profile_dir,
     )
 
 
-def _partition_case(smoke: bool, seed: int, repeats: int) -> Dict[str, Any]:
+def _partition_case(
+    smoke: bool, seed: int, repeats: int, profile_dir: Optional[Path]
+) -> Dict[str, Any]:
     from ..scenarios.partition_event import PartitionScenarioConfig
 
     if smoke:
@@ -554,11 +480,13 @@ def _partition_case(smoke: bool, seed: int, repeats: int) -> Dict[str, Any]:
         seed=seed,
     )
     return _scenario_case(
-        "partition", config, dict(params, seed=seed), repeats
+        "partition", config, dict(params, seed=seed), repeats, profile_dir
     )
 
 
-def _chaos_case(smoke: bool, seed: int, repeats: int) -> Dict[str, Any]:
+def _chaos_case(
+    smoke: bool, seed: int, repeats: int, profile_dir: Optional[Path]
+) -> Dict[str, Any]:
     from ..harness.faultsweep import FaultSweepConfig
 
     if smoke:
@@ -589,7 +517,11 @@ def _chaos_case(smoke: bool, seed: int, repeats: int) -> Dict[str, Any]:
         params["churn"], params["loss"], params["split"]
     )
     return _scenario_case(
-        "chaos_partition", config, dict(params, seed=seed), repeats
+        "chaos_partition",
+        config,
+        dict(params, seed=seed),
+        repeats,
+        profile_dir,
     )
 
 
@@ -597,14 +529,20 @@ def _chaos_case(smoke: bool, seed: int, repeats: int) -> Dict[str, Any]:
 
 
 def _build_case(
-    case: str, smoke: bool, seed: int, repeats: int
+    case: str,
+    smoke: bool,
+    seed: int,
+    repeats: int,
+    profile_dir: Optional[Path],
 ) -> Dict[str, Any]:
     if case == "forksim_difficulty":
         return _forksim_case(
-            case, 8 if smoke else 270, False, seed, repeats
+            case, 8 if smoke else 270, False, seed, repeats, profile_dir
         )
     if case == "forksim_workload":
-        return _forksim_case(case, 4 if smoke else 60, True, seed, repeats)
+        return _forksim_case(
+            case, 4 if smoke else 60, True, seed, repeats, profile_dir
+        )
     if case == "forksim_analysis":
         # Full mode runs the paper's 270-day horizon and enforces the
         # ISSUE's >=5x peak-memory advantage for the columnar backend;
@@ -615,16 +553,17 @@ def _build_case(
             8 if smoke else 270,
             seed,
             repeats,
+            profile_dir,
             memory_min_ratio=3.0 if smoke else 5.0,
         )
     if case == "eventloop_chain":
-        return _eventloop_chain_case(5_000 if smoke else 150_000, repeats)
-    if case == "eventloop_bucket":
-        return _eventloop_bucket_case(20_000 if smoke else 300_000, repeats)
+        return _eventloop_chain_case(
+            5_000 if smoke else 150_000, repeats, profile_dir
+        )
     if case == "partition":
-        return _partition_case(smoke, seed, repeats)
+        return _partition_case(smoke, seed, repeats, profile_dir)
     if case == "chaos_partition":
-        return _chaos_case(smoke, seed, repeats)
+        return _chaos_case(smoke, seed, repeats, profile_dir)
     raise ValueError(f"unknown bench case {case!r}")
 
 
@@ -749,7 +688,6 @@ def run_bench(
     fast arm once under :mod:`cProfile` (outside the timed region) and
     writes ``profile_<case>.txt`` next to the text reports.
     """
-    global _PROFILE_DIR
     if repeats is None:
         repeats = 1 if smoke else 3
     selected = {name: cases for name, cases in _REPORTS.items()
@@ -759,20 +697,13 @@ def run_bench(
             f"--only must name reports from {sorted(_REPORTS)}, got {only}"
         )
     created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    paths: List[Path] = []
-    all_match = True
-    saved_profile_dir = _PROFILE_DIR
+    profile_dir = None
     if profile:
-        _PROFILE_DIR = Path(report_dir) if report_dir else Path(
-            "benchmarks/output"
-        )
-    try:
-        return _run_bench_selected(
-            selected, smoke, seed, repeats, created, out_dir, report_dir,
-            paths, all_match, echo,
-        )
-    finally:
-        _PROFILE_DIR = saved_profile_dir
+        profile_dir = Path(report_dir or "benchmarks/output")
+    return _run_bench_selected(
+        selected, smoke, seed, repeats, created, out_dir, report_dir,
+        profile_dir, echo,
+    )
 
 
 def _run_bench_selected(
@@ -783,16 +714,17 @@ def _run_bench_selected(
     created: str,
     out_dir: str,
     report_dir: Optional[str],
-    paths: List[Path],
-    all_match: bool,
+    profile_dir: Optional[Path],
     echo: Callable[[str], None],
 ) -> Tuple[List[Path], bool]:
+    paths: List[Path] = []
+    all_match = True
     for name, case_names in selected.items():
         rows = []
         for case in case_names:
             echo(f"bench: {name}/{case} "
                  f"({'smoke' if smoke else 'full'}, repeats={repeats})...")
-            row = _build_case(case, smoke, seed, repeats)
+            row = _build_case(case, smoke, seed, repeats, profile_dir)
             echo(
                 f"bench: {name}/{case}: fast {row['fast']['seconds']:.3f}s "
                 f"vs reference {row['reference']['seconds']:.3f}s "
@@ -813,8 +745,8 @@ def _run_bench_selected(
                 and row["digests_match"]
                 and row.get("memory_ok", True)
             )
-            if _PROFILE_DIR is not None:
-                paths.append(_PROFILE_DIR / f"profile_{case}.txt")
+            if profile_dir is not None:
+                paths.append(profile_dir / f"profile_{case}.txt")
         payload = {
             "schema": BENCH_SCHEMA,
             "name": name,

@@ -1,47 +1,146 @@
-"""Seed-state reference implementations, and the switches to them.
+"""Seed-state reference implementations, chosen by constructing them.
 
 Honest speedup numbers need an honest baseline: the code paths the
 repository shipped *before* the kernels landed, not a strawman.  Each
-optimized layer therefore keeps its original implementation alive —
-``BlockProducer.advance_one`` / ``_run_until_reference``,
-``PoolLandscape.make_sampler_reference``,
-``Simulator._run_until_observed``, and the full ``Network.send`` body —
-and this module provides the swaps that route a whole run through them:
+optimized layer's original implementation lives here, as a standalone
+class or a subclass that overrides only the optimized methods with their
+seed bodies.  A reference run is chosen by constructing it — nothing
+here patches a class, so a reference run and a fast run can share one
+process (the ``serve`` threads do):
 
-* :func:`reference_block_loop` — fork-sim block production on the
-  per-block loop with the original sampler closures.
-* :func:`reference_event_loop` — message-level scenarios on the
-  pre-optimization transport path.
-* :class:`ReferenceSimulator` — a drop-in :class:`Simulator` pinned to
-  the original event loop; inject via the scenarios'
-  ``simulator_factory`` seam.
+* :class:`ReferenceForkSimulation` — the fork sim with
+  :class:`ReferenceBlockProducer` (the per-block ``advance_one`` loop)
+  and :func:`reference_sampler` (the original winner closures).
+* :class:`ReferencePartitionScenario` — the partition scenario on
+  :class:`ReferenceSimulator` (the seed event loop),
+  :class:`ReferenceNetwork` (every send walks the full branch ladder;
+  no wave kernels) and :class:`ReferenceNode` (the ``isinstance``
+  dispatch ladder, the seed block-sync handlers, and a
+  :class:`ReferenceRoutingTable` that recomputes bucket indices).
 
-All three are trajectory-preserving by construction: the reference and
+Every arm is trajectory-preserving by construction: the reference and
 fast arms consume RNG draws in the same order and produce bit-identical
 results, which the benchmarks assert by comparing digests.
+:class:`ReferencePartitionScenario` is built on first access (the
+scenario layer is not imported at CLI start).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Tuple
+import random
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
 
+from ..chain.block import Block
+from ..net.kademlia import RoutingTable, bucket_index
+from ..net.messages import (
+    Blocks,
+    GetBlocks,
+    Message,
+    NewBlock,
+    NewBlockHashes,
+    Ping,
+    Pong,
+)
 from ..net.network import Network
+from ..net.node import FullNode
 from ..net.simulator import EventHandle, SimulationError
 from ..net.simulator import _callback_label, _INF
 from ..sim.blockprod import BlockProducer
+from ..sim.engine import ForkSimulation
 from ..sim.population import PoolLandscape
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Observability
 
 __all__ = [
+    "ReferenceBlockProducer",
+    "ReferenceForkSimulation",
+    "ReferenceNetwork",
+    "ReferenceNode",
+    "ReferencePartitionScenario",
+    "ReferenceRoutingTable",
     "ReferenceSimulator",
-    "reference_block_loop",
-    "reference_event_loop",
+    "reference_sampler",
 ]
+
+
+# -- fork sim ---------------------------------------------------------------
+
+
+class ReferenceBlockProducer(BlockProducer):
+    """:class:`BlockProducer` mining through the pre-kernel per-block loop."""
+
+    def run_until(
+        self,
+        end_timestamp: int,
+        hashrate: float,
+        miner_sampler: Callable[[random.Random], str],
+        tx_sampler: Optional[
+            Callable[[random.Random, float], Tuple[int, int]]
+        ] = None,
+        max_blocks: int = 5_000_000,
+    ) -> int:
+        """The seed-state ``run_until``: one :meth:`advance_one` call per
+        block instead of :meth:`advance_batch`."""
+        if hashrate <= 0:
+            self.clock = max(self.clock, end_timestamp)
+            return 0
+        produced = 0
+        while self.clock < end_timestamp:
+            self.advance_one(hashrate, miner_sampler, tx_sampler)
+            produced += 1
+            if produced > max_blocks:
+                raise RuntimeError(
+                    f"produced more than {max_blocks} blocks before "
+                    f"t={end_timestamp}; runaway parameters?"
+                )
+        return produced
+
+
+def reference_sampler(
+    landscape: PoolLandscape, day: float
+) -> Callable[[random.Random], str]:
+    """The pre-optimization :meth:`PoolLandscape.make_sampler`.
+
+    Draw-for-draw identical to the fast sampler (one ``rng.random()``,
+    one ``rng.randrange`` on solo wins) but with the original per-call
+    costs (inner import, f-string solo labels, ``min``/``len`` clamp)
+    and no ``categorical_parts`` for the batch kernel to inline.
+    """
+    weights = landscape.weights_on_day(day)
+    labels = list(weights)
+    cumulative: List[float] = []
+    running = 0.0
+    for label in labels:
+        running += weights[label]
+        cumulative.append(running)
+    pooled_mass = running
+    solo_count = landscape.solo_identities
+
+    def sampler(rng: random.Random) -> str:
+        point = rng.random()
+        if point >= pooled_mass:
+            return f"solo-{rng.randrange(solo_count):05d}"
+        import bisect
+
+        index = bisect.bisect_right(cumulative, point)
+        return labels[min(index, len(labels) - 1)]
+
+    return sampler
+
+
+class ReferenceForkSimulation(ForkSimulation):
+    """:class:`ForkSimulation` on the seed-state block production path."""
+
+    producer_cls = ReferenceBlockProducer
+
+    def _sampler(self, landscape: PoolLandscape, day: float):
+        return reference_sampler(landscape, day)
+
+
+# -- event loop ---------------------------------------------------------------
 
 
 class ReferenceSimulator:
@@ -53,11 +152,10 @@ class ReferenceSimulator:
     attribute traffic too), the original per-event enqueue (constructor
     call, separate validation branches, separate counter/tracer tests),
     and the original peek-then-pop ``run_until``.  Duck-type compatible
-    with :class:`~repro.net.simulator.Simulator`; inject via the
-    scenarios' ``simulator_factory`` seam.  Trajectory-identical to the
-    hot paths — only the constant factors differ.  NaN/±inf validation
-    is kept (it is a correctness fix, not an optimization), in the
-    seed's two-branch form.
+    with :class:`~repro.net.simulator.Simulator`.  Trajectory-identical
+    to the hot paths — only the constant factors differ.  NaN/±inf
+    validation is kept (it is a correctness fix, not an optimization),
+    in the seed's two-branch form.
     """
 
     def __init__(
@@ -187,80 +285,127 @@ class ReferenceSimulator:
         return processed
 
 
-@contextmanager
-def reference_block_loop() -> Iterator[None]:
-    """Run block production on the seed-state code paths.
+class ReferenceRoutingTable(RoutingTable):
+    """:class:`RoutingTable` with the seed-state :meth:`observe` control
+    flow (modulo the digest memo it always had): the bucket index is
+    recomputed from the 256-bit digests on every call."""
 
-    Flips :attr:`BlockProducer.use_batch_kernel` off (``run_until``
-    falls back to the per-block ``advance_one`` loop) and swaps
-    :meth:`PoolLandscape.make_sampler` for the retained
-    :meth:`~PoolLandscape.make_sampler_reference`.  Class-level patches,
-    restored on exit — don't nest with concurrent fast-path runs in the
-    same process.
+    def observe(self, name: str) -> bool:
+        if name == self.own_name:
+            return False
+        index = bucket_index(self.own_id, self._digest(name))
+        if name in self._buckets.get(index, ()):
+            self._seen[name] = self._tick()
+            return True
+        return self._admit(index, name)
+
+
+class ReferenceNetwork(Network):
+    """:class:`Network` on the pre-optimization transport: every send
+    walks the full fault/trace/metrics branch ladder, and a delivery
+    wave is the per-send loop (no wave kernels, no inline sampler, no
+    inline scheduling)."""
+
+    send = Network._send_ladder
+
+    def send_wave(
+        self, source: str, destinations: Iterable[str], message: Message
+    ) -> None:
+        for destination in destinations:
+            self.send(source, destination, message)
+
+
+class ReferenceNode(FullNode):
+    """:class:`FullNode` with the seed-state dispatch and block sync.
+
+    Delivery dispatches through the seed ``isinstance`` ladder, and
+    every served or announced block pays the full
+    ``_adopt_block``/``import_block`` call chain and the per-call index
+    lookups the seed paid.  :meth:`receive` must be overridden along
+    with the handlers: the fast ``receive`` dispatches through a table
+    of :class:`FullNode`'s own functions, which would bypass them.
     """
-    saved_kernel = BlockProducer.use_batch_kernel
-    saved_sampler = PoolLandscape.make_sampler
-    BlockProducer.use_batch_kernel = False
-    PoolLandscape.make_sampler = PoolLandscape.make_sampler_reference
-    try:
-        yield
-    finally:
-        BlockProducer.use_batch_kernel = saved_kernel
-        PoolLandscape.make_sampler = saved_sampler
 
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.routing = ReferenceRoutingTable(self.name)
 
-@contextmanager
-def reference_event_loop() -> Iterator[None]:
-    """Run the message layer on the seed-state code paths.
+    def receive(self, message: Message) -> None:
+        if not self.online:
+            return
+        sender = message.sender_id
+        if self.resilience is not None:
+            if self._now() < self._banned_until.get(sender, 0.0):
+                return  # banned peers get silence, not service
+            self._note_alive(sender)
+            if isinstance(message, Ping):
+                self._send(sender, Pong(sender_id=self.name))
+                return
+            if isinstance(message, Pong):
+                self._ping_pending.pop(sender, None)
+                return
+        self.routing.observe(sender)
+        self._dispatch_ladder(message)
 
-    Three class-wide swaps put every message on the original machinery:
+    _on_blocks = FullNode._on_blocks_observed
 
-    * :attr:`Network.use_fast_path` off — every send walks the full
-      fault/trace/metrics branch ladder, and ``send_wave`` degenerates
-      to the per-send loop (no delivery-wave kernels, no inline
-      sampler, no inline scheduling);
-    * :meth:`FullNode.receive` -> :meth:`FullNode.receive_reference` —
-      delivery dispatches through the seed ``isinstance`` ladder
-      instead of the exact-type table;
-    * :meth:`RoutingTable.observe` -> ``observe_reference`` — the
-      per-message bucket index is recomputed from the 256-bit digests
-      instead of memoized;
-    * the four hot block-sync handlers (``_on_new_block``,
-      ``_on_blocks``, ``_on_new_block_hashes``, ``_on_get_blocks``) ->
-      their retained ``*_reference`` seed bodies — every served or
-      announced block pays the full ``_adopt_block``/``import_block``
-      call chain and the per-call index lookups the seed paid.
+    def _on_new_block(self, message: NewBlock) -> None:
+        if bytes(message.block.block_hash) in self.seen_blocks:
+            return
+        self._adopt_block(message.block, origin=message.sender_id)
 
-    Combine with :class:`ReferenceSimulator` (via the scenarios'
-    ``simulator_factory``) to put the whole event layer on the
-    reference loop.  Class-level patches, restored on exit — don't nest
-    with concurrent fast-path runs in the same process.
-    """
-    from ..net.kademlia import RoutingTable
-    from ..net.node import FullNode
-
-    saved_fast_path = Network.use_fast_path
-    saved_receive = FullNode.receive
-    saved_observe = RoutingTable.observe
-    saved_handlers = {
-        name: getattr(FullNode, name)
-        for name in (
-            "_on_new_block",
-            "_on_blocks",
-            "_on_new_block_hashes",
-            "_on_get_blocks",
+    def _on_new_block_hashes(self, message: NewBlockHashes) -> None:
+        unknown = tuple(
+            h
+            for h in message.hashes
+            if bytes(h) not in self.seen_blocks and h not in self.chain
         )
-    }
-    Network.use_fast_path = False
-    FullNode.receive = FullNode.receive_reference
-    RoutingTable.observe = RoutingTable.observe_reference
-    for name in saved_handlers:
-        setattr(FullNode, name, getattr(FullNode, f"{name}_reference"))
-    try:
-        yield
-    finally:
-        Network.use_fast_path = saved_fast_path
-        FullNode.receive = saved_receive
-        RoutingTable.observe = saved_observe
-        for name, saved in saved_handlers.items():
-            setattr(FullNode, name, saved)
+        if unknown:
+            self._send(
+                message.sender_id,
+                GetBlocks(sender_id=self.name, hashes=unknown),
+            )
+
+    def _on_get_blocks(self, message: GetBlocks) -> None:
+        found: List[Block] = []
+        for block_hash in message.hashes:
+            block = self.chain.block_by_hash(block_hash)
+            if block is not None:
+                found.append(block)
+                # Serve a short run of descendants to accelerate catch-up.
+                cursor = block
+                for _ in range(31):
+                    nxt = self.chain.block_by_number(cursor.number + 1)
+                    if nxt is None or nxt.parent_hash != cursor.block_hash:
+                        break
+                    found.append(nxt)
+                    cursor = nxt
+        if found:
+            self._send(
+                message.sender_id,
+                Blocks(sender_id=self.name, blocks=tuple(found)),
+            )
+
+
+def _build_reference_partition_scenario():
+    from ..scenarios.partition_event import PartitionScenario
+
+    class ReferencePartitionScenario(PartitionScenario):
+        """:class:`PartitionScenario` with every event-layer class on its
+        seed-state reference."""
+
+        simulator_cls = ReferenceSimulator
+        network_cls = ReferenceNetwork
+        node_cls = ReferenceNode
+
+    ReferencePartitionScenario.__qualname__ = "ReferencePartitionScenario"
+    return ReferencePartitionScenario
+
+
+def __getattr__(name: str):
+    # PEP 562: the partition scenario pulls in the fault and topology
+    # layers, which CLI start-up does not otherwise load.
+    if name == "ReferencePartitionScenario":
+        value = globals()[name] = _build_reference_partition_scenario()
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

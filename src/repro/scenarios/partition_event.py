@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Observability
@@ -234,20 +234,26 @@ class PartitionScenario:
     run: the simulator, transport, nodes, and injector all share the one
     bundle, and the scenario phases are wrapped in wall-time spans.  The
     trajectory is identical with or without it.
+
+    The event engine, transport and node classes are class attributes;
+    the benchmark's reference arm
+    (:class:`repro.perf.reference.ReferencePartitionScenario`) swaps in
+    the seed-state ones.  :attr:`events_processed` holds the engine's
+    event count once :meth:`run` returns.
     """
+
+    simulator_cls = Simulator
+    network_cls = Network
+    node_cls = FullNode
 
     def __init__(
         self,
         config: Optional[PartitionScenarioConfig] = None,
         obs: Optional["Observability"] = None,
-        simulator_factory: Optional[Callable[..., Simulator]] = None,
     ) -> None:
         self.config = config or PartitionScenarioConfig()
         self.obs = obs
-        #: Constructor seam for the event engine — the benchmark harness
-        #: injects :class:`repro.perf.reference.ReferenceSimulator` here
-        #: to time the scenario on the pre-optimization event loop.
-        self.simulator_factory = simulator_factory or Simulator
+        self.events_processed = 0
 
     def _span(self, label: str):
         if self.obs is None:
@@ -306,20 +312,22 @@ class PartitionScenario:
             bomb_delay=10**9,
         )
 
-        sim = self.simulator_factory(obs=self.obs)
+        sim = self.simulator_cls(obs=self.obs)
         if topo is not None and topo.latency == "geo":
             # Strict: an unmapped region pair raises instead of being
             # silently priced at the default delay.
             latency_model = GeographicLatency(strict=True)
         else:
             latency_model = LognormalLatency(median=0.12)
-        network = Network(sim, latency=latency_model, seed=config.seed)
+        network = self.network_cls(
+            sim, latency=latency_model, seed=config.seed
+        )
 
         upgraders: List[str] = []
         holdouts: List[str] = []
         for index in range(config.num_nodes):
             is_miner = index < config.num_miners
-            node = FullNode(
+            node = self.node_cls(
                 name=f"n{index:03d}",
                 chain=Blockchain(etc_config, genesis, execute_transactions=False),
                 mining_hashrate=config.miner_hashrate if is_miner else 0.0,
@@ -441,6 +449,7 @@ class PartitionScenario:
                 end_time,
                 max_events=config.max_events if chaos else None,
             )
+        self.events_processed = sim.events_processed
 
         refusals = sum(
             node.stats["handshakes_refused"] for node in network.nodes.values()

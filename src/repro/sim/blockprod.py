@@ -711,13 +711,6 @@ class BlockProducer:
             self.difficulty = difficulty
         return produced
 
-    #: Class-level switch: ``False`` routes :meth:`run_until` through the
-    #: per-call reference loop instead of :meth:`advance_batch` — used by
-    #: :func:`repro.perf.reference.reference_block_loop` for differential
-    #: tests and benchmark baselines.  Trajectories are identical either
-    #: way.
-    use_batch_kernel = True
-
     def run_until(
         self,
         end_timestamp: int,
@@ -735,10 +728,6 @@ class BlockProducer:
         if hashrate <= 0:
             self.clock = max(self.clock, end_timestamp)
             return 0
-        if not self.use_batch_kernel:
-            return self._run_until_reference(
-                end_timestamp, hashrate, miner_sampler, tx_sampler, max_blocks
-            )
         produced = self.advance_batch(
             max_blocks + 1,
             hashrate,
@@ -751,26 +740,4 @@ class BlockProducer:
                 f"produced more than {max_blocks} blocks before "
                 f"t={end_timestamp}; runaway parameters?"
             )
-        return produced
-
-    def _run_until_reference(
-        self,
-        end_timestamp: int,
-        hashrate: float,
-        miner_sampler: Callable[[random.Random], str],
-        tx_sampler: Optional[Callable[[random.Random, float], Tuple[int, int]]] = None,
-        max_blocks: int = 5_000_000,
-    ) -> int:
-        """The pre-kernel per-block loop, kept verbatim as the oracle the
-        differential tests and benchmarks compare :meth:`advance_batch`
-        against."""
-        produced = 0
-        while self.clock < end_timestamp:
-            self.advance_one(hashrate, miner_sampler, tx_sampler)
-            produced += 1
-            if produced > max_blocks:
-                raise RuntimeError(
-                    f"produced more than {max_blocks} blocks before "
-                    f"t={end_timestamp}; runaway parameters?"
-                )
         return produced

@@ -235,7 +235,15 @@ class ForkSimulation:
     per-chain metrics (block counts, final difficulty, daily-block
     histograms) into the bundle.  The simulated trajectory is identical
     with or without it.
+
+    Block production goes through :attr:`producer_cls` and the per-day
+    winner samplers through :meth:`_sampler`; the benchmark's reference
+    arm (:class:`repro.perf.reference.ReferenceForkSimulation`) overrides
+    both.
     """
+
+    #: The block producer every chain segment is mined with.
+    producer_cls = BlockProducer
 
     def __init__(
         self,
@@ -249,6 +257,10 @@ class ForkSimulation:
         if self.obs is None:
             return _NULL_CONTEXT
         return self.obs.span(label)
+
+    def _sampler(self, landscape: PoolLandscape, day: float):
+        """The per-block winner sampler for ``landscape`` on ``day``."""
+        return landscape.make_sampler(day)
 
     def run(
         self,
@@ -312,7 +324,7 @@ class ForkSimulation:
             )
             prefork_trace = ChainTrace("pre-fork")
             start_ts = FORK_TIMESTAMP - config.prefork_days * SECONDS_PER_DAY
-            producer = BlockProducer(
+            producer = self.producer_cls(
                 config=PRE_FORK_CONFIG,
                 trace=prefork_trace,
                 start_number=DAO_FORK_BLOCK
@@ -325,7 +337,7 @@ class ForkSimulation:
                 for day_offset in range(config.prefork_days):
                     day = day_offset - config.prefork_days  # negative: before fork
                     hashrate = supply.trend(day)
-                    sampler = prefork_landscape.make_sampler(day)
+                    sampler = self._sampler(prefork_landscape, day)
                     tx_sampler = None
                     if config.with_transactions:
                         rng = random.Random(
@@ -348,7 +360,7 @@ class ForkSimulation:
             # -- phase 2: the split ----------------------------------------
             eth_trace = ChainTrace.forked_from(prefork_trace, "ETH")
             etc_trace = ChainTrace.forked_from(prefork_trace, "ETC")
-            eth_producer = BlockProducer(
+            eth_producer = self.producer_cls(
                 ETH_CONFIG,
                 eth_trace,
                 producer.number,
@@ -356,7 +368,7 @@ class ForkSimulation:
                 producer.difficulty,
                 seed=config.seed + 5,
             )
-            etc_producer = BlockProducer(
+            etc_producer = self.producer_cls(
                 ETC_CONFIG,
                 etc_trace,
                 producer.number,
@@ -390,7 +402,7 @@ class ForkSimulation:
                 ("ETC", ETC_CONFIG, etc_trace),
             ):
                 state = resume_from.producers[chain]
-                restored = BlockProducer(
+                restored = self.producer_cls(
                     chain_config,
                     trace,
                     state.number,
@@ -444,7 +456,7 @@ class ForkSimulation:
                 for chain in ("ETH", "ETC"):
                     hashrate = allocation[chain]
                     daily_hashrate[chain].append(hashrate)
-                    sampler = landscapes[chain].make_sampler(day)
+                    sampler = self._sampler(landscapes[chain], day)
                     tx_sampler = None
                     if config.with_transactions:
                         rng = random.Random(f"{config.seed}:wl:{chain}:{day}")

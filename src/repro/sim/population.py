@@ -176,40 +176,6 @@ class PoolLandscape:
         )
         return sampler
 
-    def make_sampler_reference(
-        self, day: float
-    ) -> Callable[[random.Random], str]:
-        """The pre-optimization sampler, kept verbatim as the oracle.
-
-        Draw-for-draw identical to :meth:`make_sampler` (one
-        ``rng.random()``, one ``rng.randrange`` on solo wins) but with
-        the original per-call costs (inner import, f-string solo labels,
-        ``min``/``len`` clamp).  :func:`repro.perf.reference` swaps this
-        in to measure the kernels against the seed-state hot loop, and
-        the differential tests assert both samplers yield identical
-        winner sequences.
-        """
-        weights = self.weights_on_day(day)
-        labels = list(weights)
-        cumulative: List[float] = []
-        running = 0.0
-        for label in labels:
-            running += weights[label]
-            cumulative.append(running)
-        pooled_mass = running
-        solo_count = self.solo_identities
-
-        def sampler(rng: random.Random) -> str:
-            point = rng.random()
-            if point >= pooled_mass:
-                return f"solo-{rng.randrange(solo_count):05d}"
-            import bisect
-
-            index = bisect.bisect_right(cumulative, point)
-            return labels[min(index, len(labels) - 1)]
-
-        return sampler
-
 
 #: Pre-fork pool shares, calibrated to mid-2016 Ethereum: a handful of
 #: pools (dwarfpool, f2pool, ethpool/ethermine, ...) controlled ~75-80% of

@@ -13,6 +13,7 @@ from repro.net.kademlia import (
     node_id_digest,
     xor_distance,
 )
+from repro.perf.reference import ReferenceRoutingTable
 
 ids = st.binary(min_size=32, max_size=32)
 
@@ -209,13 +210,17 @@ class TestStampRepresentation:
         assert table.closest(target, count=3) == oracle.closest(target, 3)
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("observe_name", ["observe", "observe_reference"])
-    def test_random_sequences_match_list_oracle(self, seed, observe_name):
+    @pytest.mark.parametrize(
+        "table_cls",
+        [RoutingTable, ReferenceRoutingTable],
+        ids=["observe", "observe_reference"],
+    )
+    def test_random_sequences_match_list_oracle(self, seed, table_cls):
         rng = random.Random(seed)
         bucket_size = rng.choice((1, 2, 3, BUCKET_SIZE))
-        table = RoutingTable("me", bucket_size=bucket_size)
+        table = table_cls("me", bucket_size=bucket_size)
         oracle = ListRoutingTable("me", bucket_size=bucket_size)
-        observe = getattr(table, observe_name)
+        observe = table.observe
         names = ["me"] + [f"peer{i}" for i in range(40)]
         last = None
         for step in range(400):

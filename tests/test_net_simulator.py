@@ -1,10 +1,17 @@
 """Discrete-event engine: ordering, cancellation, determinism."""
 
 import heapq
+import random
 
 import pytest
 
 from repro.net.simulator import SimulationError, Simulator
+from repro.obs import Observability
+from repro.perf.reference import ReferenceSimulator
+
+#: The hot-loop engine and the seed-state one it must match event for
+#: event.
+ENGINES = [Simulator, ReferenceSimulator]
 
 
 class TestScheduling:
@@ -358,3 +365,144 @@ class TestDeliveryEntries:
             (2, "TestDeliveryEntries.test_observed_loop_fires_and_traces_"
                 "deliveries.<locals>.<lambda>"),
         ]
+
+
+def run_storm(engine, seed, cap=2500, obs=None):
+    """A deterministic, self-scheduling storm with ties and cancels.
+
+    The RNG is consumed only inside callbacks, in firing order — so two
+    engines stay in lockstep exactly as long as they fire identically,
+    and any ordering divergence snowballs into a different log.
+    """
+    sim = engine(obs=obs)
+    rng = random.Random(seed)
+    log = []
+    cancellable = []
+
+    def spawn(label):
+        def callback():
+            log.append((sim.now, label))
+            if len(log) >= cap:
+                return
+            u = rng.random()
+            if u < 0.30:
+                # Same-timestamp burst: three FIFO ties.
+                delay = rng.random() * 2.0
+                for i in range(3):
+                    cancellable.append(
+                        sim.schedule(delay, spawn(label * 7 + i + 1))
+                    )
+            elif u < 0.62:
+                sim.schedule(rng.random() * 5.0, spawn(label + 101))
+            elif u < 0.72 and cancellable:
+                cancellable.pop(rng.randrange(len(cancellable))).cancel()
+            elif u < 0.76:
+                # Rejected delays must not consume queue state.
+                with pytest.raises(SimulationError):
+                    sim.schedule(float("nan"), callback)
+            elif u < 0.80:
+                sim.schedule(25.0 + rng.random() * 100.0, spawn(label + 977))
+        return callback
+
+    for i in range(40):
+        cancellable.append(sim.schedule(rng.random() * 10.0, spawn(i)))
+    processed = [sim.run_until(horizon)
+                 for horizon in (6.0, 6.0, 21.5, 80.0, 400.0)]
+    processed.append(sim.run_all())
+    return log, processed, sim.events_processed, sim.now, sim.pending
+
+
+class TestEngineParity:
+    """The hot loop and :class:`ReferenceSimulator` fire identically."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 23, 1016])
+    def test_randomized_storms_agree(self, seed):
+        assert run_storm(Simulator, seed) == run_storm(ReferenceSimulator, seed)
+
+    @pytest.mark.parametrize("seed", [3, 44])
+    def test_obs_streams_identical(self, seed):
+        def observed(engine):
+            obs = Observability.enabled()
+            run_storm(engine, seed, cap=600, obs=obs)
+            return obs.tracer.digest(), obs.metrics.digest()
+
+        assert observed(Simulator) == observed(ReferenceSimulator)
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_fifo_among_equal_timestamps(self, engine):
+        """Ties fire in schedule order, including a tie scheduled from
+        inside the running tie."""
+        sim = engine()
+        log = []
+
+        def tick(tag):
+            log.append((sim.now, tag))
+            if tag == "a0":
+                sim.schedule(0.0, lambda: log.append((sim.now, "nested")))
+
+        for i in range(6):
+            sim.schedule(1.0, lambda i=i: tick(f"a{i}"))
+            sim.schedule(1.0 + 1e-12, lambda i=i: tick(f"b{i}"))
+        sim.run_all()
+        assert log == (
+            [(1.0, f"a{i}") for i in range(6)]
+            + [(1.0, "nested")]
+            + [(1.0 + 1e-12, f"b{i}") for i in range(6)]
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_horizon_pause_then_earlier_schedule(self, engine):
+        """After a horizon pause, a schedule earlier than everything
+        queued still fires first."""
+        sim = engine()
+        log = []
+        sim.schedule(10.0, lambda: log.append("late"))
+        sim.run_until(2.0)
+        sim.schedule(1.0, lambda: log.append("early"))  # t=3.0 < 10.0
+        sim.run_all()
+        assert log == ["early", "late"]
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_max_events_raises_and_resumes(self, engine):
+        sim = engine()
+        fired = []
+        for i in range(10):
+            sim.schedule(float(i), lambda i=i: fired.append(i))
+        with pytest.raises(SimulationError):
+            sim.run_until(100.0, max_events=4)
+        # The budgeted entries fired; the rest are still queued.
+        assert fired == [0, 1, 2, 3]
+        assert sim.run_until(100.0) == 6
+        assert sim.events_processed == 10
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_step_drains_cancelled_and_dispatches(self, engine):
+        sim = engine()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("keep"))
+        for _ in range(3):
+            sim.schedule(0.5, lambda: fired.append("dead")).cancel()
+        steps = []
+        while sim.step():
+            steps.append(sim.now)
+        assert (fired, steps, sim.events_processed, sim.pending) == (
+            ["keep"], [1.0], 1, 0
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_run_all_budget_ignores_cancelled_tail(self, engine):
+        sim = engine()
+        for i in range(5):
+            sim.schedule(float(i), lambda: None)
+        sim.schedule(9.0, lambda: None).cancel()
+        assert (sim.run_all(max_events=5), sim.pending) == (5, 0)
+
+    @pytest.mark.parametrize(
+        "delay", [-1.0, float("nan"), float("inf"), -float("inf")]
+    )
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_bad_delays_rejected(self, engine, delay):
+        sim = engine()
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
+        assert sim.pending == 0

@@ -6,7 +6,7 @@ same RNG draw order, same outputs, bit for bit.  These tests hold each
 kernel against its retained reference:
 
 * ``BlockProducer.advance_batch`` vs a loop of ``advance_one``
-* ``PoolLandscape.make_sampler`` vs ``make_sampler_reference``
+* ``PoolLandscape.make_sampler`` vs ``reference_sampler``
 * ``ChainConfig.fast_difficulty`` vs ``compute_difficulty``
 * the ``Simulator`` hot loop vs ``ReferenceSimulator`` / the observed loop
 * the ``Network.send`` fast path vs the full transport body
@@ -23,9 +23,11 @@ from repro.harness.cache import NullCache
 from repro.harness.jobs import execute_job
 from repro.net.simulator import Simulator
 from repro.perf import (
+    ReferenceBlockProducer,
+    ReferenceForkSimulation,
+    ReferencePartitionScenario,
     ReferenceSimulator,
-    reference_block_loop,
-    reference_event_loop,
+    reference_sampler,
 )
 from repro.sim.blockprod import BlockProducer, ChainTrace
 from repro.sim.engine import ForkSimConfig, run_fork_sim
@@ -37,8 +39,8 @@ from repro.sim.population import (
 from repro.sim.workload import eth_workload
 
 
-def make_producer(seed: int = 42) -> BlockProducer:
-    return BlockProducer(
+def make_producer(seed: int = 42, cls=BlockProducer) -> BlockProducer:
+    return cls(
         ETH_CONFIG,
         ChainTrace("ETH"),
         start_number=1_920_000,
@@ -162,17 +164,11 @@ class TestBatchKernel:
     def test_batch_stops_at_end_timestamp(self):
         landscape = eth_pool_landscape()
         fast = make_producer()
-        slow = make_producer()
+        slow = make_producer(cls=ReferenceBlockProducer)
         end = fast.timestamp + 3_600
 
         fast_blocks = fast.run_until(end, 4.5e12, landscape.make_sampler(0.0))
-        BlockProducer.use_batch_kernel = False
-        try:
-            slow_blocks = slow.run_until(
-                end, 4.5e12, landscape.make_sampler(0.0)
-            )
-        finally:
-            BlockProducer.use_batch_kernel = True
+        slow_blocks = slow.run_until(end, 4.5e12, landscape.make_sampler(0.0))
 
         assert fast_blocks == slow_blocks > 0
         assert trace_columns(fast.trace) == trace_columns(slow.trace)
@@ -213,7 +209,7 @@ class TestSamplerParity:
             fast_rng = random.Random(99)
             ref_rng = random.Random(99)
             fast = landscape.make_sampler(day)
-            reference = landscape.make_sampler_reference(day)
+            reference = reference_sampler(landscape, day)
             winners_fast = [fast(fast_rng) for _ in range(20_000)]
             winners_ref = [reference(ref_rng) for _ in range(20_000)]
             assert winners_fast == winners_ref
@@ -274,20 +270,8 @@ class TestForkSimDigests:
             with_transactions=with_transactions,
         )
         fast = run_fork_sim(config)
-        with reference_block_loop():
-            reference = run_fork_sim(config)
+        reference = ReferenceForkSimulation(config).run()
         assert fast.digest() == reference.digest()
-
-    def test_reference_context_restores_state(self):
-        from repro.sim.population import PoolLandscape
-
-        assert BlockProducer.use_batch_kernel is True
-        before = PoolLandscape.make_sampler
-        with reference_block_loop():
-            assert BlockProducer.use_batch_kernel is False
-            assert PoolLandscape.make_sampler is not before
-        assert BlockProducer.use_batch_kernel is True
-        assert PoolLandscape.make_sampler is before
 
 
 class TestSimulatorHotLoop:
@@ -342,7 +326,7 @@ class TestSimulatorHotLoop:
 
 
 class TestNetworkFastPath:
-    def test_partition_scenario_identical_on_reference_event_loop(self):
+    def test_partition_scenario_identical_on_reference_scenario(self):
         from repro.scenarios.partition_event import (
             PartitionScenario,
             PartitionScenarioConfig,
@@ -352,10 +336,7 @@ class TestNetworkFastPath:
             num_nodes=14, num_miners=4, post_fork_horizon=600.0, seed=5
         )
         fast = PartitionScenario(config).run()
-        with reference_event_loop():
-            reference = PartitionScenario(
-                config, simulator_factory=ReferenceSimulator
-            ).run()
+        reference = ReferencePartitionScenario(config).run()
         assert fast.snapshots == reference.snapshots
         assert fast.fork_time == reference.fork_time
         assert fast.handshake_refusals == reference.handshake_refusals

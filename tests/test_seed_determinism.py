@@ -22,9 +22,12 @@ from repro.harness import (
     echoes_spec,
     execute_job,
     figure_spec,
+    fork_lengths_spec,
+    obs_probe_spec,
     observations_spec,
     partition_spec,
     perf_probe_spec,
+    registered_kinds,
     simulate_chunk_spec,
     simulate_spec,
     topology_infer_spec,
@@ -140,6 +143,13 @@ SUMMARY_SPECS = {
             num_nodes=14, num_miners=4, post_fork_horizon=600.0
         )
     ),
+    "fork-lengths": fork_lengths_spec(),
+    # Metrics and trace digests of a fully instrumented run.
+    "obs-probe": obs_probe_spec(
+        PartitionScenarioConfig(
+            num_nodes=14, num_miners=4, post_fork_horizon=600.0
+        )
+    ),
     "chaos-partition": chaos_partition_spec(
         ChaosPartitionConfig(
             num_nodes=14,
@@ -180,6 +190,16 @@ SUMMARY_SPECS = {
 }
 
 
+#: Kinds that need no SUMMARY_SPECS entry: the harness's own self-test
+#: runners, which sleep, flake on purpose or kill their worker.
+SUMMARY_EXEMPT_KINDS = {
+    "selftest-echo",
+    "selftest-flaky",
+    "selftest-killme",
+    "selftest-sleep",
+}
+
+
 def _cold_digest(spec):
     return summary_digest(
         summarize(spec.kind, execute_job(spec, NullCache()).value)
@@ -187,6 +207,15 @@ def _cold_digest(spec):
 
 
 class TestSummaryDigestDeterminism:
+    @pytest.mark.parametrize("kind", registered_kinds())
+    def test_every_kind_is_covered(self, kind):
+        """A new job kind must join SUMMARY_SPECS (or the exempt set),
+        so the determinism checks below cannot silently skip it."""
+        covered = {spec.kind for spec in SUMMARY_SPECS.values()}
+        assert kind in covered or kind in SUMMARY_EXEMPT_KINDS, (
+            f"job kind {kind!r} has no SUMMARY_SPECS entry"
+        )
+
     @pytest.mark.parametrize("kind", sorted(SUMMARY_SPECS))
     def test_two_cold_runs_digest_identically(self, kind):
         spec = SUMMARY_SPECS[kind]

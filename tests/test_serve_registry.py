@@ -250,3 +250,67 @@ class TestSummaryContract:
         outcome = execute_job(spec, NullCache())
         local = summary_digest(summarize(spec.kind, outcome.value))
         assert served == local
+
+
+class TestReferenceArmIsolation:
+    def test_perf_probe_leaves_concurrent_simulate_alone(self):
+        """A ``perf-probe`` job runs the reference engines next to a
+        ``simulate`` job in the same process: no class may change while
+        they run, and the simulation must digest as it does alone."""
+        import threading
+
+        from repro.harness import perf_probe_spec, simulate_spec
+        from repro.net.kademlia import RoutingTable
+        from repro.net.network import Network
+        from repro.net.node import FullNode
+        from repro.net.simulator import Simulator
+        from repro.scenarios.partition_event import PartitionScenario
+        from repro.sim.blockprod import BlockProducer
+        from repro.sim.engine import ForkSimConfig, ForkSimulation, run_fork_sim
+        from repro.sim.population import PoolLandscape
+
+        watched = (BlockProducer, PoolLandscape, Network, FullNode,
+                   RoutingTable, Simulator, ForkSimulation, PartitionScenario)
+
+        def snapshot():
+            return [dict(vars(cls)) for cls in watched]
+
+        baseline = snapshot()
+        changed = []
+        stop = threading.Event()
+
+        def observe():
+            while not stop.is_set():
+                if snapshot() != baseline:
+                    changed.append(True)
+                stop.wait(0.001)
+
+        sim_config = ForkSimConfig(days=6, prefork_days=2, seed=5)
+        probe = perf_probe_spec(
+            ForkSimConfig(days=6, prefork_days=2, seed=11,
+                          with_transactions=False)
+        )
+
+        async def go():
+            bridge = ExecutorBridge(workers=1, max_threads=2, timeout=120.0,
+                                    retries=0)
+            try:
+                return await asyncio.gather(
+                    bridge.execute(probe, lambda *_: None),
+                    bridge.execute(simulate_spec(sim_config), lambda *_: None),
+                )
+            finally:
+                bridge.shutdown()
+
+        observer = threading.Thread(target=observe)
+        observer.start()
+        try:
+            probed, simulated = asyncio.run(go())
+        finally:
+            stop.set()
+            observer.join()
+        assert probed.record.status == "ok"
+        assert simulated.record.status == "ok"
+        assert probed.value["digests_match"] is True
+        assert simulated.value.digest() == run_fork_sim(sim_config).digest()
+        assert not changed

@@ -6,7 +6,8 @@ the per-send reference order and enqueue byte-identical deliveries; the
 exact-type dispatch table must be observationally identical to the seed
 ``isinstance`` ladder; the block-sync pre-checks must reproduce
 ``import_block``'s verdicts; and :class:`NodeStats` must read like the
-dict it replaced.
+dict it replaced.  Each reference arm builds the same universe from
+:class:`ReferenceNetwork` and :class:`ReferenceNode`.
 """
 
 from dataclasses import replace
@@ -26,7 +27,7 @@ from repro.net.network import Network
 from repro.net.node import FullNode
 from repro.net.simulator import Simulator
 from repro.perf.bench import run_bench
-from repro.perf.reference import reference_event_loop
+from repro.perf.reference import ReferenceNetwork, ReferenceNode
 from repro.perf.soa import NodeStats
 
 CFG = replace(ETH_CONFIG, dao_fork_block=10**9, bomb_delay=10**9)
@@ -37,13 +38,21 @@ def make_genesis():
     return genesis
 
 
-def build_net(latency, seed=7, num_nodes=12, offline=(3,)):
+def classes(reference):
+    """The (network, node) classes of one arm."""
+    if reference:
+        return ReferenceNetwork, ReferenceNode
+    return Network, FullNode
+
+
+def build_net(latency, reference, seed=7, num_nodes=12, offline=(3,)):
+    network_cls, node_cls = classes(reference)
     genesis = make_genesis()
     sim = Simulator()
-    net = Network(sim, latency=latency, seed=seed)
+    net = network_cls(sim, latency=latency, seed=seed)
     regions = ("eu", "us", "asia")
     for i in range(num_nodes):
-        node = FullNode(
+        node = node_cls(
             f"n{i}",
             Blockchain(CFG, genesis, execute_transactions=False),
             region=regions[i % len(regions)],
@@ -90,14 +99,10 @@ class TestPlainWaveKernel:
     @pytest.mark.parametrize("latency", LATENCIES)
     def test_wave_matches_per_send_loop(self, latency):
         def run(reference):
-            sim, net, _ = build_net(latency)
+            sim, net, _ = build_net(latency, reference)
             message = NewBlockHashes(sender_id="n0", hashes=())
             destinations = [f"n{i}" for i in range(1, 12)]
-            if reference:
-                with reference_event_loop():
-                    net.send_wave("n0", destinations, message)
-            else:
-                net.send_wave("n0", destinations, message)
+            net.send_wave("n0", destinations, message)
             return (
                 queue_snapshot(sim),
                 net.sim_rng.getstate(),
@@ -109,15 +114,10 @@ class TestPlainWaveKernel:
     @pytest.mark.parametrize("latency", LATENCIES)
     def test_single_send_matches_reference(self, latency):
         def run(reference):
-            sim, net, _ = build_net(latency)
+            sim, net, _ = build_net(latency, reference)
             message = GetBlocks(sender_id="n0", hashes=())
-            if reference:
-                with reference_event_loop():
-                    for dest in ("n1", "n2", "n3", "n4"):
-                        net.send("n0", dest, message)
-            else:
-                for dest in ("n1", "n2", "n3", "n4"):
-                    net.send("n0", dest, message)
+            for dest in ("n1", "n2", "n3", "n4"):
+                net.send("n0", dest, message)
             return (
                 queue_snapshot(sim),
                 net.sim_rng.getstate(),
@@ -131,12 +131,13 @@ class TestGeneralWaveKernel:
     @pytest.mark.parametrize("latency", LATENCIES[:2])
     def test_loss_and_tracking_match_per_send_loop(self, latency):
         def run(reference):
+            network_cls, node_cls = classes(reference)
             genesis = make_genesis()
             sim = Simulator()
-            net = Network(sim, latency=latency, seed=11, loss_rate=0.2)
+            net = network_cls(sim, latency=latency, seed=11, loss_rate=0.2)
             net.track_block_propagation = True
             for i in range(10):
-                node = FullNode(
+                node = node_cls(
                     f"n{i}",
                     Blockchain(CFG, genesis, execute_transactions=False),
                     region=("eu", "us")[i % 2],
@@ -148,11 +149,7 @@ class TestGeneralWaveKernel:
                 sender_id="n0", block=genesis, total_difficulty=1
             )
             destinations = [f"n{i}" for i in range(1, 10)]
-            if reference:
-                with reference_event_loop():
-                    net.send_wave("n0", destinations, message)
-            else:
-                net.send_wave("n0", destinations, message)
+            net.send_wave("n0", destinations, message)
             return (
                 queue_snapshot(sim),
                 net.sim_rng.getstate(),
@@ -200,14 +197,15 @@ class TestBlockSyncPrechecks:
             )
 
         def run(reference):
+            network_cls, node_cls = classes(reference)
             sim = Simulator()
-            net = Network(sim, latency=ConstantLatency(0.05), seed=5)
-            node = FullNode(
+            net = network_cls(sim, latency=ConstantLatency(0.05), seed=5)
+            node = node_cls(
                 "sync",
                 Blockchain(CFG, genesis, execute_transactions=False),
                 rng_seed=9,
             )
-            peer = FullNode(
+            peer = node_cls(
                 "peer",
                 Blockchain(CFG, genesis, execute_transactions=False),
                 rng_seed=10,
@@ -224,13 +222,8 @@ class TestBlockSyncPrechecks:
                 NewBlock(sender_id="peer", block=genesis,
                          total_difficulty=0),  # known
             ]
-            if reference:
-                with reference_event_loop():
-                    for message in feed:
-                        node.receive(message)
-            else:
-                for message in feed:
-                    node.receive(message)
+            for message in feed:
+                node.receive(message)
             return node_state(node)
 
         assert run(reference=False) == run(reference=True)
@@ -240,14 +233,15 @@ class TestBlockSyncPrechecks:
         from repro.net.messages import Blocks as BlocksMsg
 
         def run(reference):
+            network_cls, node_cls = classes(reference)
             sim = Simulator()
-            net = Network(sim, latency=ConstantLatency(0.05), seed=5)
-            node = FullNode(
+            net = network_cls(sim, latency=ConstantLatency(0.05), seed=5)
+            node = node_cls(
                 "sync",
                 Blockchain(CFG, genesis, execute_transactions=False),
                 rng_seed=9,
             )
-            peer = FullNode(
+            peer = node_cls(
                 "peer",
                 Blockchain(CFG, genesis, execute_transactions=False),
                 rng_seed=10,
@@ -260,11 +254,7 @@ class TestBlockSyncPrechecks:
                 sender_id="peer",
                 blocks=(genesis, blocks[0], blocks[1], blocks[3], blocks[1]),
             )
-            if reference:
-                with reference_event_loop():
-                    node.receive(batch)
-            else:
-                node.receive(batch)
+            node.receive(batch)
             return (
                 sorted(node.seen_blocks._seen),
                 sorted(node.chain.block_index),
@@ -282,12 +272,13 @@ class TestBlockSyncPrechecks:
 class TestDispatchEquivalence:
     def test_full_mining_run_identical_under_reference_swaps(self):
         def run(reference):
+            network_cls, node_cls = classes(reference)
             genesis = make_genesis()
             sim = Simulator()
-            net = Network(sim, latency=ConstantLatency(0.05), seed=21)
+            net = network_cls(sim, latency=ConstantLatency(0.05), seed=21)
             nodes = []
             for i in range(6):
-                node = FullNode(
+                node = node_cls(
                     f"n{i}",
                     Blockchain(CFG, genesis, execute_transactions=False),
                     mining_hashrate=5e4 if i < 2 else 0.0,
@@ -295,17 +286,10 @@ class TestDispatchEquivalence:
                 )
                 net.add_node(node)
                 nodes.append(node)
-            if reference:
-                with reference_event_loop():
-                    net.bootstrap_mesh(target_degree=4)
-                    for node in nodes[:2]:
-                        node.start_mining()
-                    sim.run_until(900.0)
-            else:
-                net.bootstrap_mesh(target_degree=4)
-                for node in nodes[:2]:
-                    node.start_mining()
-                sim.run_until(900.0)
+            net.bootstrap_mesh(target_degree=4)
+            for node in nodes[:2]:
+                node.start_mining()
+            sim.run_until(900.0)
             return (
                 [node.chain.head.block_hash for node in nodes],
                 [node.stats.as_dict() for node in nodes],
@@ -317,33 +301,53 @@ class TestDispatchEquivalence:
 
         assert run(reference=False) == run(reference=True)
 
-    def test_reference_swaps_are_restored(self):
-        from repro.net.kademlia import RoutingTable
 
-        saved = (
-            Network.use_fast_path,
-            FullNode.receive,
-            RoutingTable.observe,
-            FullNode._on_new_block,
-            FullNode._on_blocks,
-            FullNode._on_new_block_hashes,
-            FullNode._on_get_blocks,
+    def test_reference_arm_runs_seed_bodies(self, monkeypatch):
+        """A reference run must not reach a single fast body.
+
+        Digest equality cannot tell a reference arm that silently runs
+        the fast code from a real one, so count calls instead: the fast
+        receive, handler and transport bodies stay at zero while the
+        reference bodies do the work.
+        """
+        from collections import Counter
+
+        from repro.perf.reference import ReferencePartitionScenario
+        from repro.scenarios.partition_event import PartitionScenarioConfig
+
+        calls = Counter()
+
+        def count(cls, name):
+            original = cls.__dict__[name]
+
+            def counted(self, *args):
+                calls[f"{cls.__name__}.{name}"] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        for name in ("receive", "_on_new_block_hashes", "_on_new_block",
+                     "_on_get_blocks", "_on_blocks"):
+            count(FullNode, name)
+        for name in ("receive", "_on_new_block_hashes", "_on_new_block",
+                     "_on_get_blocks"):
+            count(ReferenceNode, name)
+        for name in ("send", "send_wave", "_send_wave_plain",
+                     "_send_wave_general"):
+            count(Network, name)
+        count(ReferenceNetwork, "send")
+
+        config = PartitionScenarioConfig(
+            num_nodes=10, num_miners=3, post_fork_horizon=240.0, seed=13
         )
-        with reference_event_loop():
-            assert Network.use_fast_path is False
-            assert FullNode.receive is FullNode.receive_reference
-            assert RoutingTable.observe is RoutingTable.observe_reference
-            assert FullNode._on_new_block is FullNode._on_new_block_reference
-            assert FullNode._on_blocks is FullNode._on_blocks_reference
-        assert (
-            Network.use_fast_path,
-            FullNode.receive,
-            RoutingTable.observe,
-            FullNode._on_new_block,
-            FullNode._on_blocks,
-            FullNode._on_new_block_hashes,
-            FullNode._on_get_blocks,
-        ) == saved
+        ReferencePartitionScenario(config).run()
+        fast = {key: n for key, n in calls.items()
+                if not key.startswith("Reference")}
+        assert fast == {}
+        for name in ("receive", "_on_new_block_hashes", "_on_new_block",
+                     "_on_get_blocks"):
+            assert calls[f"ReferenceNode.{name}"] > 0, name
+        assert calls["ReferenceNetwork.send"] > 0
 
 
 class TestNodeStats:
