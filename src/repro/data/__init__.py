@@ -11,7 +11,6 @@ from .csvio import (
 from .columnar import ColumnarChainDatabase
 from .records import BlockRecord, TxRecord, export_chain, export_transactions
 from .resultstore import RESULTSTORE_SCHEMA_VERSION, JobRow, ResultStore
-from .sqlstore import SqliteChainDatabase
 from .store import ChainDatabase
 from .windows import (
     DAY,
@@ -35,7 +34,6 @@ __all__ = [
     "JobRow",
     "RESULTSTORE_SCHEMA_VERSION",
     "ResultStore",
-    "SqliteChainDatabase",
     "HOUR",
     "DAY",
     "window_index",

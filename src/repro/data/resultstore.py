@@ -9,10 +9,9 @@ for a previously computed config straight from SQLite without touching
 the engine, and ``GET /results/{digest}`` works across process
 lifetimes.
 
-Same stack as :class:`~repro.data.sqlstore.SqliteChainDatabase`: stdlib
-``sqlite3``, WAL journal mode so the serving event loop's readers never
-block the executor thread's writer, and a ``busy_timeout`` instead of
-immediate lock errors.  One connection is shared across threads behind a
+Stdlib ``sqlite3``, WAL journal mode so the serving event loop's
+readers never block the executor thread's writer, and a
+``busy_timeout`` instead of immediate lock errors.  One connection is shared across threads behind a
 lock (every statement here is short), which keeps the store usable from
 both the asyncio thread and the worker-pool bridge.
 """

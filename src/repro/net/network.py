@@ -165,10 +165,6 @@ class Network:
             self._geo_jitter: Optional[float] = lat.jitter_sigma
         else:
             self._geo_jitter = None
-        #: True when no tracer and no metrics are attached — together
-        #: with ``faults is None`` and propagation tracking off, this
-        #: routes :meth:`send` through the plain fast path.
-        self._plain_obs = self._tracer is None and self._ctr_sent is None
         self.sim_rng = random.Random(seed)
         self.loss_rate = loss_rate
         self.nodes: Dict[str, FullNode] = {}
@@ -251,133 +247,20 @@ class Network:
         target.receive(message)
 
     def send(self, source: str, destination: str, message: Message) -> None:
-        """Deliver ``message`` after a sampled latency (maybe drop it)."""
+        """Deliver ``message`` after a sampled latency (maybe drop it).
+
+        A one-recipient delivery wave: the wave kernels below are the
+        only send paths.
+        """
         if (
-            self._plain_obs
+            self.obs is None
             and self.faults is None
             and not self.loss_rate
             and not self.track_block_propagation
         ):
-            # Plain fast path: no faults, tracing, metrics, loss, or
-            # propagation bookkeeping installed.  Same lookups, same
-            # single latency draw on ``sim_rng`` (the inline sampler is
-            # probe-verified to consume draws exactly like the library
-            # one), same (time, seq) enqueue — trajectory-identical to
-            # :meth:`_send_ladder`, minus a dozen dead branch tests and
-            # up to three call frames per message.
-            nodes = self.nodes
-            target = nodes.get(destination)
-            if target is None or not target.online:
-                self.messages_undeliverable += 1
-                return
-            self.messages_sent += 1
-            rng = self.sim_rng
-            ln = self._ln_params
-            if ln is not None:
-                random_ = rng.random
-                while True:
-                    u1 = random_()
-                    u2 = 1.0 - random_()
-                    z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                    if z * z / 4.0 <= -_log(u2):
-                        break
-                delay = _exp(ln[0] + z * ln[1])
-            else:
-                source_node = nodes.get(source)
-                if self._geo_latency and source_node:
-                    delay = self.latency.delay_between(
-                        source_node.region, target.region, rng
-                    )
-                else:
-                    delay = self.latency.sample(rng)
-            sim = self.sim
-            if type(sim) is Simulator and sim.obs is None and 0.0 <= delay < _INF:
-                # A handle-free delivery entry (nothing cancels a
-                # delivery).  Only for the exact base class with obs
-                # off — subclasses own their insert discipline, and
-                # observed runs trace through handles.
-                _heappush(
-                    sim._queue,
-                    (sim.now + delay, next(sim._sequence), target, message),
-                )
-            else:
-                sim.schedule(delay, target.receive, message)
-            return
-        self._send_ladder(source, destination, message)
-
-    def _send_ladder(
-        self, source: str, destination: str, message: Message
-    ) -> None:
-        """The full :meth:`send` body: the seed-state fault / loss /
-        trace / metrics branch ladder, for every send the plain fast
-        path does not cover."""
-        target = self.nodes.get(destination)
-        if target is None or not target.online:
-            self.messages_undeliverable += 1
-            if self._ctr_undeliverable is not None:
-                self._ctr_undeliverable.inc()
-            if self._tracer is not None:
-                self._trace_drop("msg.undeliverable", source, destination, message)
-            return
-        if self.loss_rate and self.sim_rng.random() < self.loss_rate:
-            self.messages_lost += 1
-            if self._ctr_lost is not None:
-                self._ctr_lost.inc()
-            if self._tracer is not None:
-                self._trace_drop("msg.lost", source, destination, message)
-            return
-        source_node = self.nodes.get(source)
-        scale, extra = 1.0, 0.0
-        if self.faults is not None:
-            verdict, scale, extra = self.faults.judge(
-                source,
-                source_node.region if source_node is not None else "",
-                destination,
-                target.region,
-                message,
-            )
-            if verdict == "blocked":
-                self.messages_blocked += 1
-                if self._ctr_blocked is not None:
-                    self._ctr_blocked.inc()
-                if self._tracer is not None:
-                    self._trace_drop("msg.blocked", source, destination, message)
-                return
-            if verdict == "lost":
-                self.messages_lost += 1
-                if self._ctr_lost is not None:
-                    self._ctr_lost.inc()
-                if self._tracer is not None:
-                    self._trace_drop("msg.lost", source, destination, message)
-                return
-        self.messages_sent += 1
-        if self._ctr_sent is not None:
-            self._ctr_sent.inc()
-        if self._geo_latency and source_node:
-            delay = self.latency.delay_between(
-                source_node.region, target.region, self.sim_rng
-            )
+            self._send_wave_plain(source, (destination,), message)
         else:
-            delay = self.latency.sample(self.sim_rng)
-        delay = delay * scale + extra
-        if self._hist_delay is not None:
-            self._hist_delay.observe(delay)
-        if self.track_block_propagation and isinstance(message, NewBlock):
-            key = bytes(message.block.block_hash)
-            first = self._block_first_sent.setdefault(key, self.sim.now)
-            self._block_delivery_delays.append(self.sim.now + delay - first)
-        if self._tracer is not None:
-            self._tracer.emit(
-                self.sim.now,
-                "msg.send",
-                src=source,
-                dst=destination,
-                type=type(message).__name__,
-                delay=delay,
-            )
-            self.sim.schedule(delay, self._traced_receive, target, message)
-            return
-        self.sim.schedule(delay, target.receive, message)
+            self._send_wave_general(source, (destination,), message)
 
     # -- delivery-wave kernels ---------------------------------------------------
 
@@ -388,28 +271,27 @@ class Network:
 
         Semantically identical to ``for d in destinations: send(source,
         d, message)`` — same per-recipient drop ladder, same counters,
-        and the same RNG draws in the same order (loss draw, fault
-        judgement, latency draw, per recipient, in iteration order) —
-        but with every invariant lookup hoisted out of the loop: the
-        node map, the RNG's ``random`` method, the latency parameters,
-        the fault judge, the ``isinstance(message, NewBlock)`` test, and
-        the counter flushes (accumulated locally, written back once per
-        wave).  Gossip fan-outs (block relay, announcements, tx relay)
-        are the hot waves; at 40-node partition rates this is most of
-        the transport's per-message overhead.
+        trace events and histogram observations, and the same RNG draws
+        in the same order (loss draw, fault judgement, latency draw, per
+        recipient, in iteration order) — but with every invariant lookup
+        hoisted out of the loop: the node map, the RNG's ``random``
+        method, the latency parameters, the fault judge, the
+        ``isinstance(message, NewBlock)`` test, and the counter flushes
+        (accumulated locally, written back once per wave).  Gossip
+        fan-outs (block relay, announcements, tx relay) are the hot
+        waves; at 40-node partition rates this is most of the
+        transport's per-message overhead.
 
-        With any tracer/metrics attached it literally *is* the send
-        loop, so observed runs keep the seed-state behaviour to the
-        byte.
+        The plain kernel carries nothing it does not need; a wave with
+        anything to drop, perturb, track or record — loss, faults,
+        propagation tracking, a tracer or metrics — takes the general
+        kernel, observed runs included.
         """
         if not destinations:
             return
-        if not self._plain_obs:
-            for destination in destinations:
-                self.send(source, destination, message)
-            return
         if (
-            self.faults is None
+            self.obs is None
+            and self.faults is None
             and not self.loss_rate
             and not self.track_block_propagation
         ):
@@ -420,7 +302,8 @@ class Network:
     def _send_wave_plain(
         self, source: str, destinations: Iterable[str], message: Message
     ) -> None:
-        """Wave kernel for the no-loss / no-faults / no-tracking case."""
+        """Wave kernel for the unobserved no-loss / no-faults /
+        no-tracking case; it carries no hooks."""
         nodes = self.nodes
         sim = self.sim
         rng = self.sim_rng
@@ -496,15 +379,20 @@ class Network:
     def _send_wave_general(
         self, source: str, destinations: Iterable[str], message: Message
     ) -> None:
-        """Wave kernel for the loss / faults / propagation-tracking case.
+        """Wave kernel for the loss / faults / propagation-tracking /
+        observed case.
 
-        The chaos scenarios live here: ``faults`` stays attached for the
-        whole run and block-propagation tracking is on, so the plain
-        kernel never fires.  The ladder below is :meth:`_send_ladder`
-        with the per-message invariants hoisted — the fault judge, loss
-        rate, ``NewBlock`` test, and the propagation book-keeping dict —
-        drawing from ``sim_rng`` and the fault injector's RNG in exactly
-        the per-send order.
+        The chaos scenarios and every observed run live here: per
+        recipient, in the seed ladder's order, it drops an undeliverable,
+        lost or blocked recipient (tracing the drop), draws the latency,
+        observes ``net.delivery_delay_s``, records propagation, and emits
+        ``msg.send`` before scheduling the delivery — through
+        :meth:`_traced_receive` when a tracer is attached.  Invariants
+        are hoisted (the fault judge, loss rate, ``NewBlock`` test, the
+        propagation dict, the hooks), draws come from ``sim_rng`` and the
+        fault injector's RNG in exactly the per-send order, and the
+        integer counters flush once per wave.  Histogram observations
+        stay per send: the float sum depends on their order.
         """
         nodes = self.nodes
         sim = self.sim
@@ -526,6 +414,8 @@ class Network:
             key = bytes(message.block.block_hash)
             first_sent = self._block_first_sent
             delivery_delays = self._block_delivery_delays
+        tracer = self._tracer
+        hist_delay = self._hist_delay
         inline_sched = type(sim) is Simulator and sim.obs is None
         if inline_sched:
             queue = sim._queue
@@ -539,9 +429,15 @@ class Network:
                 target = nodes.get(destination)
                 if target is None or not target.online:
                     undeliverable += 1
+                    if tracer is not None:
+                        self._trace_drop(
+                            "msg.undeliverable", source, destination, message
+                        )
                     continue
                 if loss_rate and random_() < loss_rate:
                     lost += 1
+                    if tracer is not None:
+                        self._trace_drop("msg.lost", source, destination, message)
                     continue
                 scale, extra = 1.0, 0.0
                 if judge is not None:
@@ -550,9 +446,17 @@ class Network:
                     )
                     if verdict == "blocked":
                         blocked += 1
+                        if tracer is not None:
+                            self._trace_drop(
+                                "msg.blocked", source, destination, message
+                            )
                         continue
                     if verdict == "lost":
                         lost += 1
+                        if tracer is not None:
+                            self._trace_drop(
+                                "msg.lost", source, destination, message
+                            )
                         continue
                 sent += 1
                 if ln is not None:
@@ -570,10 +474,22 @@ class Network:
                 else:
                     delay = sample(rng)
                 delay = delay * scale + extra
+                if hist_delay is not None:
+                    hist_delay.observe(delay)
                 if track:
                     first = first_sent.setdefault(key, now)
                     delivery_delays.append(now + delay - first)
-                if inline_sched and 0.0 <= delay < _INF:
+                if tracer is not None:
+                    tracer.emit(
+                        now,
+                        "msg.send",
+                        src=source,
+                        dst=destination,
+                        type=type(message).__name__,
+                        delay=delay,
+                    )
+                    schedule(delay, self._traced_receive, target, message)
+                elif inline_sched and 0.0 <= delay < _INF:
                     _heappush(
                         queue, (now + delay, next_seq(), target, message)
                     )
@@ -585,12 +501,20 @@ class Network:
         finally:
             if sent:
                 self.messages_sent += sent
+                if self._ctr_sent is not None:
+                    self._ctr_sent.inc(sent)
             if lost:
                 self.messages_lost += lost
+                if self._ctr_lost is not None:
+                    self._ctr_lost.inc(lost)
             if undeliverable:
                 self.messages_undeliverable += undeliverable
+                if self._ctr_undeliverable is not None:
+                    self._ctr_undeliverable.inc(undeliverable)
             if blocked:
                 self.messages_blocked += blocked
+                if self._ctr_blocked is not None:
+                    self._ctr_blocked.inc(blocked)
 
     # -- bootstrap ---------------------------------------------------------------
 

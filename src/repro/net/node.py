@@ -451,39 +451,47 @@ class FullNode:
 
     def _observe_import(self, block: Block, result) -> None:
         """Metrics + trace events for one import (obs-enabled runs only)."""
+        if result.status == "orphan":
+            self._observe_orphan(block)
+            return
+        if result.status != "imported":
+            return
         net = self.network
-        if result.status == "imported":
-            if net._ctr_blk_imported is not None:
-                net._ctr_blk_imported.inc()
-            if result.reorged and net._ctr_reorgs is not None:
-                net._ctr_reorgs.inc()
-        elif result.status == "orphan":
-            if net._ctr_blk_orphaned is not None:
-                net._ctr_blk_orphaned.inc()
+        if net._ctr_blk_imported is not None:
+            net._ctr_blk_imported.inc()
+        if result.reorged and net._ctr_reorgs is not None:
+            net._ctr_reorgs.inc()
         tracer = net._tracer
         if tracer is None:
             return
         now = net.sim.now
-        if result.status == "imported":
+        tracer.emit(
+            now,
+            "block.imported",
+            node=self.name,
+            number=block.number,
+            hash=block.block_hash.hex(),
+            reorg=bool(result.reorged),
+        )
+        if result.reorged:
             tracer.emit(
                 now,
-                "block.imported",
+                "reorg",
                 node=self.name,
+                head=block.block_hash.hex(),
                 number=block.number,
-                hash=block.block_hash.hex(),
-                reorg=bool(result.reorged),
             )
-            if result.reorged:
-                tracer.emit(
-                    now,
-                    "reorg",
-                    node=self.name,
-                    head=block.block_hash.hex(),
-                    number=block.number,
-                )
-        elif result.status == "orphan":
-            tracer.emit(
-                now,
+
+    def _observe_orphan(self, block: Block) -> None:
+        """Metrics + trace event for one orphan (obs-enabled runs only):
+        an ``import_block`` orphan verdict, or a handler pre-check's
+        unknown-parent shortcut of one."""
+        net = self.network
+        if net._ctr_blk_orphaned is not None:
+            net._ctr_blk_orphaned.inc()
+        if net._tracer is not None:
+            net._tracer.emit(
+                net.sim.now,
                 "block.orphaned",
                 node=self.name,
                 number=block.number,
@@ -676,18 +684,18 @@ class FullNode:
 
         Most served blocks are already known or still orphaned (ancestor
         walks re-serve descendant runs), and ``import_block`` settles both
-        with dict probes before any validation — so on the obs-disabled
-        path those verdicts are pre-checked inline and only blocks with a
-        known parent pay the full import machinery.  Outcome-identical to
-        :meth:`_on_blocks_observed`: the pre-check reproduces exactly the
-        "known" and "unknown-parent" early returns of
-        :meth:`~repro.chain.chainstore.Blockchain.import_block`.
+        with dict probes before any validation — so those verdicts are
+        pre-checked inline and only blocks with a known parent pay the
+        full import machinery.  Outcome-identical to the seed body
+        (:class:`repro.perf.reference.ReferenceNode`'s ``_on_blocks``):
+        the pre-check reproduces exactly the "known" and "unknown-parent"
+        early returns of
+        :meth:`~repro.chain.chainstore.Blockchain.import_block`, and on an
+        observed run reports an unknown-parent orphan where the import
+        would have.
         """
         net = self.network
-        if net is None or net.obs is not None:
-            # Orphan/import trace events must still fire per block.
-            self._on_blocks_observed(message)
-            return
+        observed = net is not None and net.obs is not None
         sender = message.sender_id
         block_index = self.chain.block_index
         seen_add = self.seen_blocks.add
@@ -699,6 +707,8 @@ class FullNode:
             if block_hash in block_index:
                 continue  # "known"
             if header.parent_hash not in block_index:
+                if observed:
+                    self._observe_orphan(block)
                 if first_orphan is None:
                     first_orphan = block
                 continue  # "orphan" (unknown parent)
@@ -710,39 +720,23 @@ class FullNode:
         if first_orphan is not None:
             self._request_ancestor(sender, first_orphan.parent_hash)
 
-    def _on_blocks_observed(self, message: Blocks) -> None:
-        """The seed-state :meth:`_on_blocks` body, verbatim: every block
-        through :meth:`_adopt_block`.  The obs-enabled fallback of the
-        fast path, and :class:`repro.perf.reference.ReferenceNode`'s
-        ``_on_blocks``."""
-        first_orphan: Optional[Block] = None
-        for block in message.blocks:
-            status = self._adopt_block(
-                block, origin=message.sender_id, request_missing=False
-            )
-            if status == "orphan" and first_orphan is None:
-                first_orphan = block
-        if first_orphan is not None:
-            self._request_ancestor(message.sender_id, first_orphan.parent_hash)
-
     def _on_new_block(self, message: NewBlock) -> None:
         block = message.block
         block_hash = block.header.block_hash
         if block_hash in self.seen_blocks:
             return
-        net = self.network
-        if net is None or net.obs is not None:
-            self._adopt_block(block, origin=message.sender_id)
-            return
-        # Obs-disabled: settle "known" and "unknown-parent orphan" with
-        # dict probes (exactly import_block's own early returns) before
-        # paying the _adopt_block/import_block call chain.
+        # Settle "known" and "unknown-parent orphan" with dict probes
+        # (exactly import_block's own early returns) before paying the
+        # _adopt_block/import_block call chain.
         block_index = self.chain.block_index
         if block_hash in block_index:
             self.seen_blocks.add(block_hash)
             return
         if block.header.parent_hash not in block_index:
             self.seen_blocks.add(block_hash)
+            net = self.network
+            if net is not None and net.obs is not None:
+                self._observe_orphan(block)
             self._request_ancestor(message.sender_id, block.parent_hash)
             return
         self._adopt_block(block, origin=message.sender_id)

@@ -23,9 +23,13 @@ and the two shapes interleave in exactly the order one shape would.
 
 Observability (:mod:`repro.obs`) is opt-in: construct with ``obs=`` to
 record ``event.scheduled`` / ``event.fired`` / ``event.cancelled`` trace
-events and ``sim.events.*`` counters.  With ``obs=None`` (the default)
-the hot loop pays a single attribute test per event — trajectories are
-identical either way because nothing here touches RNG state.
+events and ``sim.events.*`` counters.  An observed run drives the same
+engine: :meth:`Simulator.run_until` has one pop-first loop for
+unobserved runs without an event budget and one guarded loop for the
+rest, which checks the budget and calls the hooks when ``obs`` is set.
+Trajectories are identical either way because nothing here touches RNG
+state, and observed digests are pinned against the seed-state
+:class:`repro.perf.reference.ReferenceSimulator`.
 """
 
 from __future__ import annotations
@@ -252,21 +256,18 @@ class Simulator:
         gossip meshes); exceeding it raises so a runaway scenario fails
         loudly instead of hanging.
         """
-        if self.obs is not None:
-            return self._run_until_observed(end_time, max_events)
-        # Obs-disabled hot loop: the heap, pop, and counters live in
-        # locals; deliveries (4-entries, nearly every event in a
-        # partition run) fire as ``node.receive(message)`` with no
-        # handle to read; cancelled handles drain with a single
-        # attribute test; ``events_processed`` flushes once at exit (the
-        # ``finally`` keeps it right even if a callback raises).
-        # Trajectory is identical to the observed loop — nothing here
-        # touches RNG state or event order.
+        # Both loops keep the heap, pop, and counters in locals;
+        # deliveries (4-entries, nearly every event in a partition run)
+        # fire as ``node.receive(message)`` with no handle to read;
+        # cancelled handles drain with a single attribute test;
+        # ``events_processed`` flushes once at exit (the ``finally``
+        # keeps it right even if a callback raises).
         queue = self._queue
         heappop = heapq.heappop
         processed = 0
+        obs = self.obs
         try:
-            if max_events is None:
+            if max_events is None and obs is None:
                 # Pop-first: one heap operation per event instead of a
                 # peek plus a pop; the one overshooting entry is pushed
                 # back when the horizon is reached.  No-arg callbacks
@@ -317,9 +318,14 @@ class Simulator:
                                 handle.callback()
                         processed += 1
             else:
-                # The storm guard is checked per live event, the tie
-                # run included (a tie run must not overshoot the budget
-                # unnoticed); the over-budget entry stays queued.
+                # The guarded loop: the storm guard is checked per live
+                # event, the tie run included (a tie run must not
+                # overshoot the budget unnoticed), and the over-budget
+                # entry stays queued.  With ``obs`` attached it also
+                # reports each drained cancellation and each firing —
+                # a cancelled entry is noted at the clock of the event
+                # before it, as the reference loop notes it.
+                limit = _INF if max_events is None else max_events
                 while queue:
                     entry = heappop(queue)
                     time = entry[0]
@@ -328,8 +334,10 @@ class Simulator:
                         break
                     delivery = len(entry) == 4
                     if not delivery and entry[2].cancelled:
+                        if obs is not None:
+                            self._note_cancelled(entry[2])
                         continue
-                    if processed >= max_events:
+                    if processed >= limit:
                         _heappush(queue, entry)
                         raise SimulationError(
                             f"exceeded {max_events} events before "
@@ -337,9 +345,14 @@ class Simulator:
                         )
                     self.now = time
                     if delivery:
-                        entry[2].receive(entry[3])
+                        node = entry[2]
+                        if obs is not None:
+                            self._note_fired(entry[1], node.receive)
+                        node.receive(entry[3])
                     else:
                         handle = entry[2]
+                        if obs is not None:
+                            self._note_fired(entry[1], handle.callback)
                         args = handle.args
                         if args:
                             handle.callback(*args)
@@ -350,17 +363,24 @@ class Simulator:
                         entry = heappop(queue)
                         delivery = len(entry) == 4
                         if not delivery and entry[2].cancelled:
+                            if obs is not None:
+                                self._note_cancelled(entry[2])
                             continue
-                        if processed >= max_events:
+                        if processed >= limit:
                             _heappush(queue, entry)
                             raise SimulationError(
                                 f"exceeded {max_events} events before "
                                 f"t={end_time}"
                             )
                         if delivery:
-                            entry[2].receive(entry[3])
+                            node = entry[2]
+                            if obs is not None:
+                                self._note_fired(entry[1], node.receive)
+                            node.receive(entry[3])
                         else:
                             handle = entry[2]
+                            if obs is not None:
+                                self._note_fired(entry[1], handle.callback)
                             args = handle.args
                             if args:
                                 handle.callback(*args)
@@ -371,45 +391,6 @@ class Simulator:
             self.events_processed += processed
         if self.now < end_time:
             self.now = end_time
-        return processed
-
-    def _run_until_observed(
-        self, end_time: float, max_events: Optional[int] = None
-    ) -> int:
-        """The pre-optimization :meth:`run_until` body, used whenever
-        observability is attached (and kept as the oracle the
-        trajectory-equality tests compare the hot loop against)."""
-        processed = 0
-        while self._queue:
-            entry = self._queue[0]
-            time = entry[0]
-            if time > end_time:
-                break
-            delivery = len(entry) == 4
-            if not delivery and entry[2].cancelled:
-                heapq.heappop(self._queue)
-                if self.obs is not None:
-                    self._note_cancelled(entry[2])
-                continue
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events before t={end_time}"
-                )
-            heapq.heappop(self._queue)
-            self.now = time
-            self.events_processed += 1
-            if delivery:
-                node = entry[2]
-                if self.obs is not None:
-                    self._note_fired(entry[1], node.receive)
-                node.receive(entry[3])
-            else:
-                handle = entry[2]
-                if self.obs is not None:
-                    self._note_fired(entry[1], handle.callback)
-                handle.callback(*handle.args)
-            processed += 1
-        self.now = max(self.now, end_time)
         return processed
 
     def run_all(self, max_events: int = 10_000_000) -> int:

@@ -306,7 +306,76 @@ class ReferenceNetwork(Network):
     wave is the per-send loop (no wave kernels, no inline sampler, no
     inline scheduling)."""
 
-    send = Network._send_ladder
+    def send(self, source: str, destination: str, message: Message) -> None:
+        """The seed-state send: the full fault / loss / trace / metrics
+        branch ladder, per message."""
+        target = self.nodes.get(destination)
+        if target is None or not target.online:
+            self.messages_undeliverable += 1
+            if self._ctr_undeliverable is not None:
+                self._ctr_undeliverable.inc()
+            if self._tracer is not None:
+                self._trace_drop("msg.undeliverable", source, destination, message)
+            return
+        if self.loss_rate and self.sim_rng.random() < self.loss_rate:
+            self.messages_lost += 1
+            if self._ctr_lost is not None:
+                self._ctr_lost.inc()
+            if self._tracer is not None:
+                self._trace_drop("msg.lost", source, destination, message)
+            return
+        source_node = self.nodes.get(source)
+        scale, extra = 1.0, 0.0
+        if self.faults is not None:
+            verdict, scale, extra = self.faults.judge(
+                source,
+                source_node.region if source_node is not None else "",
+                destination,
+                target.region,
+                message,
+            )
+            if verdict == "blocked":
+                self.messages_blocked += 1
+                if self._ctr_blocked is not None:
+                    self._ctr_blocked.inc()
+                if self._tracer is not None:
+                    self._trace_drop("msg.blocked", source, destination, message)
+                return
+            if verdict == "lost":
+                self.messages_lost += 1
+                if self._ctr_lost is not None:
+                    self._ctr_lost.inc()
+                if self._tracer is not None:
+                    self._trace_drop("msg.lost", source, destination, message)
+                return
+        self.messages_sent += 1
+        if self._ctr_sent is not None:
+            self._ctr_sent.inc()
+        if self._geo_latency and source_node:
+            delay = self.latency.delay_between(
+                source_node.region, target.region, self.sim_rng
+            )
+        else:
+            delay = self.latency.sample(self.sim_rng)
+        delay = delay * scale + extra
+        if self._hist_delay is not None:
+            self._hist_delay.observe(delay)
+        if self.track_block_propagation and isinstance(message, NewBlock):
+            key = bytes(message.block.block_hash)
+            first = self._block_first_sent.setdefault(key, self.sim.now)
+            self._block_delivery_delays.append(self.sim.now + delay - first)
+        if self._tracer is not None:
+            self._tracer.emit(
+                self.sim.now,
+                "msg.send",
+                src=source,
+                dst=destination,
+                type=type(message).__name__,
+                delay=delay,
+            )
+            self.sim.schedule(delay, self._traced_receive, target, message)
+            return
+        self.sim.schedule(delay, target.receive, message)
 
     def send_wave(
         self, source: str, destinations: Iterable[str], message: Message
@@ -347,7 +416,16 @@ class ReferenceNode(FullNode):
         self.routing.observe(sender)
         self._dispatch_ladder(message)
 
-    _on_blocks = FullNode._on_blocks_observed
+    def _on_blocks(self, message: Blocks) -> None:
+        first_orphan: Optional[Block] = None
+        for block in message.blocks:
+            status = self._adopt_block(
+                block, origin=message.sender_id, request_missing=False
+            )
+            if status == "orphan" and first_orphan is None:
+                first_orphan = block
+        if first_orphan is not None:
+            self._request_ancestor(message.sender_id, first_orphan.parent_hash)
 
     def _on_new_block(self, message: NewBlock) -> None:
         if bytes(message.block.block_hash) in self.seen_blocks:

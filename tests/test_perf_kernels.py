@@ -306,8 +306,8 @@ class TestSimulatorHotLoop:
     def test_max_events_exceeded_keeps_entry_queued(self):
         from repro.net.simulator import SimulationError
 
-        def build():
-            sim = Simulator()
+        def build(cls):
+            sim = cls()
 
             def tick():
                 sim.schedule(1.0, tick)
@@ -315,11 +315,11 @@ class TestSimulatorHotLoop:
             sim.schedule(1.0, tick)
             return sim
 
-        fast, reference = build(), build()
+        fast, reference = build(Simulator), build(ReferenceSimulator)
         with pytest.raises(SimulationError):
             fast.run_until(100.0, max_events=10)
         with pytest.raises(SimulationError):
-            reference._run_until_observed(100.0, max_events=10)
+            reference.run_until(100.0, max_events=10)
         assert fast.events_processed == reference.events_processed == 10
         assert fast.pending == reference.pending == 1
         assert fast.now == reference.now
@@ -344,6 +344,53 @@ class TestNetworkFastPath:
             fast.incompatible_disconnects
             == reference.incompatible_disconnects
         )
+
+    @pytest.mark.parametrize("config_name", ["plain", "split-fault"])
+    def test_observed_digests_match_reference_scenario(self, config_name):
+        """An observed run drives the fast kernels; its trace and metrics
+        digests must equal the seed-state reference scenario's."""
+        from repro.faults.schedule import FaultSchedule, SplitFault
+        from repro.net.node import ResiliencePolicy
+        from repro.obs import Observability
+        from repro.scenarios.partition_event import (
+            ChaosPartitionConfig,
+            PartitionScenario,
+            PartitionScenarioConfig,
+        )
+
+        if config_name == "plain":
+            config = PartitionScenarioConfig(
+                num_nodes=14, num_miners=4, post_fork_horizon=600.0, seed=5
+            )
+        else:
+            # The split-fault config of tests/test_chaos_scenario.py.
+            schedule = FaultSchedule(
+                faults=(
+                    SplitFault(start=400.0, duration=300.0, scope="region",
+                               groups=(("na",), ("eu", "as"))),
+                ),
+                seed=5,
+            )
+            config = ChaosPartitionConfig(
+                num_nodes=14, num_miners=4, post_fork_horizon=900.0,
+                census_interval=120.0,
+                faults=schedule.to_dict(),
+                resilience=ResiliencePolicy().to_dict(),
+                max_events=2_000_000,
+            )
+
+        def run(scenario_cls):
+            obs = Observability.enabled()
+            scenario_cls(config, obs=obs).run()
+            return (
+                obs.tracer.digest(),
+                obs.metrics.digest(),
+                obs.tracer.events_emitted,
+            )
+
+        fast = run(PartitionScenario)
+        assert fast[2] > 0
+        assert fast == run(ReferencePartitionScenario)
 
 
 class TestPerfProbeJob:

@@ -2,7 +2,8 @@
 
 The wave kernels (:meth:`Network._send_wave_plain` /
 :meth:`Network._send_wave_general`) must consume RNG draws in exactly
-the per-send reference order and enqueue byte-identical deliveries; the
+the per-send reference order, enqueue byte-identical deliveries and,
+on an observed run, emit the seed ladder's trace and metrics; the
 exact-type dispatch table must be observationally identical to the seed
 ``isinstance`` ladder; the block-sync pre-checks must reproduce
 ``import_block``'s verdicts; and :class:`NodeStats` must read like the
@@ -159,6 +160,69 @@ class TestGeneralWaveKernel:
             )
 
         assert run(reference=False) == run(reference=True)
+
+
+class _StubJudge:
+    """A fault hook with fixed verdicts: ``blocked`` and ``lost`` name
+    recipients, every other delivery is slowed and delayed."""
+
+    def __init__(self, blocked, lost):
+        self.blocked = blocked
+        self.lost = lost
+
+    def judge(self, src, src_region, dst, dst_region, message):
+        if dst in self.blocked:
+            return "blocked", 1.0, 0.0
+        if dst in self.lost:
+            return "lost", 1.0, 0.0
+        return "deliver", 1.5, 0.01
+
+
+class TestObservedWaveKernel:
+    @pytest.mark.parametrize("latency", LATENCIES[:2])
+    def test_traced_metered_wave_matches_reference(self, latency):
+        """A traced, metered wave that hits every drop branch
+        (undeliverable, sampled loss, fault loss, fault block) emits the
+        seed ladder's trace, counters and delay histogram."""
+        from repro.obs import Observability
+
+        def run(reference):
+            network_cls, node_cls = classes(reference)
+            genesis = make_genesis()
+            obs = Observability.enabled()
+            sim = Simulator(obs=obs)
+            net = network_cls(sim, latency=latency, seed=13, loss_rate=0.25)
+            net.track_block_propagation = True
+            net.faults = _StubJudge(blocked={"n2", "n7"}, lost={"n4"})
+            for i in range(10):
+                node = node_cls(
+                    f"n{i}",
+                    Blockchain(CFG, genesis, execute_transactions=False),
+                    region=("eu", "us")[i % 2],
+                    rng_seed=300 + i,
+                )
+                net.add_node(node)
+            net.nodes["n5"].online = False
+            message = NewBlock(
+                sender_id="n0", block=genesis, total_difficulty=1
+            )
+            destinations = [f"n{i}" for i in range(1, 10)] + ["ghost"]
+            net.send_wave("n0", destinations, message)
+            net.send("n0", "n8", message)
+            sim.run_until(10.0)
+            return (
+                obs.tracer.digest(),
+                obs.tracer.events_emitted,
+                obs.metrics.dumps(),
+                net.sim_rng.getstate(),
+                transport_counters(net),
+                list(net._block_delivery_delays),
+            )
+
+        fast = run(reference=False)
+        counters = fast[4]
+        assert all(counters), counters  # every drop branch was taken
+        assert fast == run(reference=True)
 
 
 def mine_some_blocks(n=4):
