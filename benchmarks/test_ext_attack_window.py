@@ -5,11 +5,14 @@ the fork."  We give an attacker 2% of the *pre-fork* network — a rounding
 error on July 19th — and evaluate their power over ETC day by day.
 """
 
+import pytest
 from conftest import FULL_DAYS
 
 from repro.core.flows import daily_hashrate_series
 from repro.scenarios.attack_window import (
     assess_attack_window,
+    catchup_probability,
+    simulate_race,
     vulnerability_window_days,
 )
 
@@ -82,3 +85,14 @@ def test_attack_window(benchmark, fork_result, output_dir):
     # The monotone economics: attack cost in USD-equivalents grows with
     # the recovery (difficulty climbs while the share falls).
     assert assessments[120].opportunity_cost_usd > assessments[1].opportunity_cost_usd
+
+
+class TestCatchupProbability:
+    """The closed-form catch-up odds against a Monte-Carlo race (slow:
+    12,000 simulated races, so it runs with the experiments)."""
+
+    def test_monte_carlo_agrees_with_formula(self):
+        for share, deficit in ((0.3, 3), (0.4, 4), (0.45, 2)):
+            analytic = catchup_probability(share, deficit)
+            empirical = simulate_race(share, deficit, trials=4000)
+            assert empirical == pytest.approx(analytic, abs=0.04)

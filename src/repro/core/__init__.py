@@ -27,18 +27,12 @@ from .market_analysis import (
     relative_gap_series,
 )
 from .metrics import (
-    block_delta_series,
-    blocks_per_hour,
-    contract_fraction_per_day,
-    daily_mean_difficulty,
     db_blocks_per_hour,
     db_contract_fraction_per_day,
     db_daily_mean_difficulty,
     db_hourly_mean_block_delta,
     db_transactions_per_day,
-    difficulty_series,
     trace_transactions_per_day,
-    transactions_per_day,
 )
 from .observations import Observation, evaluate_all
 from .partition import (
@@ -73,12 +67,6 @@ __all__ = [
     "TimeSeries",
     "align",
     "pearson",
-    "blocks_per_hour",
-    "difficulty_series",
-    "block_delta_series",
-    "transactions_per_day",
-    "contract_fraction_per_day",
-    "daily_mean_difficulty",
     "trace_transactions_per_day",
     "EchoDetector",
     "Echo",

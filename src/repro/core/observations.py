@@ -65,7 +65,7 @@ def observation_1(partition: PartitionResult) -> Observation:
 def observation_2(result: ForkSimResult, *, db=None) -> Observation:
     """Stabilization takes days; an influx returns over two weeks."""
     if db is None:
-        db = result.to_database(columnar=True)
+        db = result.to_database()
     report = stabilization_from_columns(
         *db.timestamps_and_difficulties("ETC"), result.fork_timestamp
     )
@@ -96,7 +96,7 @@ def observation_2(result: ForkSimResult, *, db=None) -> Observation:
 def observation_3(result: ForkSimResult, *, db=None) -> Observation:
     """The fork persists; ETH's mining power grows, ETC's holds steady."""
     if db is None:
-        db = result.to_database(columnar=True)
+        db = result.to_database()
     horizon = result.config.days
     eth = db_daily_mean_difficulty(
         db, "ETH", start_ts=result.fork_timestamp + 14 * DAY
@@ -133,7 +133,7 @@ def observation_3(result: ForkSimResult, *, db=None) -> Observation:
 def observation_4(result: ForkSimResult, *, db=None) -> Observation:
     """The market operates efficiently: mining payoff is near-identical."""
     if db is None:
-        db = result.to_database(columnar=True)
+        db = result.to_database()
     eth_series = hashes_per_usd_series(
         db_daily_mean_difficulty(db, "ETH", result.fork_timestamp),
         result.rates,
@@ -199,7 +199,7 @@ def observation_5(detector: EchoDetector, horizon_days: int = 270) -> Observatio
 def observation_6(result: ForkSimResult, *, db=None) -> Observation:
     """ETC pool concentration slowly converged to ETH's distribution."""
     if db is None:
-        db = result.to_database(columnar=True)
+        db = result.to_database()
     eth_top5 = db_top_n_share_series(
         db, "ETH", 5, start_ts=result.fork_timestamp
     )
@@ -243,7 +243,7 @@ def evaluate_all(
     default: the result's zero-copy columnar database).
     """
     if db is None:
-        db = result.to_database(columnar=True)
+        db = result.to_database()
     observations = []
     if partition is not None:
         observations.append(observation_1(partition))

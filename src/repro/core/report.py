@@ -8,9 +8,11 @@ figures as tables.
 
 Like the paper, every figure queries an analysis database rather than
 the raw chains: by default the result's zero-copy
-:class:`~repro.data.columnar.ColumnarChainDatabase`, read only through
-aggregated queries.  Passing ``db=result.to_database()`` runs the same
-code on the record-backed oracle, which must give the same bytes.
+:class:`~repro.data.columnar.ColumnarChainDatabase`
+(``result.to_database()``), read only through aggregated queries.
+Passing ``db=reference_database(result)``
+(:func:`repro.perf.reference.reference_database`) runs the same code on
+the record-backed oracle, which must give the same bytes.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def figure_1(
 ) -> FigureData:
     """Blocks/hour, block difficulty, inter-block delta — the fork month."""
     if db is None:
-        db = result.to_database(columnar=True)
+        db = result.to_database()
     start = result.fork_timestamp - 12 * HOUR
     end = result.fork_timestamp + horizon_days * DAY
     series: Dict[str, TimeSeries] = {}
@@ -151,7 +153,7 @@ def figure_1(
 def figure_2(result: ForkSimResult, *, db=None) -> FigureData:
     """Difficulty, transactions/day, contract fraction — nine months."""
     if db is None:
-        db = result.to_database(columnar=True)
+        db = result.to_database()
     start = result.fork_timestamp
     series: Dict[str, TimeSeries] = {}
     for name in CHAINS:
@@ -175,7 +177,7 @@ def figure_2(result: ForkSimResult, *, db=None) -> FigureData:
 def figure_3(result: ForkSimResult, *, db=None) -> FigureData:
     """Expected hashes per USD for both chains."""
     if db is None:
-        db = result.to_database(columnar=True)
+        db = result.to_database()
     series: Dict[str, TimeSeries] = {}
     for name in CHAINS:
         daily_difficulty = db_daily_mean_difficulty(
@@ -205,7 +207,7 @@ def figure_4(
 ) -> FigureData:
     """Rebroadcast (echo) counts and percentages."""
     if db is None:
-        db = result.to_database(columnar=True)
+        db = result.to_database()
     series: Dict[str, TimeSeries] = {}
     for chain in CHAINS:
         daily_totals = db_transactions_per_day(
@@ -226,7 +228,7 @@ def figure_4(
 def figure_5(result: ForkSimResult, *, db=None) -> FigureData:
     """Percent of blocks mined by the top 1/3/5 pools, daily."""
     if db is None:
-        db = result.to_database(columnar=True)
+        db = result.to_database()
     series: Dict[str, TimeSeries] = {}
     for name in CHAINS:
         days = db.daily_miner_counts(name, result.fork_timestamp)

@@ -1,135 +1,18 @@
-"""CSV import/export for the analysis database.
+"""CSV export for figure series.
 
-The benchmark harness writes every regenerated figure's series to CSV so
-results can be inspected (or plotted) outside the test run, and scenario
-outputs can be cached between runs.  Formats are plain ``csv`` module
-output with stable headers — no pandas dependency.
+The benchmark harness and ``run-all`` write every regenerated figure's
+series to CSV so results can be inspected (or plotted) outside the test
+run.  Formats are plain ``csv`` module output with stable headers — no
+pandas dependency.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .records import BlockRecord, TxRecord
-
-__all__ = [
-    "write_blocks_csv",
-    "read_blocks_csv",
-    "write_txs_csv",
-    "read_txs_csv",
-    "write_series_csv",
-    "read_series_csv",
-]
-
-_BLOCK_HEADER = [
-    "chain",
-    "number",
-    "timestamp",
-    "difficulty",
-    "miner",
-    "tx_count",
-    "contract_tx_count",
-    "gas_used",
-]
-
-_TX_HEADER = [
-    "chain",
-    "tx_hash",
-    "block_number",
-    "timestamp",
-    "sender",
-    "to",
-    "value",
-    "is_contract",
-    "replay_protected",
-]
-
-
-def write_blocks_csv(path: Union[str, Path], records: Iterable[BlockRecord]) -> int:
-    """Write block records; returns the row count."""
-    count = 0
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_BLOCK_HEADER)
-        for record in records:
-            writer.writerow(
-                [
-                    record.chain,
-                    record.number,
-                    record.timestamp,
-                    record.difficulty,
-                    record.miner,
-                    record.tx_count,
-                    record.contract_tx_count,
-                    record.gas_used,
-                ]
-            )
-            count += 1
-    return count
-
-
-def read_blocks_csv(path: Union[str, Path]) -> List[BlockRecord]:
-    records = []
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            records.append(
-                BlockRecord(
-                    chain=row["chain"],
-                    number=int(row["number"]),
-                    timestamp=int(row["timestamp"]),
-                    difficulty=int(row["difficulty"]),
-                    miner=row["miner"],
-                    tx_count=int(row["tx_count"]),
-                    contract_tx_count=int(row["contract_tx_count"]),
-                    gas_used=int(row["gas_used"]),
-                )
-            )
-    return records
-
-
-def write_txs_csv(path: Union[str, Path], records: Iterable[TxRecord]) -> int:
-    count = 0
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_TX_HEADER)
-        for record in records:
-            writer.writerow(
-                [
-                    record.chain,
-                    record.tx_hash.hex(),
-                    record.block_number,
-                    record.timestamp,
-                    record.sender.hex(),
-                    record.to.hex() if record.to is not None else "",
-                    record.value,
-                    int(record.is_contract),
-                    int(record.replay_protected),
-                ]
-            )
-            count += 1
-    return count
-
-
-def read_txs_csv(path: Union[str, Path]) -> List[TxRecord]:
-    records = []
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            records.append(
-                TxRecord(
-                    chain=row["chain"],
-                    tx_hash=bytes.fromhex(row["tx_hash"]),
-                    block_number=int(row["block_number"]),
-                    timestamp=int(row["timestamp"]),
-                    sender=bytes.fromhex(row["sender"]),
-                    to=bytes.fromhex(row["to"]) if row["to"] else None,
-                    value=int(row["value"]),
-                    is_contract=bool(int(row["is_contract"])),
-                    replay_protected=bool(int(row["replay_protected"])),
-                )
-            )
-    return records
+__all__ = ["write_series_csv", "read_series_csv"]
 
 
 def write_series_csv(

@@ -12,9 +12,10 @@ honest:
     The seed-state implementations, kept verbatim, as standalone
     classes and subclasses a run opts into by constructing them
     (:class:`ReferenceForkSimulation`, :class:`ReferencePartitionScenario`
-    and their parts).  Every benchmark times fast-vs-reference on the
-    *same* workload and every differential test asserts the two arms
-    produce bit-identical trajectories.
+    and their parts, and the record-backed analysis database
+    :class:`ReferenceChainDatabase`).  Every benchmark times
+    fast-vs-reference on the *same* workload and every differential
+    test asserts the two arms produce bit-identical trajectories.
 
 :mod:`repro.perf.bench`
     The benchmark harness behind ``python -m repro bench``: canonical
@@ -37,6 +38,7 @@ __all__ = [
     "BENCH_SCHEMA",
     "NodeStats",
     "ReferenceBlockProducer",
+    "ReferenceChainDatabase",
     "ReferenceForkSimulation",
     "ReferenceNetwork",
     "ReferenceNode",
@@ -46,6 +48,7 @@ __all__ = [
     "add_bench_arguments",
     "bench_from_args",
     "main",
+    "reference_database",
     "reference_sampler",
     "run_bench",
     "validate_report",
@@ -61,12 +64,14 @@ _EXPORTS = {
     "validate_report": "bench",
     "NodeStats": "soa",
     "ReferenceBlockProducer": "reference",
+    "ReferenceChainDatabase": "reference",
     "ReferenceForkSimulation": "reference",
     "ReferenceNetwork": "reference",
     "ReferenceNode": "reference",
     "ReferencePartitionScenario": "reference",
     "ReferenceRoutingTable": "reference",
     "ReferenceSimulator": "reference",
+    "reference_database": "reference",
     "reference_sampler": "reference",
 }
 
@@ -98,12 +103,14 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
     )
     from .reference import (  # noqa: F401
         ReferenceBlockProducer,
+        ReferenceChainDatabase,
         ReferenceForkSimulation,
         ReferenceNetwork,
         ReferenceNode,
         ReferencePartitionScenario,
         ReferenceRoutingTable,
         ReferenceSimulator,
+        reference_database,
         reference_sampler,
     )
     from .soa import NodeStats  # noqa: F401

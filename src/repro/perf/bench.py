@@ -36,7 +36,11 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .reference import ReferenceForkSimulation, ReferenceSimulator
+from .reference import (
+    ReferenceForkSimulation,
+    ReferenceSimulator,
+    reference_database,
+)
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -268,8 +272,9 @@ def _forksim_analysis_case(
     what the ``figure`` and ``observations`` jobs call:
     ``figure_1/2/3/5(result)`` and ``evaluate_all(result)``, each over
     the result's zero-copy columnar database.  The reference arm boxes
-    every block into the record :class:`~repro.data.store.ChainDatabase`
-    and runs the same functions on it.  The digest covers every
+    every block into the record
+    :class:`~repro.perf.reference.ReferenceChainDatabase` and runs the
+    same functions on it.  The digest covers every
     series' bytes and every observation verdict — the byte-identity
     contract of ``tests/test_data_columnar.py``, enforced here at the
     paper's 270-day scale.  The memory gate pins the fast arm's
@@ -297,7 +302,7 @@ def _forksim_analysis_case(
         return figures, evaluate_all(result)
 
     def reference():
-        database = result.to_database()
+        database = reference_database(result)
         figures = {
             n: make(result, db=database) for n, make in generators.items()
         }

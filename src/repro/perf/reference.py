@@ -11,6 +11,11 @@ process (the ``serve`` threads do):
 * :class:`ReferenceForkSimulation` — the fork sim with
   :class:`ReferenceBlockProducer` (the per-block ``advance_one`` loop)
   and :func:`reference_sampler` (the original winner closures).
+* :class:`ReferenceChainDatabase` — the record-backed analysis
+  database, built from a fork-sim result by :func:`reference_database`:
+  every block boxed into a :class:`~repro.data.records.BlockRecord` and
+  every aggregated query accumulated block by block, the oracle for the
+  columnar kernels of :class:`~repro.data.columnar.ColumnarChainDatabase`.
 * :class:`ReferencePartitionScenario` — the partition scenario on
   :class:`ReferenceSimulator` (the seed event loop),
   :class:`ReferenceNetwork` (every send walks the full branch ladder;
@@ -29,10 +34,23 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import random
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
+from collections import Counter
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..chain.block import Block
+from ..data.records import BlockRecord
+from ..data.windows import DAY, HOUR, window_index
 from ..net.kademlia import RoutingTable, bucket_index
 from ..net.messages import (
     Blocks,
@@ -48,7 +66,7 @@ from ..net.node import FullNode
 from ..net.simulator import EventHandle, SimulationError
 from ..net.simulator import _callback_label, _INF
 from ..sim.blockprod import BlockProducer
-from ..sim.engine import ForkSimulation
+from ..sim.engine import ForkSimResult, ForkSimulation
 from ..sim.population import PoolLandscape
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,12 +74,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ReferenceBlockProducer",
+    "ReferenceChainDatabase",
     "ReferenceForkSimulation",
     "ReferenceNetwork",
     "ReferenceNode",
     "ReferencePartitionScenario",
     "ReferenceRoutingTable",
     "ReferenceSimulator",
+    "reference_database",
     "reference_sampler",
 ]
 
@@ -138,6 +158,214 @@ class ReferenceForkSimulation(ForkSimulation):
 
     def _sampler(self, landscape: PoolLandscape, day: float):
         return reference_sampler(landscape, day)
+
+
+# -- analysis database --------------------------------------------------------
+
+_BLOCK_KEY = operator.attrgetter("number")
+
+
+class ReferenceChainDatabase:
+    """The record-backed analysis database: the oracle for
+    :class:`~repro.data.columnar.ColumnarChainDatabase`.
+
+    Blocks are boxed into :class:`~repro.data.records.BlockRecord` rows
+    kept sorted by number, and every aggregated query accumulates block
+    by block in that stored order — epoch-aligned half-open windows,
+    the start filter applied *before* bucketing — with the exact float
+    semantics the columnar kernels replicate.  Build one from a fork-sim
+    result with :func:`reference_database`.
+    """
+
+    def __init__(self) -> None:
+        self._blocks: Dict[str, List[BlockRecord]] = {}
+        #: Per-chain "timestamps are non-decreasing in stored order" flag:
+        #: True/False when known, None when it must be recomputed (after a
+        #: number-order re-sort shuffled an unknown timestamp order).
+        self._ts_monotone: Dict[str, Optional[bool]] = {}
+
+    def insert_blocks(self, records: Iterable[BlockRecord]) -> int:
+        # Only the chains this batch touched are examined, and a batch
+        # that arrives in number order — :func:`reference_database`
+        # always streams one — skips the per-chain re-sort.
+        count = 0
+        needs_sort: Dict[str, bool] = {}
+        blocks = self._blocks
+        monotone = self._ts_monotone
+        for record in records:
+            chain = record.chain
+            rows = blocks.get(chain)
+            if rows is None:
+                rows = blocks[chain] = []
+                needs_sort[chain] = False
+                monotone[chain] = True
+            else:
+                if chain not in needs_sort:
+                    needs_sort[chain] = False
+                last = rows[-1]
+                if record.number < last.number:
+                    needs_sort[chain] = True
+                if monotone.get(chain) and record.timestamp < last.timestamp:
+                    monotone[chain] = False
+            rows.append(record)
+            count += 1
+        for chain, dirty in needs_sort.items():
+            if dirty:
+                blocks[chain].sort(key=_BLOCK_KEY)
+                # The re-sort (by number) may have reordered timestamps in
+                # either direction; recompute lazily on the next query.
+                monotone[chain] = None
+        return count
+
+    def _timestamps_monotone(self, chain: str) -> bool:
+        """Whether the chain's stored timestamps are non-decreasing."""
+        flag = self._ts_monotone.get(chain)
+        if flag is None:
+            records = self._blocks.get(chain, [])
+            flag = all(
+                a.timestamp <= b.timestamp
+                for a, b in zip(records, records[1:])
+            )
+            self._ts_monotone[chain] = flag
+        return flag
+
+    def timestamps_and_difficulties(
+        self, chain: str
+    ) -> Tuple[List[int], List[int]]:
+        """(timestamps, difficulties) columns in chain order; raises
+        ``ValueError`` when the timestamps are not non-decreasing."""
+        if not self._timestamps_monotone(chain):
+            raise ValueError(f"chain {chain!r} timestamps are not sorted")
+        records = self._blocks.get(chain, [])
+        return (
+            [record.timestamp for record in records],
+            [record.difficulty for record in records],
+        )
+
+    def blocks_per_hour(
+        self, chain: str, start_ts: Optional[float] = None
+    ) -> Dict[int, int]:
+        """Figure 1 (top): hourly block production histogram."""
+        counts: Dict[int, int] = {}
+        for record in self._blocks.get(chain, []):
+            if start_ts is not None and record.timestamp < start_ts:
+                continue
+            index = window_index(record.timestamp, HOUR)
+            counts[index] = counts.get(index, 0) + 1
+        return counts
+
+    def daily_mean_difficulty(
+        self, chain: str, start_ts: Optional[float] = None
+    ) -> Dict[int, float]:
+        """Day index -> mean difficulty, accumulated in stored order.
+
+        Difficulty day-sums exceed 2**53, so the result depends on the
+        IEEE addition order; both backends accumulate sequentially in
+        stored order — the same order ``TimeSeries.resample_mean`` uses.
+        """
+        sums: Dict[int, float] = {}
+        counts: Dict[int, int] = {}
+        for record in self._blocks.get(chain, []):
+            timestamp = record.timestamp
+            if start_ts is not None and timestamp < start_ts:
+                continue
+            index = window_index(timestamp, DAY)
+            sums[index] = sums.get(index, 0.0) + float(record.difficulty)
+            counts[index] = counts.get(index, 0) + 1
+        return {index: sums[index] / counts[index] for index in sums}
+
+    def hourly_mean_block_delta(
+        self, chain: str, start_ts: Optional[float] = None
+    ) -> Dict[int, float]:
+        """Hour index -> mean inter-block gap (seconds).
+
+        A delta belongs to the *current* block's hour, and the start
+        filter tests the current block only (the previous one may predate
+        it).
+        """
+        sums: Dict[int, float] = {}
+        counts: Dict[int, int] = {}
+        records = self._blocks.get(chain, [])
+        for previous, current in zip(records, records[1:]):
+            timestamp = current.timestamp
+            if start_ts is not None and timestamp < start_ts:
+                continue
+            index = window_index(timestamp, HOUR)
+            sums[index] = sums.get(index, 0.0) + float(
+                timestamp - previous.timestamp
+            )
+            counts[index] = counts.get(index, 0) + 1
+        return {index: sums[index] / counts[index] for index in sums}
+
+    def block_transactions_per_day(
+        self, chain: str, start_ts: Optional[float] = None
+    ) -> Dict[int, int]:
+        """Day index -> transactions, summed from per-block tx counts."""
+        counts: Dict[int, int] = {}
+        for record in self._blocks.get(chain, []):
+            timestamp = record.timestamp
+            if start_ts is not None and timestamp < start_ts:
+                continue
+            index = window_index(timestamp, DAY)
+            counts[index] = counts.get(index, 0) + record.tx_count
+        return counts
+
+    def block_contract_fraction_per_day(
+        self, chain: str, start_ts: Optional[float] = None
+    ) -> Dict[int, float]:
+        """Day index -> contract-tx fraction from per-block counts.
+
+        Days whose blocks carry zero transactions are skipped (a gap, not
+        a zero) — the same rule as the trace-level helper.
+        """
+        totals: Dict[int, int] = {}
+        contracts: Dict[int, int] = {}
+        for record in self._blocks.get(chain, []):
+            timestamp = record.timestamp
+            if start_ts is not None and timestamp < start_ts:
+                continue
+            index = window_index(timestamp, DAY)
+            totals[index] = totals.get(index, 0) + record.tx_count
+            contracts[index] = contracts.get(index, 0) + record.contract_tx_count
+        return {
+            index: contracts.get(index, 0) / totals[index]
+            for index in totals
+            if totals[index] > 0
+        }
+
+    def daily_miner_counts(
+        self, chain: str, start_ts: Optional[float] = None
+    ) -> Dict[int, Counter]:
+        """Day index -> Counter of miner labels (Figure 5's raw input).
+
+        Counter insertion order is each label's first appearance that day
+        (in stored order) — ``most_common`` tie-breaking is stable, so the
+        columnar twin must and does reproduce this order.
+        """
+        days: Dict[int, Counter] = {}
+        for record in self._blocks.get(chain, []):
+            timestamp = record.timestamp
+            if start_ts is not None and timestamp < start_ts:
+                continue
+            index = window_index(timestamp, DAY)
+            counter = days.get(index)
+            if counter is None:
+                counter = days[index] = Counter()
+            counter[record.miner] += 1
+        return days
+
+
+def reference_database(result: ForkSimResult) -> ReferenceChainDatabase:
+    """Box both of a fork-sim result's traces into the record oracle.
+
+    Streams :meth:`~repro.sim.blockprod.ChainTrace.iter_block_records`,
+    so the ingest never holds a second full copy of a million-block
+    trace as a list.
+    """
+    database = ReferenceChainDatabase()
+    for trace in (result.eth_trace, result.etc_trace):
+        database.insert_blocks(trace.iter_block_records())
+    return database
 
 
 # -- event loop ---------------------------------------------------------------

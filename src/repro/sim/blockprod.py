@@ -174,7 +174,7 @@ class ChainTrace:
 
         Month-scale traces hold millions of blocks; materializing them
         as a list of :class:`BlockRecord` objects costs gigabytes.  Bulk
-        consumers (:meth:`~repro.sim.engine.ForkSimResult.to_database`)
+        consumers (:func:`~repro.perf.reference.reference_database`)
         stream through this generator instead, so peak memory stays at
         the columnar arrays plus one record.
         """

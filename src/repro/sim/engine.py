@@ -22,7 +22,7 @@ day granularity:
    difficulty rule; the transaction workload model fills blocks.
 
 Everything downstream (the figures) reads the resulting traces and rate
-series through :class:`~repro.data.store.ChainDatabase`.
+series through :class:`~repro.data.columnar.ColumnarChainDatabase`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _NULL_CONTEXT = nullcontext()
 
 from ..chain.config import ETC_CONFIG, ETH_CONFIG, PRE_FORK_CONFIG, DAO_FORK_BLOCK
-from ..data.store import ChainDatabase
+from ..data.columnar import ColumnarChainDatabase
 from ..market.arbitrage import LaggedAllocator
 from ..market.events import DEFAULT_EVENTS, ExternalDraw, HashpowerSupply
 from ..market.exchange import ExchangeRateSeries
@@ -187,43 +187,17 @@ class ForkSimResult:
             hasher.update(struct.pack(f"<{len(series)}d", *series))
         return hasher.hexdigest()
 
-    def to_database(self, include_prefix: bool = True, columnar: bool = False):
-        """Load block records into a fresh analysis database.
+    def to_database(self) -> ColumnarChainDatabase:
+        """The analysis database over both traces.
 
-        ``columnar=False`` (the record path, retained as the oracle)
-        streams through :meth:`ChainTrace.iter_block_records` so the bulk
-        ingest never holds a second full copy of a million-block trace in
-        memory.  ``columnar=True`` returns a
-        :class:`~repro.data.columnar.ColumnarChainDatabase` that adopts
-        the trace columns zero-copy — no boxing at all, byte-identical
-        query results (pinned by ``tests/test_data_columnar.py``).
+        The :class:`~repro.data.columnar.ColumnarChainDatabase` adopts
+        the trace columns zero-copy, so no block is boxed.  The
+        record-backed oracle is built explicitly, by
+        :func:`repro.perf.reference.reference_database`.
         """
-        if columnar:
-            from ..data.columnar import ColumnarChainDatabase
-
-            columnar_db = ColumnarChainDatabase()
-            for trace in (self.eth_trace, self.etc_trace):
-                start = 0
-                if not include_prefix:
-                    # Block numbers are strictly increasing, so the
-                    # record path's ``number > fork_number`` filter is a
-                    # suffix starting at this bisection point.
-                    start = bisect.bisect_right(
-                        trace.numbers, self.fork_number
-                    )
-                columnar_db.adopt_trace(trace, start_index=start)
-            return columnar_db
-        database = ChainDatabase()
+        database = ColumnarChainDatabase()
         for trace in (self.eth_trace, self.etc_trace):
-            records = trace.iter_block_records()
-            if not include_prefix:
-                fork_number = self.fork_number
-                records = (
-                    record
-                    for record in records
-                    if record.number > fork_number
-                )
-            database.insert_blocks(records)
+            database.adopt_trace(trace)
         return database
 
 

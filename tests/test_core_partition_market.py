@@ -19,10 +19,9 @@ from repro.core.partition import (
 )
 from repro.core.timeseries import TimeSeries
 from repro.data.columnar import ColumnarChainDatabase
-from repro.data.records import BlockRecord
-from repro.data.store import ChainDatabase
 from repro.data.windows import DAY, HOUR
 from repro.market.exchange import ExchangeRateSeries
+from repro.perf.reference import ReferenceChainDatabase
 from repro.sim.blockprod import ChainTrace
 
 
@@ -183,7 +182,7 @@ class TestStabilizationKernel:
         trace = stalled_trace(stall=2500)
         columnar = ColumnarChainDatabase()
         columnar.adopt_trace(trace)
-        record = ChainDatabase()
+        record = ReferenceChainDatabase()
         record.insert_blocks(trace.iter_block_records())
         expected = stabilization_time(trace, 100_000)
         for db in (columnar, record):
@@ -193,13 +192,14 @@ class TestStabilizationKernel:
             assert report == expected
 
     def test_unsorted_database_columns_are_rejected(self):
-        rows = [
-            BlockRecord(chain="ETC", number=n, timestamp=ts, difficulty=1,
-                        miner="m", tx_count=0, contract_tx_count=0)
-            for n, ts in ((1, 200), (2, 100))
-        ]
-        for db in (ColumnarChainDatabase(), ChainDatabase()):
-            db.insert_blocks(rows)
+        trace = ChainTrace("ETC")
+        for n, ts in ((1, 200), (2, 100)):
+            trace.append(n, ts, 1, "m")
+        columnar = ColumnarChainDatabase()
+        columnar.adopt_trace(trace)
+        record = ReferenceChainDatabase()
+        record.insert_blocks(trace.iter_block_records())
+        for db in (columnar, record):
             with pytest.raises(ValueError):
                 db.timestamps_and_difficulties("ETC")
 

@@ -1,15 +1,17 @@
-"""The columnar analytics backend: byte-identity against the record oracle.
+"""The analysis database: byte-identity against the record oracle.
 
-``ColumnarChainDatabase`` exposes the exact ``ChainDatabase`` query
-surface over zero-copy trace columns.  These tests pin the contract the
-figure pipeline rests on: every query — boxed-record and aggregated
-alike — and every downstream figure/observation artifact is
-*byte-identical* between the public functions (which read the columnar
-database) and the same functions run on the record database, over
-multiple seeds and horizons.
+``ColumnarChainDatabase`` answers the paper's aggregated queries over
+zero-copy trace columns; ``ReferenceChainDatabase`` boxes every block
+and answers the same queries block by block.  These tests pin the
+contract the figure pipeline rests on: every aggregated query and every
+downstream figure/observation artifact is *byte-identical* between the
+public functions (which read ``result.to_database()``) and the same
+functions run on ``reference_database(result)``, over multiple seeds
+and horizons.
 """
 
 import json
+from bisect import bisect_left
 
 import pytest
 
@@ -17,9 +19,9 @@ from repro.core.echoes import EchoDetector
 from repro.core.observations import evaluate_all
 from repro.core.report import figure_1, figure_2, figure_3, figure_4, figure_5
 from repro.data.columnar import ColumnarChainDatabase
-from repro.data.records import BlockRecord, TxRecord
-from repro.data.store import ChainDatabase
+from repro.perf.reference import reference_database
 from repro.scenarios.replay_attack import replay_stream
+from repro.sim.blockprod import ChainTrace
 from repro.sim.engine import ForkSimConfig, ForkSimulation
 
 
@@ -27,6 +29,18 @@ CONFIGS = [
     ForkSimConfig(days=12, prefork_days=3, seed=11, with_transactions=True),
     ForkSimConfig(days=20, prefork_days=2, seed=42, with_transactions=False),
 ]
+
+CHAINS = ("ETH", "ETC")
+
+#: Every aggregated query, as called with an optional ``start_ts``.
+AGGREGATED = (
+    "blocks_per_hour",
+    "daily_mean_difficulty",
+    "hourly_mean_block_delta",
+    "block_transactions_per_day",
+    "block_contract_fraction_per_day",
+    "daily_miner_counts",
+)
 
 
 @pytest.fixture(scope="module", params=[0, 1], ids=["12d-tx", "20d-notx"])
@@ -36,7 +50,7 @@ def result(request):
 
 @pytest.fixture(scope="module")
 def backends(result):
-    return result.to_database(), result.to_database(columnar=True)
+    return reference_database(result), result.to_database()
 
 
 def _obs_blob(observations):
@@ -59,41 +73,34 @@ def _obs_blob(observations):
 class TestQueryParity:
     def test_chains(self, backends):
         record, columnar = backends
-        assert columnar.chains() == record.chains()
+        for chain in CHAINS:
+            assert columnar.blocks_per_hour(chain)
+        for name in AGGREGATED:
+            for chain in CHAINS:
+                assert bool(getattr(record, name)(chain)) == (
+                    bool(getattr(columnar, name)(chain))
+                )
+            # An unknown chain is empty on both, not an error.
+            assert getattr(record, name)("missing") == {}
+            assert getattr(columnar, name)("missing") == {}
 
-    def test_block_boxing(self, backends):
-        record, columnar = backends
-        for chain in record.chains():
-            assert columnar.blocks(chain) == record.blocks(chain)
-            assert columnar.block_count(chain) == record.block_count(chain)
-
-    def test_blocks_between(self, result, backends):
+    def test_series_queries(self, result, backends):
         record, columnar = backends
         fork = result.fork_timestamp
-        for chain in record.chains():
-            for window in ((fork, fork + 7200), (fork - 3600, fork)):
-                assert columnar.blocks_between(chain, *window) == (
-                    record.blocks_between(chain, *window)
+        for chain in CHAINS:
+            for start in (None, fork):
+                assert columnar.blocks_per_hour(chain, start) == (
+                    record.blocks_per_hour(chain, start)
                 )
-
-    def test_series_queries(self, backends):
-        record, columnar = backends
-        for chain in record.chains():
-            assert columnar.blocks_per_hour(chain) == (
-                record.blocks_per_hour(chain)
-            )
-            assert columnar.difficulty_series(chain) == (
-                record.difficulty_series(chain)
-            )
-            assert columnar.block_deltas(chain) == record.block_deltas(chain)
-            assert columnar.miner_label_series(chain) == (
-                record.miner_label_series(chain)
+            ts, diffs = columnar.timestamps_and_difficulties(chain)
+            assert (list(ts), list(diffs)) == (
+                record.timestamps_and_difficulties(chain)
             )
 
     def test_aggregated_queries_bitwise(self, result, backends):
         record, columnar = backends
         fork = result.fork_timestamp
-        for chain in record.chains():
+        for chain in CHAINS:
             for start in (None, fork):
                 rec = record.daily_mean_difficulty(chain, start)
                 col = columnar.daily_mean_difficulty(chain, start)
@@ -116,7 +123,7 @@ class TestQueryParity:
 
     def test_daily_miner_counts_order_and_values(self, backends):
         record, columnar = backends
-        for chain in record.chains():
+        for chain in CHAINS:
             rec = record.daily_miner_counts(chain)
             col = columnar.daily_miner_counts(chain)
             assert rec == col
@@ -125,13 +132,18 @@ class TestQueryParity:
             for day in rec:
                 assert list(rec[day].items()) == list(col[day].items())
 
-    def test_no_prefix_suffix_matches(self, result):
-        record = result.to_database(include_prefix=False)
-        columnar = result.to_database(include_prefix=False, columnar=True)
-        for chain in record.chains():
-            assert columnar.blocks(chain) == record.blocks(chain)
-            assert all(
-                r.number > result.fork_number for r in columnar.blocks(chain)
+    def test_no_prefix_suffix_matches(self, result, backends):
+        # Queries from the fork instant see exactly the post-fork
+        # suffix, on both backends.
+        record, columnar = backends
+        fork = result.fork_timestamp
+        for chain, trace in result.traces().items():
+            suffix = len(trace) - bisect_left(trace.timestamps, fork)
+            assert 0 < suffix < len(trace)
+            for db in backends:
+                assert sum(db.blocks_per_hour(chain, fork).values()) == suffix
+            assert columnar.daily_miner_counts(chain, fork) == (
+                record.daily_miner_counts(chain, fork)
             )
 
 
@@ -176,13 +188,6 @@ class TestFigurePipeline:
         assert [o.render() for o in public] == [o.render() for o in oracle]
 
 
-def _block(chain="ETH", number=1, timestamp=1000, difficulty=100,
-           miner="poolA", tx_count=2, contract_tx_count=1):
-    return BlockRecord(chain=chain, number=number, timestamp=timestamp,
-                       difficulty=difficulty, miner=miner, tx_count=tx_count,
-                       contract_tx_count=contract_tx_count)
-
-
 class TestColumnarIngest:
     def test_adopt_rejects_duplicate_chain(self, result):
         db = ColumnarChainDatabase()
@@ -190,47 +195,34 @@ class TestColumnarIngest:
         with pytest.raises(ValueError):
             db.adopt_trace(result.eth_trace)
 
-    def test_insert_blocks_matches_record_backend(self):
-        rows = [
-            _block(number=3, timestamp=3000, miner="p2"),
-            _block(number=1, timestamp=1000),
-            _block(number=2, timestamp=2000, miner="p2"),
-            _block(chain="ETC", number=1, timestamp=500, miner="solo-1"),
-        ]
-        record = ChainDatabase()
-        record.insert_blocks(rows)
-        columnar = ColumnarChainDatabase()
-        columnar.insert_blocks(rows)
-        for chain in record.chains():
-            assert columnar.blocks(chain) == record.blocks(chain)
-            assert columnar.daily_miner_counts(chain) == (
-                record.daily_miner_counts(chain)
-            )
-
     def test_adopted_trace_not_mutated_by_insert(self, result):
+        # The columns are shared, not copied, so neither the queries nor
+        # boxing the same trace into the oracle may touch them.
         trace = result.eth_trace
-        before = len(trace)
+        before = [bytes(trace.timestamps), bytes(trace.difficulties),
+                  bytes(trace.miner_ids), list(trace.miner_labels)]
         db = ColumnarChainDatabase()
         db.adopt_trace(trace)
-        db.insert_blocks(
-            [_block(number=trace.numbers[-1] + 1,
-                    timestamp=trace.timestamps[-1] + 10)]
-        )
-        assert len(trace) == before
-        assert db.block_count("ETH") == before + 1
+        ts, diffs = db.timestamps_and_difficulties("ETH")
+        assert ts is trace.timestamps and diffs is trace.difficulties
+        answers = [getattr(db, name)("ETH") for name in AGGREGATED]
+        reference_database(result)
+        assert [getattr(db, name)("ETH") for name in AGGREGATED] == answers
+        assert before == [bytes(trace.timestamps), bytes(trace.difficulties),
+                          bytes(trace.miner_ids), list(trace.miner_labels)]
 
-    def test_transactions_delegate(self):
-        db = ColumnarChainDatabase()
-        db.insert_transactions([
-            TxRecord(chain="ETH", tx_hash=b"\x01" * 8, block_number=1,
-                     timestamp=100, sender=b"\xaa" * 20, to=b"\xbb" * 20,
-                     value=1, is_contract=True, replay_protected=False),
-            TxRecord(chain="ETH", tx_hash=b"\x02" * 8, block_number=2,
-                     timestamp=200, sender=b"\xaa" * 20, to=b"\xbb" * 20,
-                     value=1, is_contract=False, replay_protected=False),
-        ])
-        assert db.tx_count("ETH") == 2
-        assert db.transactions_per_day("ETH") == {0: 2}
-        assert db.contract_fraction_per_day("ETH") == {0: 0.5}
-        assert db.lookup_tx("ETH", b"\x01" * 8).timestamp == 100
-        assert "ETH" in db.chains()
+
+def test_unsorted_chain_rejected_by_every_query():
+    """Only a hand-built trace can have unsorted timestamps; every
+    aggregated query refuses it instead of bucketing it wrongly."""
+    trace = ChainTrace("ETH")
+    for number, timestamp in ((1, 100), (2, 4000), (3, 50)):
+        trace.append(number, timestamp, 1000, "p", 2, 1)
+    db = ColumnarChainDatabase()
+    db.adopt_trace(trace)
+    for name in AGGREGATED:
+        for start in (None, 0):
+            with pytest.raises(ValueError, match="not sorted"):
+                getattr(db, name)("ETH", start)
+    with pytest.raises(ValueError, match="not sorted"):
+        db.timestamps_and_difficulties("ETH")

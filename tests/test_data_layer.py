@@ -1,21 +1,24 @@
-"""Data layer: records, windowing, the database, CSV IO."""
+"""Data layer: records, windowing, the analysis database, CSV IO."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.records import BlockRecord, TxRecord
-from repro.data.store import ChainDatabase
-from repro.data.windows import (
-    DAY,
-    HOUR,
-    bucket_by_window,
-    count_per_window,
-    fill_missing_windows,
-    mean_per_window,
-    sum_per_window,
-    window_index,
-    window_start,
+from repro.data.columnar import ColumnarChainDatabase
+from repro.data.records import BlockRecord
+from repro.data.windows import DAY, HOUR, window_index, window_start
+from repro.perf.reference import ReferenceChainDatabase
+from repro.sim.blockprod import ChainTrace
+
+AGGREGATED = (
+    "blocks_per_hour",
+    "daily_mean_difficulty",
+    "hourly_mean_block_delta",
+    "block_transactions_per_day",
+    "block_contract_fraction_per_day",
+    "daily_miner_counts",
 )
 
 
@@ -26,12 +29,21 @@ def block(chain="ETH", number=1, timestamp=1000, difficulty=100,
                        contract_tx_count=contract_tx_count)
 
 
-def tx(chain="ETH", tx_hash=b"\x01" * 8, block_number=1, timestamp=1000,
-       is_contract=False, protected=False):
-    return TxRecord(chain=chain, tx_hash=tx_hash, block_number=block_number,
-                    timestamp=timestamp, sender=b"\xaa" * 20, to=b"\xbb" * 20,
-                    value=1, is_contract=is_contract,
-                    replay_protected=protected)
+def analysis_db(rows, chain="ETH"):
+    """The analysis database over a hand-built trace of ``rows``."""
+    trace = ChainTrace(chain)
+    for row in rows:
+        trace.append(row.number, row.timestamp, row.difficulty, row.miner,
+                     row.tx_count, row.contract_tx_count)
+    db = ColumnarChainDatabase()
+    db.adopt_trace(trace)
+    return db
+
+
+def reference_db(rows):
+    db = ReferenceChainDatabase()
+    db.insert_blocks(rows)
+    return db
 
 
 class TestWindows:
@@ -47,150 +59,83 @@ class TestWindows:
         with pytest.raises(ValueError):
             window_index(0, 0)
 
-    def test_count_per_window(self):
-        counts = count_per_window([0, 10, 3700, 3800, 7300], HOUR)
-        assert counts == {0: 2, 1: 2, 2: 1}
-
-    def test_sum_and_mean(self):
-        items = [(0, 10.0), (10, 20.0), (3700, 5.0)]
-        sums = sum_per_window(items, lambda i: i[0], lambda i: i[1], HOUR)
-        means = mean_per_window(items, lambda i: i[0], lambda i: i[1], HOUR)
-        assert sums == {0: 30.0, 1: 5.0}
-        assert means == {0: 15.0, 1: 5.0}
-
-    def test_bucket_by_window(self):
-        buckets = bucket_by_window([1, 2, 3601], lambda t: t, HOUR)
-        assert sorted(buckets[0]) == [1, 2]
-        assert buckets[1] == [3601]
-
-    def test_fill_missing_windows(self):
-        dense = fill_missing_windows({0: 5.0, 2: 7.0}, 0, 3)
-        assert dense == [(0, 5.0), (1, 0.0), (2, 7.0), (3, 0.0)]
-
-    def test_fill_missing_rejects_reversed_range(self):
-        with pytest.raises(ValueError):
-            fill_missing_windows({}, 5, 0)
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e9), max_size=50))
+    @given(st.lists(st.integers(min_value=0, max_value=10**9), max_size=50))
     @settings(max_examples=50)
     def test_counts_partition_the_events(self, timestamps):
-        counts = count_per_window(timestamps, HOUR)
+        rows = [block(number=n, timestamp=t)
+                for n, t in enumerate(sorted(timestamps))]
+        counts = analysis_db(rows).blocks_per_hour("ETH")
         assert sum(counts.values()) == len(timestamps)
+        assert counts == reference_db(rows).blocks_per_hour("ETH")
 
 
 class TestChainDatabase:
     def test_insert_and_query_blocks(self):
-        db = ChainDatabase()
-        db.insert_blocks([block(number=2, timestamp=2000),
-                          block(number=1, timestamp=1000)])
-        records = db.blocks("ETH")
-        assert [r.number for r in records] == [1, 2]
-        assert db.block_count("ETH") == 2
-        assert db.chains() == ["ETH"]
+        # The oracle re-sorts an out-of-order batch by number; the
+        # analysis database adopts the already-ordered trace.
+        rows = [block(number=1, timestamp=1000, difficulty=10),
+                block(number=2, timestamp=2000, difficulty=30)]
+        oracle = reference_db(rows[::-1])
+        db = analysis_db(rows)
+        assert oracle.timestamps_and_difficulties("ETH") == (
+            [1000, 2000], [10, 30]
+        )
+        for name in AGGREGATED:
+            assert getattr(db, name)("ETH") == getattr(oracle, name)("ETH")
 
     def test_blocks_per_hour(self):
-        db = ChainDatabase()
-        db.insert_blocks([block(timestamp=t) for t in (0, 100, 3700)])
+        db = analysis_db([block(number=n, timestamp=t)
+                          for n, t in enumerate((0, 100, 3700))])
         assert db.blocks_per_hour("ETH") == {0: 2, 1: 1}
+        assert db.blocks_per_hour("ETH", start_ts=100) == {0: 1, 1: 1}
 
     def test_block_deltas(self):
-        db = ChainDatabase()
-        db.insert_blocks([
+        db = analysis_db([
             block(number=1, timestamp=100),
             block(number=2, timestamp=130),
             block(number=3, timestamp=144),
         ])
-        assert db.block_deltas("ETH") == [(130, 30), (144, 14)]
+        assert db.hourly_mean_block_delta("ETH") == {0: 22.0}
+        # The start filter tests the current block; its gap may reach
+        # back before the start.
+        assert db.hourly_mean_block_delta("ETH", start_ts=144) == {0: 14.0}
 
     def test_difficulty_series(self):
-        db = ChainDatabase()
-        db.insert_blocks([block(number=1, difficulty=5, timestamp=10)])
-        assert db.difficulty_series("ETH") == [(10, 5)]
+        db = analysis_db([block(number=1, difficulty=5, timestamp=10)])
+        ts, diffs = db.timestamps_and_difficulties("ETH")
+        assert (list(ts), list(diffs)) == ([10], [5])
+        ts, diffs = db.timestamps_and_difficulties("missing")
+        assert (len(ts), len(diffs)) == (0, 0)
 
     def test_transactions_per_day(self):
-        db = ChainDatabase()
-        db.insert_transactions([
-            tx(tx_hash=b"\x01" * 8, timestamp=100),
-            tx(tx_hash=b"\x02" * 8, timestamp=200),
-            tx(tx_hash=b"\x03" * 8, timestamp=DAY + 5),
+        db = analysis_db([
+            block(number=1, timestamp=100, tx_count=2),
+            block(number=2, timestamp=200, tx_count=0),
+            block(number=3, timestamp=DAY + 5, tx_count=1),
         ])
-        assert db.transactions_per_day("ETH") == {0: 2, 1: 1}
+        assert db.block_transactions_per_day("ETH") == {0: 2, 1: 1}
 
     def test_contract_fraction(self):
-        db = ChainDatabase()
-        db.insert_transactions([
-            tx(tx_hash=b"\x01" * 8, is_contract=True),
-            tx(tx_hash=b"\x02" * 8),
-            tx(tx_hash=b"\x03" * 8),
-            tx(tx_hash=b"\x04" * 8, is_contract=True),
+        db = analysis_db([
+            block(number=1, timestamp=10, tx_count=3, contract_tx_count=1),
+            block(number=2, timestamp=20, tx_count=1, contract_tx_count=1),
+            block(number=3, timestamp=DAY, tx_count=0, contract_tx_count=0),
         ])
-        assert db.contract_fraction_per_day("ETH") == {0: 0.5}
-
-    def test_lookup_tx_first_sighting_wins(self):
-        db = ChainDatabase()
-        db.insert_transactions([
-            tx(timestamp=500, block_number=5),
-            tx(timestamp=100, block_number=1),
-        ])
-        # Insertion order defines first observation.
-        assert db.lookup_tx("ETH", b"\x01" * 8).timestamp == 500
-
-    def test_iter_tx_sightings_time_ordered_across_chains(self):
-        db = ChainDatabase()
-        db.insert_transactions([
-            tx(chain="ETH", tx_hash=b"\x01" * 8, timestamp=300),
-            tx(chain="ETC", tx_hash=b"\x02" * 8, timestamp=100),
-            tx(chain="ETH", tx_hash=b"\x03" * 8, timestamp=200),
-        ])
-        order = [r.timestamp for r in db.iter_tx_sightings()]
-        assert order == [100, 200, 300]
+        # A day without transactions is a gap, not a zero.
+        assert db.block_contract_fraction_per_day("ETH") == {0: 0.5}
 
     def test_miner_label_series(self):
-        db = ChainDatabase()
-        db.insert_blocks([block(miner="p1"), block(number=2, miner="p2",
-                                                    timestamp=2000)])
-        assert db.miner_label_series("ETH") == [(1000, "p1"), (2000, "p2")]
-
-    def test_blocks_between(self):
-        db = ChainDatabase()
-        db.insert_blocks([block(number=n, timestamp=n * 100)
-                          for n in range(1, 6)])
-        subset = db.blocks_between("ETH", 200, 400)
-        assert [r.number for r in subset] == [2, 3]
+        db = analysis_db([block(number=1, miner="p2", timestamp=10),
+                          block(number=2, miner="p1", timestamp=20),
+                          block(number=3, miner="p1", timestamp=30),
+                          block(number=4, miner="p2", timestamp=DAY)])
+        days = db.daily_miner_counts("ETH")
+        assert days == {0: {"p2": 1, "p1": 2}, 1: {"p2": 1}}
+        # First-appearance order fixes most_common tie-breaking.
+        assert list(days[0]) == ["p2", "p1"]
 
 
 class TestCsvIO:
-    def test_block_round_trip(self, tmp_path):
-        from repro.data.csvio import read_blocks_csv, write_blocks_csv
-
-        records = [block(number=n, timestamp=n * 14) for n in range(1, 4)]
-        path = tmp_path / "blocks.csv"
-        assert write_blocks_csv(path, records) == 3
-        assert read_blocks_csv(path) == records
-
-    def test_tx_round_trip(self, tmp_path):
-        from repro.data.csvio import read_txs_csv, write_txs_csv
-
-        records = [
-            tx(tx_hash=bytes([n]) * 8, is_contract=bool(n % 2),
-               protected=bool(n % 3)) for n in range(4)
-        ]
-        path = tmp_path / "txs.csv"
-        write_txs_csv(path, records)
-        assert read_txs_csv(path) == records
-
-    def test_tx_round_trip_with_creation(self, tmp_path):
-        from repro.data.csvio import read_txs_csv, write_txs_csv
-
-        record = TxRecord(
-            chain="ETH", tx_hash=b"\x09" * 8, block_number=1, timestamp=5,
-            sender=b"\xaa" * 20, to=None, value=0, is_contract=True,
-            replay_protected=False,
-        )
-        path = tmp_path / "txs.csv"
-        write_txs_csv(path, [record])
-        assert read_txs_csv(path)[0].to is None
-
     def test_series_round_trip(self, tmp_path):
         from repro.data.csvio import read_series_csv, write_series_csv
 
@@ -241,12 +186,12 @@ class TestExportChain:
 
 
 class TestIngestOrdering:
-    """The skip-sort fast path is observationally invisible.
+    """The oracle's skip-sort fast path is observationally invisible.
 
-    ``insert_blocks``/``insert_transactions`` only re-sort a chain when a
-    batch actually arrives out of order; these differentials pin that an
-    in-order ingest (sort skipped) and a shuffled ingest of the same rows
-    answer every query identically.
+    ``ReferenceChainDatabase.insert_blocks`` only re-sorts a chain when a
+    batch actually arrives out of order; an in-order ingest (sort
+    skipped) and a shuffled ingest of the same rows answer every query
+    identically — and agree with the analysis database's kernels.
     """
 
     ROWS = [block(number=n, timestamp=500 + n * 137 + (n % 3) * 40,
@@ -256,65 +201,39 @@ class TestIngestOrdering:
 
     @staticmethod
     def _shuffled(rows):
-        import random
-
         shuffled = list(rows)
         random.Random(13).shuffle(shuffled)
         return shuffled
 
     def test_block_queries_order_independent(self):
-        ordered = ChainDatabase()
-        ordered.insert_blocks(self.ROWS)
-        scrambled = ChainDatabase()
-        scrambled.insert_blocks(self._shuffled(self.ROWS))
-        assert scrambled.blocks("ETH") == ordered.blocks("ETH")
-        assert scrambled.blocks_per_hour("ETH") == ordered.blocks_per_hour("ETH")
-        assert scrambled.daily_mean_difficulty("ETH") == (
-            ordered.daily_mean_difficulty("ETH")
+        ordered = reference_db(self.ROWS)
+        scrambled = reference_db(self._shuffled(self.ROWS))
+        columnar = analysis_db(self.ROWS)
+        assert scrambled.timestamps_and_difficulties("ETH") == (
+            ordered.timestamps_and_difficulties("ETH")
         )
-        assert scrambled.daily_miner_counts("ETH") == (
-            ordered.daily_miner_counts("ETH")
-        )
-
-    def test_tx_queries_order_independent(self):
-        rows = [tx(tx_hash=bytes([n]) * 8, block_number=n, timestamp=n * 50,
-                   is_contract=bool(n % 2)) for n in range(1, 30)]
-        ordered = ChainDatabase()
-        ordered.insert_transactions(rows)
-        scrambled = ChainDatabase()
-        scrambled.insert_transactions(self._shuffled(rows))
-        assert scrambled.transactions("ETH") == ordered.transactions("ETH")
-        assert scrambled.transactions_per_day("ETH") == (
-            ordered.transactions_per_day("ETH")
-        )
-        assert scrambled.contract_fraction_per_day("ETH") == (
-            ordered.contract_fraction_per_day("ETH")
-        )
+        for name in AGGREGATED:
+            expected = getattr(ordered, name)("ETH")
+            assert getattr(scrambled, name)("ETH") == expected
+            assert getattr(columnar, name)("ETH") == expected
 
     def test_blocks_between_bisect_vs_scan(self):
-        # Monotone timestamps take the bisect fast path; the same rows
-        # with one timestamp inversion force the linear scan.  Identical
-        # windows must come back from both.
-        db_fast = ChainDatabase()
-        db_fast.insert_blocks(self.ROWS)
-        inverted = list(self.ROWS)
-        inverted.append(block(number=99, timestamp=self.ROWS[0].timestamp - 1,
-                              miner="late"))
-        db_scan = ChainDatabase()
-        db_scan.insert_blocks(inverted)
-        lo = self.ROWS[4].timestamp
-        hi = self.ROWS[20].timestamp
-        fast = db_fast.blocks_between("ETH", lo, hi)
-        scan = [r for r in db_scan.blocks_between("ETH", lo, hi)
-                if r.number != 99]
-        assert fast == scan
-        # Half-open: the block exactly at hi is excluded, at lo included.
-        assert all(lo <= r.timestamp < hi for r in fast)
-        assert fast[0].timestamp == lo
+        # The analysis database bisects to the start filter and to each
+        # window edge; the oracle scans every block.  Starts before, at,
+        # between and after block timestamps must select the same
+        # half-open windows on both.
+        columnar = analysis_db(self.ROWS)
+        oracle = reference_db(self.ROWS)
+        stamps = [row.timestamp for row in self.ROWS]
+        for start in (None, 0, stamps[4], stamps[4] + 1, stamps[20],
+                      HOUR, 2 * HOUR, stamps[-1], stamps[-1] + 1):
+            for name in AGGREGATED:
+                assert getattr(columnar, name)("ETH", start) == (
+                    getattr(oracle, name)("ETH", start)
+                )
+        assert columnar.blocks_per_hour("ETH", stamps[-1] + 1) == {}
 
     def test_aggregates_match_brute_force(self):
-        db = ChainDatabase()
-        db.insert_blocks(self.ROWS)
         days = {}
         for row in self.ROWS:
             days.setdefault(row.timestamp // DAY, []).append(row)
@@ -322,8 +241,9 @@ class TestIngestOrdering:
             d: sum(float(r.difficulty) for r in rows) / len(rows)
             for d, rows in days.items()
         }
-        assert db.daily_mean_difficulty("ETH") == expected
         expected_tx = {
             d: sum(r.tx_count for r in rows) for d, rows in days.items()
         }
-        assert db.block_transactions_per_day("ETH") == expected_tx
+        for db in (analysis_db(self.ROWS), reference_db(self.ROWS)):
+            assert db.daily_mean_difficulty("ETH") == expected
+            assert db.block_transactions_per_day("ETH") == expected_tx

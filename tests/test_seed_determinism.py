@@ -9,14 +9,18 @@ scenario layers therefore derive every RNG from explicit config seeds
 these tests pin that property down to the digest level.
 """
 
+import asyncio
+import json
 import pickle
 
 import pytest
 
 from repro.faults import ChurnBurst, FaultSchedule, LinkFault, SplitFault
+from repro.data.resultstore import ResultStore
 from repro.harness import (
     NullCache,
     NullProgress,
+    ResultCache,
     WorkerPool,
     chaos_partition_spec,
     echoes_spec,
@@ -42,6 +46,8 @@ from repro.scenarios.partition_event import (
     TopologyPartitionConfig,
 )
 from repro.scenarios.topology_inference import TopologyInferenceConfig
+from repro.serve.executor import ExecutorBridge
+from repro.serve.registry import JobRegistry
 from repro.serve.summary import summarize, summary_digest
 from repro.sim.engine import ForkSimConfig, ForkSimulation, run_fork_sim
 
@@ -240,3 +246,78 @@ class TestSummaryDigestDeterminism:
         for result in results:
             assert summary_digest(summarize(spec.kind, result.value)) == local
 
+
+@pytest.fixture(scope="module")
+def cache_tier(tmp_path_factory):
+    """Per spec id: a result cache filled by one cold ``execute_job``,
+    the cold outcome, and an independent in-process (uncached) digest —
+    shared so each spec runs cold only twice across the tests below."""
+    memo = {}
+
+    def get(spec_id):
+        if spec_id not in memo:
+            spec = SUMMARY_SPECS[spec_id]
+            cache_dir = tmp_path_factory.mktemp(f"cache-{spec_id}")
+            stored = execute_job(spec, ResultCache(cache_dir))
+            memo[spec_id] = (cache_dir, stored, _cold_digest(spec))
+        return memo[spec_id]
+
+    return get
+
+
+def _digest(spec, value):
+    return summary_digest(summarize(spec.kind, value))
+
+
+class TestCacheTierDeterminism:
+    """A value that crossed the cache or the serve store digests like
+    the cold in-process run: pickling never changes a summary."""
+
+    @pytest.mark.parametrize("spec_id", sorted(SUMMARY_SPECS))
+    def test_result_cache_round_trip_digest_matches_cold(
+        self, spec_id, cache_tier
+    ):
+        spec = SUMMARY_SPECS[spec_id]
+        cache_dir, stored, cold = cache_tier(spec_id)
+        assert not stored.cache_hit
+        cache = ResultCache(cache_dir)
+        hit, value = cache.lookup(spec.cache_key())
+        assert hit
+        warm = execute_job(spec, cache)
+        assert warm.cache_hit
+        assert _digest(spec, value) == cold
+        assert _digest(spec, warm.value) == cold
+
+    @pytest.mark.parametrize("spec_id", sorted(SUMMARY_SPECS))
+    def test_serve_store_replay_digest_matches_cold(
+        self, spec_id, cache_tier, tmp_path
+    ):
+        spec = SUMMARY_SPECS[spec_id]
+        cache_dir, _, cold = cache_tier(spec_id)
+        db = tmp_path / "serve.db"
+
+        async def submit():
+            # The first registry answers from the warm result cache and
+            # persists the summary; the second replays the store row.
+            with ResultStore(db) as store:
+                executor = ExecutorBridge(
+                    workers=1, cache_dir=str(cache_dir), timeout=300.0,
+                    retries=0, collect_metrics=False,
+                )
+                try:
+                    registry = JobRegistry(executor, store=store)
+                    job, source = registry.submit(spec, "t")
+                    await asyncio.wait_for(job.done.wait(), 300)
+                finally:
+                    executor.shutdown()
+                return job, source
+
+        first, first_source = asyncio.run(submit())
+        assert (first_source, first.state) == ("executed", "ok")
+        assert first.record["cache_hit"]
+        replayed, source = asyncio.run(submit())
+        assert source == "store"
+        assert first.digest == replayed.digest == cold
+        with ResultStore(db) as store:
+            stored = store.get_result(cold)["summary"]
+        assert summary_digest(json.loads(json.dumps(stored))) == cold

@@ -79,7 +79,7 @@ class TestChainTrace:
         for i in range(10):
             trace.append(i, 100 + 10 * i, 1000, "m")
         # A block exactly at start_ts is included; exactly at end_ts is
-        # excluded — [start, end) matches blocks_between's contract.
+        # excluded — the half-open windows the analysis queries bucket by.
         assert list(trace.slice_by_time(120, 140)) == [2, 3]
         assert list(trace.slice_by_time(0, 100)) == []
         assert list(trace.slice_by_time(190, 10_000)) == [9]

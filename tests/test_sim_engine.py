@@ -41,9 +41,14 @@ class TestStructure:
         assert len(result.daily_hashrate["ETC"]) == 90
 
     def test_to_database(self, result):
-        db = result.to_database(include_prefix=False)
-        assert set(db.chains()) == {"ETH", "ETC"}
-        assert db.block_count("ETH") > 80 * 6000
+        db = result.to_database()
+        for chain, trace in result.traces().items():
+            hourly = db.blocks_per_hour(chain)
+            assert sum(hourly.values()) == len(trace)
+            times, _ = db.timestamps_and_difficulties(chain)
+            assert times is trace.timestamps  # adopted zero-copy
+        post_fork = db.blocks_per_hour("ETH", result.fork_timestamp)
+        assert sum(post_fork.values()) > 80 * 6000
 
     def test_deterministic(self):
         config = ForkSimConfig(days=10, prefork_days=2, seed=123)
@@ -68,7 +73,7 @@ class TestCalibration:
         assert report.peak_delta_seconds > 1200  # the paper's delta spike
 
     def test_etc_difficulty_an_order_below_eth(self, result):
-        db = result.to_database(columnar=True)
+        db = result.to_database()
         eth = db_daily_mean_difficulty(
             db, "ETH", result.fork_timestamp + 30 * DAY
         )
@@ -81,7 +86,7 @@ class TestCalibration:
     def test_mirror_image_difficulty_drift(self, result):
         """Figure 1's second fortnight: ETH sheds difficulty while ETC
         gains it, as profit miners flow back."""
-        db = result.to_database(columnar=True)
+        db = result.to_database()
         eth = db_daily_mean_difficulty(db, "ETH")
         etc = db_daily_mean_difficulty(db, "ETC")
         fork = result.fork_timestamp
