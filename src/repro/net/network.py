@@ -9,6 +9,14 @@ well-connected each side's mesh is.
 The census is the reproduction's analogue of the authors' node crawls:
 they counted reachable ETC nodes before/after the fork and saw ~90%
 disappear; we count nodes whose fork-block hash matches each branch.
+
+Every message goes through one kernel, :meth:`Network.send_wave` (a
+single send is a one-recipient wave).  Loss, faults, propagation
+tracking and the ``obs`` hooks are each an inline test on a hoisted
+local, and the ``net.messages.*`` counters flush once per wave.
+Deliveries go straight onto the simulator's heap unless the simulator
+has a tracer, whose ``event.scheduled`` events need
+:meth:`Simulator.schedule`.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 def _inline_lognorm_matches() -> bool:
     """Probe: does the inlined lognormal sampler reproduce CPython's?
 
-    The delivery-wave kernels inline ``Random.lognormvariate`` —
+    The delivery-wave kernel inlines ``Random.lognormvariate`` —
     ``exp(mu + z*sigma)`` with ``z`` from the Kinderman-Monahan
     accept/reject loop — to skip two call frames per message.  The RNG
     contract is *byte-identical trajectories*: every draw must equal the
@@ -46,7 +54,7 @@ def _inline_lognorm_matches() -> bool:
     probe drives both samplers from identically-seeded generators and
     compares values *and* generator states; on any mismatch (a
     hypothetical future CPython changing the algorithm, or an exotic
-    Random subclass semantics change) the kernels fall back to calling
+    Random subclass semantics change) the kernel falls back to calling
     the library sampler — slower, still trajectory-exact.
     """
     probe = random.Random(0xC0FFEE)
@@ -146,7 +154,7 @@ class Network:
         self._geo_latency = isinstance(self.latency, GeographicLatency)
         # Inline-sampler parameters, cached like ``_geo_latency`` (the
         # latency model is fixed at construction).  ``None`` routes the
-        # kernels to the library sampler — either the model isn't the
+        # kernel to the library sampler — either the model isn't the
         # exact class the inline code reproduces, or the import-time
         # probe found the inlined algorithm diverging from the library.
         lat = self.latency
@@ -249,87 +257,103 @@ class Network:
     def send(self, source: str, destination: str, message: Message) -> None:
         """Deliver ``message`` after a sampled latency (maybe drop it).
 
-        A one-recipient delivery wave: the wave kernels below are the
-        only send paths.
+        A one-recipient delivery wave: :meth:`send_wave` is the only
+        send path.
         """
-        if (
-            self.obs is None
-            and self.faults is None
-            and not self.loss_rate
-            and not self.track_block_propagation
-        ):
-            self._send_wave_plain(source, (destination,), message)
-        else:
-            self._send_wave_general(source, (destination,), message)
-
-    # -- delivery-wave kernels ---------------------------------------------------
+        self.send_wave(source, (destination,), message)
 
     def send_wave(
         self, source: str, destinations: Iterable[str], message: Message
     ) -> None:
-        """Deliver one ``message`` to many recipients in one kernel call.
+        """Deliver one ``message`` to many recipients: the transport's
+        one kernel.
 
-        Semantically identical to ``for d in destinations: send(source,
-        d, message)`` — same per-recipient drop ladder, same counters,
-        trace events and histogram observations, and the same RNG draws
-        in the same order (loss draw, fault judgement, latency draw, per
-        recipient, in iteration order) — but with every invariant lookup
-        hoisted out of the loop: the node map, the RNG's ``random``
-        method, the latency parameters, the fault judge, the
-        ``isinstance(message, NewBlock)`` test, and the counter flushes
-        (accumulated locally, written back once per wave).  Gossip
-        fan-outs (block relay, announcements, tx relay) are the hot
-        waves; at 40-node partition rates this is most of the
-        transport's per-message overhead.
-
-        The plain kernel carries nothing it does not need; a wave with
-        anything to drop, perturb, track or record — loss, faults,
-        propagation tracking, a tracer or metrics — takes the general
-        kernel, observed runs included.
+        Semantically identical to the seed ladder run once per
+        recipient, in iteration order: drop an undeliverable, lost or
+        blocked recipient (tracing the drop), draw the latency, observe
+        ``net.delivery_delay_s``, record propagation, and emit
+        ``msg.send`` before scheduling the delivery — through
+        :meth:`_traced_receive` when a tracer is attached.  RNG draws
+        come from ``sim_rng`` and the fault injector's RNG in exactly
+        the per-send order (loss draw, fault judgement, latency draw).
+        Every invariant is hoisted out of the loop: the node map, the
+        RNG's ``random`` method, the latency parameters, the fault
+        judge, the ``isinstance(message, NewBlock)`` test, the
+        propagation dict and the hooks.  The integer counters flush
+        once per wave; histogram observations stay per send, since the
+        float sum depends on their order.  Without a tracer on the
+        simulator, deliveries are pushed straight onto its heap.
+        Gossip fan-outs (block relay, announcements, tx relay) are the
+        hot waves.
         """
         if not destinations:
             return
-        if (
-            self.obs is None
-            and self.faults is None
-            and not self.loss_rate
-            and not self.track_block_propagation
-        ):
-            self._send_wave_plain(source, destinations, message)
-        else:
-            self._send_wave_general(source, destinations, message)
-
-    def _send_wave_plain(
-        self, source: str, destinations: Iterable[str], message: Message
-    ) -> None:
-        """Wave kernel for the unobserved no-loss / no-faults /
-        no-tracking case; it carries no hooks."""
         nodes = self.nodes
         sim = self.sim
         rng = self.sim_rng
         random_ = rng.random
+        loss_rate = self.loss_rate
+        faults = self.faults
+        judge = faults.judge if faults is not None else None
         latency = self.latency
         ln = self._ln_params
         geo_jitter = self._geo_jitter
-        source_node = nodes.get(source)
-        geo = self._geo_latency and source_node is not None
-        src_region = source_node.region if geo else ""
-        base_map = latency.base if geo else None
-        geo_default = latency.default_delay if geo else 0.12
         sample = latency.sample
-        inline_sched = type(sim) is Simulator and sim.obs is None
+        source_node = nodes.get(source)
+        src_region = source_node.region if source_node is not None else ""
+        geo = self._geo_latency and source_node is not None
+        if geo and geo_jitter is not None:
+            base_map = latency.base
+            geo_default = latency.default_delay
+        now = sim.now
+        track = self.track_block_propagation and isinstance(message, NewBlock)
+        if track:
+            key = bytes(message.block.block_hash)
+            first_sent = self._block_first_sent
+            delivery_delays = self._block_delivery_delays
+        tracer = self._tracer
+        hist_delay = self._hist_delay
+        inline_sched = type(sim) is Simulator and sim._tracer is None
         if inline_sched:
             queue = sim._queue
             next_seq = sim._sequence.__next__
-            now = sim.now
         sent = 0
+        lost = 0
         undeliverable = 0
+        blocked = 0
         try:
             for destination in destinations:
                 target = nodes.get(destination)
                 if target is None or not target.online:
                     undeliverable += 1
+                    if tracer is not None:
+                        self._trace_drop(
+                            "msg.undeliverable", source, destination, message
+                        )
                     continue
+                if loss_rate and random_() < loss_rate:
+                    lost += 1
+                    if tracer is not None:
+                        self._trace_drop("msg.lost", source, destination, message)
+                    continue
+                if judge is not None:
+                    verdict, scale, extra = judge(
+                        source, src_region, destination, target.region, message
+                    )
+                    if verdict == "blocked":
+                        blocked += 1
+                        if tracer is not None:
+                            self._trace_drop(
+                                "msg.blocked", source, destination, message
+                            )
+                        continue
+                    if verdict == "lost":
+                        lost += 1
+                        if tracer is not None:
+                            self._trace_drop(
+                                "msg.lost", source, destination, message
+                            )
+                        continue
                 sent += 1
                 if ln is not None:
                     while True:
@@ -359,121 +383,8 @@ class Network:
                         )
                 else:
                     delay = sample(rng)
-                if inline_sched and 0.0 <= delay < _INF:
-                    _heappush(
-                        queue, (now + delay, next_seq(), target, message)
-                    )
-                else:
-                    # Degenerate delay or a non-base-class engine:
-                    # schedule() validates and raises exactly like the
-                    # per-send path would.
-                    sim.schedule(delay, target.receive, message)
-        finally:
-            # Counter writes batched per wave; the finally keeps the
-            # tallies exact even if a sampler overflows mid-wave.
-            if sent:
-                self.messages_sent += sent
-            if undeliverable:
-                self.messages_undeliverable += undeliverable
-
-    def _send_wave_general(
-        self, source: str, destinations: Iterable[str], message: Message
-    ) -> None:
-        """Wave kernel for the loss / faults / propagation-tracking /
-        observed case.
-
-        The chaos scenarios and every observed run live here: per
-        recipient, in the seed ladder's order, it drops an undeliverable,
-        lost or blocked recipient (tracing the drop), draws the latency,
-        observes ``net.delivery_delay_s``, records propagation, and emits
-        ``msg.send`` before scheduling the delivery — through
-        :meth:`_traced_receive` when a tracer is attached.  Invariants
-        are hoisted (the fault judge, loss rate, ``NewBlock`` test, the
-        propagation dict, the hooks), draws come from ``sim_rng`` and the
-        fault injector's RNG in exactly the per-send order, and the
-        integer counters flush once per wave.  Histogram observations
-        stay per send: the float sum depends on their order.
-        """
-        nodes = self.nodes
-        sim = self.sim
-        rng = self.sim_rng
-        random_ = rng.random
-        loss_rate = self.loss_rate
-        faults = self.faults
-        judge = faults.judge if faults is not None else None
-        latency = self.latency
-        ln = self._ln_params
-        sample = latency.sample
-        source_node = nodes.get(source)
-        src_region = source_node.region if source_node is not None else ""
-        geo = self._geo_latency and source_node is not None
-        schedule = sim.schedule
-        now = sim.now
-        track = self.track_block_propagation and isinstance(message, NewBlock)
-        if track:
-            key = bytes(message.block.block_hash)
-            first_sent = self._block_first_sent
-            delivery_delays = self._block_delivery_delays
-        tracer = self._tracer
-        hist_delay = self._hist_delay
-        inline_sched = type(sim) is Simulator and sim.obs is None
-        if inline_sched:
-            queue = sim._queue
-            next_seq = sim._sequence.__next__
-        sent = 0
-        lost = 0
-        undeliverable = 0
-        blocked = 0
-        try:
-            for destination in destinations:
-                target = nodes.get(destination)
-                if target is None or not target.online:
-                    undeliverable += 1
-                    if tracer is not None:
-                        self._trace_drop(
-                            "msg.undeliverable", source, destination, message
-                        )
-                    continue
-                if loss_rate and random_() < loss_rate:
-                    lost += 1
-                    if tracer is not None:
-                        self._trace_drop("msg.lost", source, destination, message)
-                    continue
-                scale, extra = 1.0, 0.0
                 if judge is not None:
-                    verdict, scale, extra = judge(
-                        source, src_region, destination, target.region, message
-                    )
-                    if verdict == "blocked":
-                        blocked += 1
-                        if tracer is not None:
-                            self._trace_drop(
-                                "msg.blocked", source, destination, message
-                            )
-                        continue
-                    if verdict == "lost":
-                        lost += 1
-                        if tracer is not None:
-                            self._trace_drop(
-                                "msg.lost", source, destination, message
-                            )
-                        continue
-                sent += 1
-                if ln is not None:
-                    while True:
-                        u1 = random_()
-                        u2 = 1.0 - random_()
-                        z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                        if z * z / 4.0 <= -_log(u2):
-                            break
-                    delay = _exp(ln[0] + z * ln[1])
-                elif geo:
-                    delay = latency.delay_between(
-                        src_region, target.region, rng
-                    )
-                else:
-                    delay = sample(rng)
-                delay = delay * scale + extra
+                    delay = delay * scale + extra
                 if hist_delay is not None:
                     hist_delay.observe(delay)
                 if track:
@@ -488,7 +399,7 @@ class Network:
                         type=type(message).__name__,
                         delay=delay,
                     )
-                    schedule(delay, self._traced_receive, target, message)
+                    sim.schedule(delay, self._traced_receive, target, message)
                 elif inline_sched and 0.0 <= delay < _INF:
                     _heappush(
                         queue, (now + delay, next_seq(), target, message)
@@ -497,8 +408,10 @@ class Network:
                     # Degenerate delay or a non-base-class engine:
                     # schedule() validates and raises exactly like the
                     # per-send path would.
-                    schedule(delay, target.receive, message)
+                    sim.schedule(delay, target.receive, message)
         finally:
+            # Counter writes batched per wave; the finally keeps the
+            # tallies exact even if a sampler overflows mid-wave.
             if sent:
                 self.messages_sent += sent
                 if self._ctr_sent is not None:

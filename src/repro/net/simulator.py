@@ -23,13 +23,17 @@ and the two shapes interleave in exactly the order one shape would.
 
 Observability (:mod:`repro.obs`) is opt-in: construct with ``obs=`` to
 record ``event.scheduled`` / ``event.fired`` / ``event.cancelled`` trace
-events and ``sim.events.*`` counters.  An observed run drives the same
-engine: :meth:`Simulator.run_until` has one pop-first loop for
-unobserved runs without an event budget and one guarded loop for the
-rest, which checks the budget and calls the hooks when ``obs`` is set.
-Trajectories are identical either way because nothing here touches RNG
-state, and observed digests are pinned against the seed-state
-:class:`repro.perf.reference.ReferenceSimulator`.
+events and ``sim.events.*`` counters.  The tracer is the only per-event
+hook.  The counters are read off tallies the engine keeps anyway
+(``events_processed``, ``events_cancelled`` and the queue length) and
+added to the registry each time control returns from
+:meth:`Simulator.run_until`, :meth:`Simulator.step` or
+:meth:`Simulator.run_all`.  So :meth:`Simulator.run_until` has one
+pop-first loop for every run without a tracer or an event budget and
+one guarded loop for the rest, which checks the budget and emits the
+trace events.  Trajectories are identical either way because nothing
+here touches RNG state, and observed digests are pinned against the
+seed-state :class:`repro.perf.reference.ReferenceSimulator`.
 """
 
 from __future__ import annotations
@@ -101,11 +105,11 @@ class Simulator:
         "_queue",
         "_sequence",
         "events_processed",
+        "events_cancelled",
         "obs",
         "_tracer",
-        "_ctr_scheduled",
-        "_ctr_fired",
-        "_ctr_cancelled",
+        "_counters",
+        "_flushed",
         "__weakref__",
     )
 
@@ -119,16 +123,22 @@ class Simulator:
         self._queue: List[tuple] = []
         self._sequence = itertools.count()
         self.events_processed = 0
+        #: Cancelled entries drained off the queue without firing.
+        self.events_cancelled = 0
         self.obs = obs
         self._tracer = obs.tracer if obs is not None else None
+        #: ``sim.events.{scheduled,fired,cancelled}``, or ``None``.
+        self._counters: Optional[tuple] = None
         if obs is not None and obs.metrics is not None:
-            self._ctr_scheduled = obs.metrics.counter("sim.events.scheduled")
-            self._ctr_fired = obs.metrics.counter("sim.events.fired")
-            self._ctr_cancelled = obs.metrics.counter("sim.events.cancelled")
-        else:
-            self._ctr_scheduled = None
-            self._ctr_fired = None
-            self._ctr_cancelled = None
+            metrics = obs.metrics
+            self._counters = (
+                metrics.counter("sim.events.scheduled"),
+                metrics.counter("sim.events.fired"),
+                metrics.counter("sim.events.cancelled"),
+            )
+        #: ``(events_processed, events_cancelled, pending)`` at the last
+        #: counter flush.
+        self._flushed = (0, 0, 0)
 
     def schedule(
         self, delay: float, callback: Callable, *args: Any
@@ -160,17 +170,14 @@ class Simulator:
         handle.cancelled = False
         handle.seq = seq
         _heappush(self._queue, (time, seq, handle))
-        if self.obs is not None:
-            if self._ctr_scheduled is not None:
-                self._ctr_scheduled.inc()
-            if self._tracer is not None:
-                self._tracer.emit(
-                    self.now,
-                    "event.scheduled",
-                    at=time,
-                    fn=_callback_label(callback),
-                    seq=seq,
-                )
+        if self._tracer is not None:
+            self._tracer.emit(
+                self.now,
+                "event.scheduled",
+                at=time,
+                fn=_callback_label(callback),
+                seq=seq,
+            )
         return handle
 
     def schedule_at(
@@ -192,23 +199,34 @@ class Simulator:
         """Events still queued (including cancelled ones not yet drained)."""
         return len(self._queue)
 
+    def _flush_counters(self) -> None:
+        """Add the ``sim.events.*`` deltas since the last flush.
+
+        Every seq-numbered entry is exactly one of fired, drained
+        cancelled or still queued, so ``scheduled = fired + cancelled +
+        Δpending``.  Deltas go through ``inc`` so simulators sharing one
+        registry sum.
+        """
+        fired = self.events_processed
+        cancelled = self.events_cancelled
+        pending = len(self._queue)
+        last_fired, last_cancelled, last_pending = self._flushed
+        self._flushed = (fired, cancelled, pending)
+        scheduled_ctr, fired_ctr, cancelled_ctr = self._counters
+        fired -= last_fired
+        cancelled -= last_cancelled
+        scheduled_ctr.inc(fired + cancelled + pending - last_pending)
+        fired_ctr.inc(fired)
+        cancelled_ctr.inc(cancelled)
+
     def _note_cancelled(self, handle: EventHandle) -> None:
-        """Account for a cancelled handle as it drains off the heap."""
-        if self._ctr_cancelled is not None:
-            self._ctr_cancelled.inc()
-        if self._tracer is not None:
-            self._tracer.emit(self.now, "event.cancelled", seq=handle.seq)
+        """Trace a cancelled handle as it drains off the heap."""
+        self._tracer.emit(self.now, "event.cancelled", seq=handle.seq)
 
     def _note_fired(self, seq: int, callback: Callable) -> None:
-        if self._ctr_fired is not None:
-            self._ctr_fired.inc()
-        if self._tracer is not None:
-            self._tracer.emit(
-                self.now,
-                "event.fired",
-                fn=_callback_label(callback),
-                seq=seq,
-            )
+        self._tracer.emit(
+            self.now, "event.fired", fn=_callback_label(callback), seq=seq
+        )
 
     def step(self) -> bool:
         """Process the next event; returns False when the queue is empty.
@@ -220,33 +238,38 @@ class Simulator:
         call.
         """
         queue = self._queue
-        obs = self.obs
-        while queue:
-            entry = _heappop(queue)
-            if len(entry) == 4:
-                self.now = entry[0]
+        tracer = self._tracer
+        try:
+            while queue:
+                entry = _heappop(queue)
+                if len(entry) == 4:
+                    self.now = entry[0]
+                    self.events_processed += 1
+                    node = entry[2]
+                    if tracer is not None:
+                        self._note_fired(entry[1], node.receive)
+                    node.receive(entry[3])
+                    return True
+                time, seq, handle = entry
+                if handle.cancelled:
+                    self.events_cancelled += 1
+                    if tracer is not None:
+                        self._note_cancelled(handle)
+                    continue
+                self.now = time
                 self.events_processed += 1
-                node = entry[2]
-                if obs is not None:
-                    self._note_fired(entry[1], node.receive)
-                node.receive(entry[3])
+                if tracer is not None:
+                    self._note_fired(seq, handle.callback)
+                args = handle.args
+                if args:
+                    handle.callback(*args)
+                else:
+                    handle.callback()
                 return True
-            time, seq, handle = entry
-            if handle.cancelled:
-                if obs is not None:
-                    self._note_cancelled(handle)
-                continue
-            self.now = time
-            self.events_processed += 1
-            if obs is not None:
-                self._note_fired(seq, handle.callback)
-            args = handle.args
-            if args:
-                handle.callback(*args)
-            else:
-                handle.callback()
-            return True
-        return False
+            return False
+        finally:
+            if self._counters is not None:
+                self._flush_counters()
 
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Advance the clock to ``end_time``; returns events processed.
@@ -256,18 +279,20 @@ class Simulator:
         gossip meshes); exceeding it raises so a runaway scenario fails
         loudly instead of hanging.
         """
-        # Both loops keep the heap, pop, and counters in locals;
+        # Both loops keep the heap, pop, and tallies in locals;
         # deliveries (4-entries, nearly every event in a partition run)
         # fire as ``node.receive(message)`` with no handle to read;
-        # cancelled handles drain with a single attribute test;
-        # ``events_processed`` flushes once at exit (the ``finally``
-        # keeps it right even if a callback raises).
+        # cancelled handles drain with a single attribute test; an
+        # event is counted before it is dispatched, and the tallies
+        # flush once at exit (the ``finally`` keeps them right even if
+        # a callback raises).
         queue = self._queue
         heappop = heapq.heappop
         processed = 0
-        obs = self.obs
+        cancelled = 0
+        tracer = self._tracer
         try:
-            if max_events is None and obs is None:
+            if max_events is None and tracer is None:
                 # Pop-first: one heap operation per event instead of a
                 # peek plus a pop; the one overshooting entry is pushed
                 # back when the horizon is reached.  No-arg callbacks
@@ -281,18 +306,20 @@ class Simulator:
                         break
                     if len(entry) == 4:
                         self.now = time
+                        processed += 1
                         entry[2].receive(entry[3])
                     else:
                         handle = entry[2]
                         if handle.cancelled:
+                            cancelled += 1
                             continue
                         self.now = time
+                        processed += 1
                         args = handle.args
                         if args:
                             handle.callback(*args)
                         else:
                             handle.callback()
-                    processed += 1
                     # Batched same-timestamp dispatch: a run of events
                     # with exactly this timestamp (census fan-outs,
                     # schedule_at bursts, simultaneous timeouts) drains
@@ -306,24 +333,26 @@ class Simulator:
                     while queue and queue[0][0] == time:
                         entry = heappop(queue)
                         if len(entry) == 4:
+                            processed += 1
                             entry[2].receive(entry[3])
                         else:
                             handle = entry[2]
                             if handle.cancelled:
+                                cancelled += 1
                                 continue
+                            processed += 1
                             args = handle.args
                             if args:
                                 handle.callback(*args)
                             else:
                                 handle.callback()
-                        processed += 1
             else:
                 # The guarded loop: the storm guard is checked per live
                 # event, the tie run included (a tie run must not
                 # overshoot the budget unnoticed), and the over-budget
-                # entry stays queued.  With ``obs`` attached it also
-                # reports each drained cancellation and each firing —
-                # a cancelled entry is noted at the clock of the event
+                # entry stays queued.  With a tracer attached it also
+                # traces each drained cancellation and each firing — a
+                # cancelled entry is noted at the clock of the event
                 # before it, as the reference loop notes it.
                 limit = _INF if max_events is None else max_events
                 while queue:
@@ -334,7 +363,8 @@ class Simulator:
                         break
                     delivery = len(entry) == 4
                     if not delivery and entry[2].cancelled:
-                        if obs is not None:
+                        cancelled += 1
+                        if tracer is not None:
                             self._note_cancelled(entry[2])
                         continue
                     if processed >= limit:
@@ -344,26 +374,27 @@ class Simulator:
                             f"t={end_time}"
                         )
                     self.now = time
+                    processed += 1
                     if delivery:
                         node = entry[2]
-                        if obs is not None:
+                        if tracer is not None:
                             self._note_fired(entry[1], node.receive)
                         node.receive(entry[3])
                     else:
                         handle = entry[2]
-                        if obs is not None:
+                        if tracer is not None:
                             self._note_fired(entry[1], handle.callback)
                         args = handle.args
                         if args:
                             handle.callback(*args)
                         else:
                             handle.callback()
-                    processed += 1
                     while queue and queue[0][0] == time:
                         entry = heappop(queue)
                         delivery = len(entry) == 4
                         if not delivery and entry[2].cancelled:
-                            if obs is not None:
+                            cancelled += 1
+                            if tracer is not None:
                                 self._note_cancelled(entry[2])
                             continue
                         if processed >= limit:
@@ -372,23 +403,26 @@ class Simulator:
                                 f"exceeded {max_events} events before "
                                 f"t={end_time}"
                             )
+                        processed += 1
                         if delivery:
                             node = entry[2]
-                            if obs is not None:
+                            if tracer is not None:
                                 self._note_fired(entry[1], node.receive)
                             node.receive(entry[3])
                         else:
                             handle = entry[2]
-                            if obs is not None:
+                            if tracer is not None:
                                 self._note_fired(entry[1], handle.callback)
                             args = handle.args
                             if args:
                                 handle.callback(*args)
                             else:
                                 handle.callback()
-                        processed += 1
         finally:
             self.events_processed += processed
+            self.events_cancelled += cancelled
+            if self._counters is not None:
+                self._flush_counters()
         if self.now < end_time:
             self.now = end_time
         return processed
@@ -405,19 +439,25 @@ class Simulator:
         """
         processed = 0
         step = self.step
-        while self._queue:
-            if processed >= max_events:
-                if any(
-                    len(entry) == 4 or not entry[2].cancelled
-                    for entry in self._queue
-                ):
-                    raise SimulationError(f"exceeded {max_events} events")
-                # Only cancelled entries remain: drain them (keeping the
-                # obs cancellation accounting) and stop, exactly as the
-                # seed loop's final step() did.
-                step()
-                break
-            if not step():
-                break
-            processed += 1
+        try:
+            while self._queue:
+                if processed >= max_events:
+                    if any(
+                        len(entry) == 4 or not entry[2].cancelled
+                        for entry in self._queue
+                    ):
+                        raise SimulationError(f"exceeded {max_events} events")
+                    # Only cancelled entries remain: drain them (keeping
+                    # the cancellation accounting) and stop, exactly as
+                    # the seed loop's final step() did.
+                    step()
+                    break
+                if not step():
+                    break
+                processed += 1
+        finally:
+            # ``step`` flushes per event; this covers a budget raised
+            # before the first step.
+            if self._counters is not None:
+                self._flush_counters()
         return processed

@@ -18,6 +18,13 @@ is the *disabled* path: components cache ``None`` tracer/metrics
 references and hot loops pay one attribute test — the overhead budget
 (<5% on the fig1 workload, enforced by ``benchmarks/test_obs_overhead.py``)
 depends on nothing heavier happening when observability is off.
+
+The tracer is the only per-event hook in the event loop.  Integer
+counters are published from tallies the engine keeps anyway: the
+simulator adds its ``sim.events.*`` deltas when a run returns, and the
+network flushes ``net.messages.*`` once per delivery wave.  A
+metrics-only run therefore drives the same loop and heap pushes as an
+unobserved one, plus one histogram observation per send.
 """
 
 from __future__ import annotations

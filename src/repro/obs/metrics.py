@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left as _bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS"]
@@ -87,13 +88,16 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
+        """Count ``value`` in the first bucket whose bound is >= it.
+
+        NaN is refused here: it fits no bucket and ``dumps()`` would
+        refuse the sum it poisons.
+        """
+        if value != value:
+            raise ValueError(f"histogram {self.name!r} cannot observe NaN")
         self.total += value
         self.count += 1
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        self.counts[_bisect_left(self.buckets, value)] += 1
 
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

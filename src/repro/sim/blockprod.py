@@ -197,11 +197,6 @@ class ChainTrace:
                 contract_tx_count=contract_tx_counts[i],
             )
 
-    def block_records(self) -> List[BlockRecord]:
-        """Materialize as analysis records (thin wrapper; prefer
-        :meth:`iter_block_records` for million-block traces)."""
-        return list(self.iter_block_records())
-
     def slice_by_time(self, start_ts: float, end_ts: float) -> range:
         """Index range of blocks with timestamp in [start_ts, end_ts)."""
         lo = bisect_left(self.timestamps, start_ts)

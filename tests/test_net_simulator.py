@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.net.simulator import SimulationError, Simulator
-from repro.obs import Observability
+from repro.obs import MetricsRegistry, Observability
 from repro.perf.reference import ReferenceSimulator
 
 #: The hot-loop engine and the seed-state one it must match event for
@@ -506,3 +506,116 @@ class TestEngineParity:
         with pytest.raises(SimulationError):
             sim.schedule(delay, lambda: None)
         assert sim.pending == 0
+
+
+def metered(engine):
+    """An engine with a metrics-only bundle (no tracer, no profile)."""
+    registry = MetricsRegistry()
+    return engine(obs=Observability(metrics=registry)), registry
+
+
+def deliver(sim, delay, node, message):
+    """A delivery as each engine's network queues it: a handle-free
+    heap entry on the fast engine, a scheduled ``receive`` on the
+    reference one."""
+    if type(sim) is Simulator:
+        push_delivery(sim, delay, node, message)
+    else:
+        sim.schedule(delay, node.receive, message)
+
+
+class TestTallyCounters:
+    """``sim.events.*`` are published from the engine's own tallies when
+    a run returns; after every run they must read exactly what the
+    reference engine's per-event increments read."""
+
+    @staticmethod
+    def script(sim):
+        """Yield after each run; pushes, cancels and deliveries happen
+        between runs as well as inside them."""
+        log = []
+        node = _Recipient(log, sim)
+        for i in range(4):
+            deliver(sim, 1.0, node, f"d{i}")
+        dead = []
+        # Cancels a later entry of its own tie run.
+        sim.schedule(1.0, lambda: dead[2].cancel())
+        dead.extend(sim.schedule(1.0, log.append, "dead") for _ in range(3))
+        dead[0].cancel()
+        sim.schedule(1.0, lambda: deliver(sim, 0.0, node, "tie"))
+        yield sim.run_until(1.0)
+        # Pushes made between runs count at the next flush.
+        sim.schedule(2.0, log.append, "late")
+        sim.schedule(2.5, log.append, "gone").cancel()
+        deliver(sim, 3.0, node, "d-late")
+        yield sim.run_until(2.0)
+        yield sim.step()
+        # A tie run with a cancelled entry, on the budgeted loop.
+        sim.schedule(1.0, log.append, "a")
+        sim.schedule(1.0, log.append, "b").cancel()
+        yield sim.run_until(10.0, max_events=5)
+        sim.schedule(1.0, log.append, "x").cancel()
+        sim.schedule(2.0, log.append, "y")
+        yield sim.run_all()
+        yield sim.step()
+
+    def test_counters_exact_after_every_run(self):
+        fast, fast_registry = metered(Simulator)
+        reference, ref_registry = metered(ReferenceSimulator)
+        for a, b in zip(self.script(fast), self.script(reference)):
+            assert a == b
+            assert fast_registry.dump() == ref_registry.dump()
+            assert fast.events_processed == reference.events_processed
+            assert fast.pending == reference.pending
+        counters = fast_registry.dump()["counters"]
+        assert counters["sim.events.cancelled"] == 5
+        assert counters["sim.events.scheduled"] == (
+            counters["sim.events.fired"] + counters["sim.events.cancelled"]
+        )
+
+    def test_two_simulators_share_one_registry(self):
+        def shared(engine):
+            obs = Observability(metrics=MetricsRegistry())
+            first, second = (self.script(engine(obs=obs)) for _ in range(2))
+            for _ in zip(first, second):  # interleave the two engines' runs
+                pass
+            return obs.metrics.dump()
+
+        assert shared(Simulator) == shared(ReferenceSimulator)
+
+    @pytest.mark.parametrize("seed", [3, 44])
+    def test_metrics_only_storm_matches_reference(self, seed):
+        def observed(engine):
+            obs = Observability(metrics=MetricsRegistry())
+            run_storm(engine, seed, cap=600, obs=obs)
+            return obs.metrics.dump()
+
+        assert observed(Simulator) == observed(ReferenceSimulator)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda sim: sim.run_until(5.0),
+            lambda sim: sim.run_until(5.0, max_events=10),
+            lambda sim: [sim.step() for _ in range(3)],
+            lambda sim: sim.run_all(),
+        ],
+        ids=["run_until", "budgeted", "step", "run_all"],
+    )
+    @pytest.mark.parametrize("at", [1.0, 1.5], ids=["in-tie", "alone"])
+    def test_raising_callback_is_counted(self, run, at):
+        """A callback that raises has fired: it is counted before it is
+        dispatched, as the reference engine counts it."""
+
+        def build(engine):
+            sim, registry = metered(engine)
+            sim.schedule(1.0, lambda: None)
+            sim.schedule(at, lambda: 1 / 0)
+            sim.schedule(2.0, lambda: None)
+            with pytest.raises(ZeroDivisionError):
+                run(sim)
+            return sim.events_processed, sim.pending, registry.dump()
+
+        fast, reference = build(Simulator), build(ReferenceSimulator)
+        assert fast == reference
+        assert fast[0] == 2

@@ -54,6 +54,34 @@ class TestHistogram:
     def test_empty_mean_is_zero(self):
         assert MetricsRegistry().histogram("h").mean() == 0.0
 
+    @pytest.mark.parametrize(
+        "value, bucket",
+        [
+            (-float("inf"), 0),
+            (-5.0, 0),
+            (1.0, 0),  # exactly on a bound: that bound's bucket
+            (1.0000001, 1),
+            (2.5, 1),
+            (10.0, 1),
+            (10.5, 2),
+            (60.0, 2),
+            (60.0000001, 3),  # above the last bound: overflow
+            (float("inf"), 3),
+        ],
+    )
+    def test_bucket_is_first_bound_not_below_value(self, value, bucket):
+        hist = MetricsRegistry().histogram("h", buckets=(1.0, 10.0, 60.0))
+        hist.observe(value)
+        expected = [0, 0, 0, 0]
+        expected[bucket] = 1
+        assert hist.counts == expected
+
+    def test_nan_rejected_without_side_effects(self):
+        hist = MetricsRegistry().histogram("h", buckets=(1.0,))
+        with pytest.raises(ValueError):
+            hist.observe(float("nan"))
+        assert (hist.count, hist.total, hist.counts) == (0, 0.0, [0, 0])
+
     def test_rebuckets_must_match(self):
         registry = MetricsRegistry()
         registry.histogram("h", buckets=(1.0, 2.0))

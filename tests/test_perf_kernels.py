@@ -345,39 +345,43 @@ class TestNetworkFastPath:
             == reference.incompatible_disconnects
         )
 
-    @pytest.mark.parametrize("config_name", ["plain", "split-fault"])
-    def test_observed_digests_match_reference_scenario(self, config_name):
-        """An observed run drives the fast kernels; its trace and metrics
-        digests must equal the seed-state reference scenario's."""
+    @staticmethod
+    def pin_config(config_name):
         from repro.faults.schedule import FaultSchedule, SplitFault
         from repro.net.node import ResiliencePolicy
-        from repro.obs import Observability
         from repro.scenarios.partition_event import (
             ChaosPartitionConfig,
-            PartitionScenario,
             PartitionScenarioConfig,
         )
 
         if config_name == "plain":
-            config = PartitionScenarioConfig(
+            return PartitionScenarioConfig(
                 num_nodes=14, num_miners=4, post_fork_horizon=600.0, seed=5
             )
-        else:
-            # The split-fault config of tests/test_chaos_scenario.py.
-            schedule = FaultSchedule(
-                faults=(
-                    SplitFault(start=400.0, duration=300.0, scope="region",
-                               groups=(("na",), ("eu", "as"))),
-                ),
-                seed=5,
-            )
-            config = ChaosPartitionConfig(
-                num_nodes=14, num_miners=4, post_fork_horizon=900.0,
-                census_interval=120.0,
-                faults=schedule.to_dict(),
-                resilience=ResiliencePolicy().to_dict(),
-                max_events=2_000_000,
-            )
+        # The split-fault config of tests/test_chaos_scenario.py.
+        schedule = FaultSchedule(
+            faults=(
+                SplitFault(start=400.0, duration=300.0, scope="region",
+                           groups=(("na",), ("eu", "as"))),
+            ),
+            seed=5,
+        )
+        return ChaosPartitionConfig(
+            num_nodes=14, num_miners=4, post_fork_horizon=900.0,
+            census_interval=120.0,
+            faults=schedule.to_dict(),
+            resilience=ResiliencePolicy().to_dict(),
+            max_events=2_000_000,
+        )
+
+    @pytest.mark.parametrize("config_name", ["plain", "split-fault"])
+    def test_observed_digests_match_reference_scenario(self, config_name):
+        """An observed run drives the fast kernels; its trace and metrics
+        digests must equal the seed-state reference scenario's."""
+        from repro.obs import Observability
+        from repro.scenarios.partition_event import PartitionScenario
+
+        config = self.pin_config(config_name)
 
         def run(scenario_cls):
             obs = Observability.enabled()
@@ -390,6 +394,25 @@ class TestNetworkFastPath:
 
         fast = run(PartitionScenario)
         assert fast[2] > 0
+        assert fast == run(ReferencePartitionScenario)
+
+    @pytest.mark.parametrize("config_name", ["plain", "split-fault"])
+    def test_metrics_only_digests_match_reference_scenario(self, config_name):
+        """A metrics-only run (no tracer) takes the unobserved loop and
+        inline heap pushes; its counters, read off the engine's tallies,
+        must equal the reference scenario's per-event increments."""
+        from repro.obs import MetricsRegistry, Observability
+        from repro.scenarios.partition_event import PartitionScenario
+
+        config = self.pin_config(config_name)
+
+        def run(scenario_cls):
+            obs = Observability(metrics=MetricsRegistry())
+            scenario_cls(config, obs=obs).run()
+            return obs.metrics.dumps()
+
+        fast = run(PartitionScenario)
+        assert '"sim.events.fired":0' not in fast
         assert fast == run(ReferencePartitionScenario)
 
 

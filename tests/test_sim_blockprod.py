@@ -62,7 +62,7 @@ class TestChainTrace:
     def test_block_records_round_trip(self):
         trace = ChainTrace("X")
         trace.append(1, 100, 1000, "poolA", 3, 1)
-        records = trace.block_records()
+        records = list(trace.iter_block_records())
         assert records[0].chain == "X"
         assert records[0].miner == "poolA"
         assert records[0].plain_tx_count == 2

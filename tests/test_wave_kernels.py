@@ -1,8 +1,8 @@
 """Differential tests: delivery-wave kernels, dispatch table, SoA stats.
 
-The wave kernels (:meth:`Network._send_wave_plain` /
-:meth:`Network._send_wave_general`) must consume RNG draws in exactly
-the per-send reference order, enqueue byte-identical deliveries and,
+The one wave kernel (:meth:`Network.send_wave`; a single ``send`` is
+a one-recipient wave) must consume RNG draws in exactly the per-send
+reference order, enqueue byte-identical deliveries and,
 on an observed run, emit the seed ladder's trace and metrics; the
 exact-type dispatch table must be observationally identical to the seed
 ``isinstance`` ladder; the block-sync pre-checks must reproduce
@@ -396,8 +396,7 @@ class TestDispatchEquivalence:
         for name in ("receive", "_on_new_block_hashes", "_on_new_block",
                      "_on_get_blocks"):
             count(ReferenceNode, name)
-        for name in ("send", "send_wave", "_send_wave_plain",
-                     "_send_wave_general"):
+        for name in ("send", "send_wave"):
             count(Network, name)
         count(ReferenceNetwork, "send")
 
