@@ -78,8 +78,8 @@ def echo_data(result_cache, sim_config, fork_result):
     does not keep it.
     """
     bundle = execute_job(echoes_spec(sim_config), result_cache).value
-    records, _ = replay_stream(fork_result)
-    return bundle.detector, bundle.truth, records
+    sightings, _ = replay_stream(fork_result)
+    return bundle.detector, bundle.truth, sightings
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,9 @@ from repro.core.echoes import EchoDetector
 
 
 def test_detectors_agree_on_full_workload(benchmark, echo_data, output_dir):
-    detector, truth, records = echo_data
+    detector, truth, sightings = echo_data
     naive = benchmark.pedantic(
-        naive_echo_join, args=(records,), rounds=1, iterations=1
+        naive_echo_join, args=(sightings,), rounds=1, iterations=1
     )
 
     streaming_keys = {(e.tx_hash, e.echo_chain) for e in detector.echoes}
@@ -26,7 +26,7 @@ def test_detectors_agree_on_full_workload(benchmark, echo_data, output_dir):
 
     summary = (
         "=== Ablation: echo detectors on the nine-month workload ===\n"
-        f"sightings: {len(records)}\n"
+        f"sightings: {len(sightings)}\n"
         f"echoes (streaming): {len(detector.echoes)}\n"
         f"echoes (naive join): {len(naive)}\n"
         f"ground truth: {truth.total()}\n"
@@ -37,11 +37,11 @@ def test_detectors_agree_on_full_workload(benchmark, echo_data, output_dir):
 
 
 def test_streaming_detector_throughput(benchmark, echo_data):
-    _, _, records = echo_data
+    _, _, sightings = echo_data
 
     def run():
         detector = EchoDetector()
-        detector.observe_records(records)
+        detector.observe_records(sightings)
         return len(detector.echoes)
 
     count = benchmark(run)
@@ -49,6 +49,6 @@ def test_streaming_detector_throughput(benchmark, echo_data):
 
 
 def test_naive_join_throughput(benchmark, echo_data):
-    _, _, records = echo_data
-    count = benchmark(lambda: len(naive_echo_join(records)))
+    _, _, sightings = echo_data
+    count = benchmark(lambda: len(naive_echo_join(sightings)))
     assert count > 0

@@ -80,11 +80,11 @@ def test_echo_detection_throughput(benchmark, echo_data):
     stream (the echo detector's hot loop)."""
     from repro.core.echoes import EchoDetector
 
-    _, _, records = echo_data
+    _, _, sightings = echo_data
 
     def run():
         detector = EchoDetector()
-        detector.observe_records(records)
+        detector.observe_records(sightings)
         return len(detector.echoes)
 
     echoes = benchmark(run)

@@ -28,7 +28,7 @@ from repro.chain import (
     sign_transaction,
 )
 from repro.core import EchoDetector, find_fork_point
-from repro.data import export_transactions
+from repro.data import Sightings, export_transactions
 from repro.scenarios import ChainWriter
 
 FORK_HEIGHT = 5
@@ -100,12 +100,12 @@ def main() -> None:
     print(f"\npayment {payment.tx_hash.hex()[:12]}… executed on BOTH chains")
 
     # -- 4. detect it from exported data only --------------------------------
-    sightings = list(export_transactions(chain)) + list(
+    records = list(export_transactions(chain)) + list(
         export_transactions(etc_chain)
     )
-    sightings.sort(key=lambda record: (record.timestamp, record.chain))
+    records.sort(key=lambda record: (record.timestamp, record.chain))
     detector = EchoDetector()
-    detector.observe_records(sightings)
+    detector.observe_records(Sightings.from_records(records))
     assert len(detector.echoes) == 1
     echo = detector.echoes[0]
 

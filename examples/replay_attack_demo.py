@@ -106,11 +106,11 @@ def part_two_measurement() -> None:
         result.etc_trace, result.fork_timestamp
     )
     workload = ReplayWorkload(ReplayWorkloadConfig(days=270))
-    records, truth = workload.generate(eth_daily.values, etc_daily.values)
+    sightings, truth = workload.generate(eth_daily.values, etc_daily.values)
 
     detector = EchoDetector()
-    detector.observe_records(records)
-    print(f"sightings processed: {len(records)}; echoes found: "
+    detector.observe_records(sightings)
+    print(f"sightings processed: {len(sightings)}; echoes found: "
           f"{len(detector.echoes)} (injected: {truth.total()})")
 
     figure = figure_4(result, detector)

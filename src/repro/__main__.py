@@ -331,22 +331,13 @@ def _run_simulation(days: int, seed: int):
     return result
 
 
-def _echo_detector(result):
-    from .core import EchoDetector
-    from .scenarios.replay_attack import replay_stream
-
-    records, _ = replay_stream(result)
-    detector = EchoDetector()
-    detector.observe_records(records)
-    return detector
-
-
 def cmd_observations(args) -> int:
     from .core.observations import evaluate_all
     from .scenarios.partition_event import (
         PartitionScenario,
         PartitionScenarioConfig,
     )
+    from .scenarios.replay_attack import replay_detector
 
     if args.days < 270:
         print(
@@ -355,7 +346,7 @@ def cmd_observations(args) -> int:
             file=sys.stderr,
         )
     result = _run_simulation(args.days, args.seed)
-    detector = _echo_detector(result)
+    detector, _ = replay_detector(result)
     print("running the message-level partition scenario...", file=sys.stderr)
     partition = PartitionScenario(PartitionScenarioConfig()).run()
 
@@ -367,11 +358,12 @@ def cmd_observations(args) -> int:
 
 def cmd_figure(args) -> int:
     from .core import figure_1, figure_2, figure_3, figure_4, figure_5
+    from .scenarios.replay_attack import replay_detector
 
     result = _run_simulation(args.days, args.seed)
     generators = {1: figure_1, 2: figure_2, 3: figure_3, 5: figure_5}
     if args.number == 4:
-        figure = figure_4(result, _echo_detector(result))
+        figure = figure_4(result, replay_detector(result)[0])
     else:
         figure = generators[args.number](result)
     print()

@@ -10,29 +10,32 @@ ablation benchmark quantifies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from ..core.echoes import SAME_TIME_WINDOW, Echo
-from ..data.records import TxRecord
+from ..data.sightings import Sightings
 
 __all__ = ["naive_echo_join"]
 
 
 def naive_echo_join(
-    records: Iterable[TxRecord],
+    sightings: Sightings,
     same_time_window: int = SAME_TIME_WINDOW,
 ) -> List[Echo]:
-    """Two-pass join over a full record set.
+    """Two-pass join over a full sighting table.
 
     Pass 1 buckets first-sightings per chain by hash; pass 2 intersects
     hash sets pairwise and emits one echo per (hash, later chain).
     """
+    names = sightings.chains
     first_seen: Dict[str, Dict[bytes, int]] = {}
-    for record in records:
-        chain_map = first_seen.setdefault(record.chain, {})
-        existing = chain_map.get(record.tx_hash)
-        if existing is None or record.timestamp < existing:
-            chain_map[record.tx_hash] = record.timestamp
+    for code, tx_hash, timestamp in zip(
+        sightings.codes, sightings.hashes, sightings.timestamps
+    ):
+        chain_map = first_seen.setdefault(names[code], {})
+        existing = chain_map.get(tx_hash)
+        if existing is None or timestamp < existing:
+            chain_map[tx_hash] = timestamp
 
     echoes: List[Echo] = []
     chains = sorted(first_seen)

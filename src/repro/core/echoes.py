@@ -14,6 +14,11 @@ sightings fall within ``same_time_window`` seconds).  Memory is bounded by
 the number of distinct transaction hashes seen, and the stream never needs
 to be materialized twice — unlike the naive two-pass hash join kept in
 :mod:`repro.baselines.naive_echo` as the ablation comparator.
+
+A stream arrives either one sighting at a time (:meth:`EchoDetector.observe`)
+or as a columnar :class:`~repro.data.sightings.Sightings` table
+(:meth:`EchoDetector.observe_records`, the kernel the replay workload
+feeds); both leave the detector in the same state, byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..data.records import TxRecord
+from ..data.sightings import Sightings
 from ..data.windows import DAY
 from .timeseries import TimeSeries
 
@@ -154,15 +159,69 @@ class EchoDetector:
             same_time=bool(self._same_time[-1]),
         )
 
-    def observe_records(self, records: Iterable[TxRecord]) -> int:
-        """Feed a time-ordered record stream; returns echoes found."""
-        feed = self._feed
-        found = 0
-        for record in records:
-            key = bytes(record.tx_hash)
-            if feed(record.chain, key, record.timestamp) is not None:
-                found += 1
-        return found
+    def observe_records(self, sightings: Sightings) -> int:
+        """Feed a time-ordered sighting table; returns echoes found.
+
+        The columnar kernel: equivalent to :meth:`observe` on every row
+        in order.  The table's chains are registered in first-sighting
+        order (each one's first row is found by ``bytes.find``), its
+        codes are translated to the detector's in one pass, and the
+        echo rows are gathered locally and appended to the columns at
+        the end.
+        """
+        if self._first_seen is None:
+            self._rebuild_index()
+        codes = sightings.codes
+        table = bytearray(range(256))
+        firsts = []
+        for code, name in enumerate(sightings.chains):
+            row = codes.find(code)
+            if row >= 0:
+                firsts.append((row, code, name))
+        for _, code, name in sorted(firsts):
+            mine = self._codes.get(name)
+            if mine is None:
+                mine = self._codes[name] = len(self._chains)
+                self._chains.append(name)
+            table[code] = mine
+        first_seen = self._first_seen
+        setdefault = first_seen.setdefault
+        reported = self._reported
+        window = self.same_time_window
+        keys: List[bytes] = []
+        origins = bytearray()
+        dests = bytearray()
+        origin_stamps = array("q")
+        echo_stamps = array("q")
+        flags = bytearray()
+        for code, key, timestamp in zip(
+            codes.translate(table), sightings.hashes, sightings.timestamps
+        ):
+            first = setdefault(key, (code, timestamp))
+            if first[0] == code:
+                continue  # a new hash, or a same-chain duplicate
+            report_key = (key, code)
+            if report_key in reported:
+                continue
+            reported.add(report_key)
+            origin, origin_ts = first
+            keys.append(key)
+            origins.append(origin)
+            dests.append(code)
+            origin_stamps.append(origin_ts)
+            echo_stamps.append(timestamp)
+            flags.append(abs(timestamp - origin_ts) <= window)
+        self.sightings += len(codes)
+        ends = accumulate(map(len, keys), initial=len(self._hashes))
+        next(ends)  # the initial offset is the previous row's end
+        self._hash_ends.extend(ends)
+        self._hashes += b"".join(keys)
+        self._origin += origins
+        self._dest += dests
+        self._origin_ts += origin_stamps
+        self._echo_ts += echo_stamps
+        self._same_time += flags
+        return len(keys)
 
     def _feed(
         self, chain: str, key: bytes, timestamp: int

@@ -40,7 +40,7 @@ from ..scenarios.topology_inference import (
     TopologyInferenceResult,
     TopologyInferenceScenario,
 )
-from ..scenarios.replay_attack import GroundTruth, replay_stream
+from ..scenarios.replay_attack import GroundTruth, replay_detector
 from ..sim.checkpoint import ForkSimCheckpoint
 from ..sim.engine import (
     ForkSimConfig,
@@ -484,9 +484,7 @@ def _run_topology_infer(
 def _run_echoes(params: Dict[str, Any], cache) -> EchoBundle:
     sim_config = ForkSimConfig.from_dict(params["sim"])
     result = run_cached(simulate_spec(sim_config), cache)
-    records, truth = replay_stream(result, params["replay_seed"])
-    detector = EchoDetector()
-    detector.observe_records(records)
+    detector, truth = replay_detector(result, params["replay_seed"])
     return EchoBundle(detector=detector, truth=truth)
 
 

@@ -12,8 +12,9 @@ honest:
     The seed-state implementations, kept verbatim, as standalone
     classes and subclasses a run opts into by constructing them
     (:class:`ReferenceForkSimulation`, :class:`ReferencePartitionScenario`
-    and their parts, and the record-backed analysis database
-    :class:`ReferenceChainDatabase`).  Every benchmark times
+    and their parts, the record-backed analysis database
+    :class:`ReferenceChainDatabase`, and the record-building replay
+    generator :class:`ReferenceReplayWorkload`).  Every benchmark times
     fast-vs-reference on the *same* workload and every differential
     test asserts the two arms produce bit-identical trajectories.
 
@@ -43,6 +44,7 @@ __all__ = [
     "ReferenceNetwork",
     "ReferenceNode",
     "ReferencePartitionScenario",
+    "ReferenceReplayWorkload",
     "ReferenceRoutingTable",
     "ReferenceSimulator",
     "add_bench_arguments",
@@ -69,6 +71,7 @@ _EXPORTS = {
     "ReferenceNetwork": "reference",
     "ReferenceNode": "reference",
     "ReferencePartitionScenario": "reference",
+    "ReferenceReplayWorkload": "reference",
     "ReferenceRoutingTable": "reference",
     "ReferenceSimulator": "reference",
     "reference_database": "reference",
@@ -108,6 +111,7 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
         ReferenceNetwork,
         ReferenceNode,
         ReferencePartitionScenario,
+        ReferenceReplayWorkload,
         ReferenceRoutingTable,
         ReferenceSimulator,
         reference_database,

@@ -22,12 +22,18 @@ process (the ``serve`` threads do):
   no wave kernels) and :class:`ReferenceNode` (the ``isinstance``
   dispatch ladder, the seed block-sync handlers, and a
   :class:`ReferenceRoutingTable` that recomputes bucket indices).
+* :class:`ReferenceReplayWorkload` — the replay generator that boxes
+  every sighting into a :class:`~repro.data.records.TxRecord` (sender,
+  recipient, value and flags included) and sorts the record list, the
+  oracle for the columnar
+  :meth:`~repro.scenarios.replay_attack.ReplayWorkload.generate`.
 
 Every arm is trajectory-preserving by construction: the reference and
 fast arms consume RNG draws in the same order and produce bit-identical
 results, which the benchmarks assert by comparing digests.
-:class:`ReferencePartitionScenario` is built on first access (the
-scenario layer is not imported at CLI start).
+:class:`ReferencePartitionScenario` and :class:`ReferenceReplayWorkload`
+are built on first access (the scenario layer is not imported at CLI
+start).
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from typing import (
 )
 
 from ..chain.block import Block
-from ..data.records import BlockRecord
+from ..data.records import BlockRecord, TxRecord
 from ..data.windows import DAY, HOUR, window_index
 from ..net.kademlia import RoutingTable, bucket_index
 from ..net.messages import (
@@ -66,6 +72,7 @@ from ..net.node import FullNode
 from ..net.simulator import EventHandle, SimulationError
 from ..net.simulator import _callback_label, _INF
 from ..sim.blockprod import BlockProducer
+from ..sim.clock import FORK_TIMESTAMP
 from ..sim.engine import ForkSimResult, ForkSimulation
 from ..sim.population import PoolLandscape
 
@@ -79,6 +86,7 @@ __all__ = [
     "ReferenceNetwork",
     "ReferenceNode",
     "ReferencePartitionScenario",
+    "ReferenceReplayWorkload",
     "ReferenceRoutingTable",
     "ReferenceSimulator",
     "reference_database",
@@ -708,10 +716,114 @@ def _build_reference_partition_scenario():
     return ReferencePartitionScenario
 
 
+def _build_reference_replay_workload():
+    from ..scenarios.replay_attack import GroundTruth, ReplayWorkload
+
+    class ReferenceReplayWorkload(ReplayWorkload):
+        """:class:`ReplayWorkload` with the seed generator: one
+        :class:`~repro.data.records.TxRecord` per sighting, the record
+        list sorted by timestamp.  ``generate`` returns
+        ``(records, truth)``."""
+
+        def _fresh_hash(self) -> bytes:
+            self._counter += 1
+            return self._counter.to_bytes(8, "big") + self.rng.randbytes(24)
+
+        def _fresh_address(self) -> bytes:
+            return self.rng.randbytes(20)
+
+        def _record(
+            self, chain: str, tx_hash: bytes, timestamp: int, protected: bool
+        ) -> TxRecord:
+            return TxRecord(
+                chain=chain,
+                tx_hash=tx_hash,
+                block_number=0,  # block linkage is irrelevant to echo analysis
+                timestamp=timestamp,
+                sender=self._fresh_address(),
+                to=self._fresh_address(),
+                value=self.rng.randrange(1, 10**18),
+                is_contract=self.rng.random() < 0.33,
+                replay_protected=protected,
+            )
+
+        def generate(self, eth_daily_tx, etc_daily_tx):
+            config = self.config
+            model = config.model
+            records: List[TxRecord] = []
+            truth = GroundTruth(echoes_into={"ETH": 0, "ETC": 0})
+
+            days = min(config.days, len(eth_daily_tx), len(etc_daily_tx))
+            for day in range(days):
+                day_start = FORK_TIMESTAMP + day * DAY
+                for origin, destination, volume, scale in (
+                    ("ETH", "ETC", eth_daily_tx[day], 1.0),
+                    ("ETC", "ETH", etc_daily_tx[day], model.reverse_scale),
+                ):
+                    expected = model.expected_echoes_into(day, volume) * scale
+                    echo_count = self._poisson(expected)
+                    for _ in range(echo_count):
+                        tx_hash = self._fresh_hash()
+                        origin_ts = day_start + self.rng.randrange(DAY)
+                        if self.rng.random() < model.intentional_fraction:
+                            lag = self.rng.randrange(60, 900)
+                            truth.same_time += 1
+                        else:
+                            lag = int(
+                                config.lag_median_seconds
+                                * self.rng.lognormvariate(0.0, config.lag_sigma)
+                            )
+                        records.append(
+                            self._record(origin, tx_hash, origin_ts, False)
+                        )
+                        records.append(
+                            self._record(
+                                destination,
+                                tx_hash,
+                                origin_ts + max(lag, 1),
+                                False,
+                            )
+                        )
+                        truth.echoes_into[destination] += 1
+                        if destination == "ETC":
+                            day_index = (origin_ts + max(lag, 1)) // DAY
+                            truth.per_day_into_etc[day_index] = (
+                                truth.per_day_into_etc.get(day_index, 0) + 1
+                            )
+
+                    background = int(volume * config.background_sample)
+                    for _ in range(background):
+                        protected = self.rng.random() < (
+                            0.0 if day < model.chain_id_day else 0.5
+                        )
+                        records.append(
+                            self._record(
+                                origin,
+                                self._fresh_hash(),
+                                day_start + self.rng.randrange(DAY),
+                                protected,
+                            )
+                        )
+
+            records.sort(key=lambda record: record.timestamp)
+            return records, truth
+
+    ReferenceReplayWorkload.__qualname__ = "ReferenceReplayWorkload"
+    return ReferenceReplayWorkload
+
+
+#: Lazily built reference classes, by name.
+_LAZY = {
+    "ReferencePartitionScenario": _build_reference_partition_scenario,
+    "ReferenceReplayWorkload": _build_reference_replay_workload,
+}
+
+
 def __getattr__(name: str):
-    # PEP 562: the partition scenario pulls in the fault and topology
+    # PEP 562: the scenario layer pulls in the fault and topology
     # layers, which CLI start-up does not otherwise load.
-    if name == "ReferencePartitionScenario":
-        value = globals()[name] = _build_reference_partition_scenario()
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    build = _LAZY.get(name)
+    if build is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = build()
+    return value

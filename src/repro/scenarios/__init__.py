@@ -36,6 +36,7 @@ from .replay_attack import (
     ReplayModel,
     ReplayWorkload,
     ReplayWorkloadConfig,
+    replay_detector,
     replay_stream,
 )
 from .transient_forks import (
@@ -65,6 +66,7 @@ __all__ = [
     "ReplayWorkloadConfig",
     "ReplayModel",
     "GroundTruth",
+    "replay_detector",
     "replay_stream",
     "UpgradeForkModel",
     "UpgradeForkConfig",

@@ -81,9 +81,9 @@ class TestIntentClassifier:
         )
 
         workload = ReplayWorkload(ReplayWorkloadConfig(days=40, seed=17))
-        records, _ = workload.generate([30_000.0] * 40, [12_000.0] * 40)
+        sightings, _ = workload.generate([30_000.0] * 40, [12_000.0] * 40)
         detector = EchoDetector()
-        detector.observe_records(records)
+        detector.observe_records(sightings)
         report = IntentClassifier().classify(detector.echoes)
 
         intentional = [v for v in report.verdicts if v.echo.same_time]

@@ -15,12 +15,11 @@ from bisect import bisect_left
 
 import pytest
 
-from repro.core.echoes import EchoDetector
 from repro.core.observations import evaluate_all
 from repro.core.report import figure_1, figure_2, figure_3, figure_4, figure_5
 from repro.data.columnar import ColumnarChainDatabase
 from repro.perf.reference import reference_database
-from repro.scenarios.replay_attack import replay_stream
+from repro.scenarios.replay_attack import replay_detector
 from repro.sim.blockprod import ChainTrace
 from repro.sim.engine import ForkSimConfig, ForkSimulation
 
@@ -149,10 +148,7 @@ class TestQueryParity:
 
 @pytest.fixture(scope="module")
 def detector(result):
-    records, _ = replay_stream(result)
-    detector = EchoDetector()
-    detector.observe_records(records)
-    return detector
+    return replay_detector(result)[0]
 
 
 class TestFigurePipeline:

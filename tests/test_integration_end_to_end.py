@@ -39,9 +39,9 @@ def pipeline():
         result.etc_trace, result.fork_timestamp
     )
     workload = ReplayWorkload(ReplayWorkloadConfig(days=120, seed=98))
-    records, truth = workload.generate(eth_daily.values, etc_daily.values)
+    sightings, truth = workload.generate(eth_daily.values, etc_daily.values)
     detector = EchoDetector()
-    detector.observe_records(records)
+    detector.observe_records(sightings)
     return result, detector, truth
 
 

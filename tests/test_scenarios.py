@@ -74,13 +74,14 @@ class TestDaoScenario:
 
     def test_echo_detector_finds_the_replay(self, dao_result):
         from repro.data.records import export_transactions
+        from repro.data.sightings import Sightings
 
         detector = EchoDetector()
-        sightings = []
+        records = []
         for chain in (dao_result.eth_chain, dao_result.etc_chain):
-            sightings.extend(export_transactions(chain))
-        sightings.sort(key=lambda r: (r.timestamp, r.chain))
-        detector.observe_records(sightings)
+            records.extend(export_transactions(chain))
+        records.sort(key=lambda r: (r.timestamp, r.chain))
+        detector.observe_records(Sightings.from_records(records))
         echo_hashes = {echo.tx_hash for echo in detector.echoes}
         assert bytes(dao_result.replayed_tx.tx_hash) in echo_hashes
 
@@ -102,9 +103,9 @@ class TestReplayWorkload:
     def test_generated_echoes_match_ground_truth(self):
         config = ReplayWorkloadConfig(days=30, seed=1)
         workload = ReplayWorkload(config)
-        records, truth = workload.generate([40_000.0] * 30, [16_000.0] * 30)
+        sightings, truth = workload.generate([40_000.0] * 30, [16_000.0] * 30)
         detector = EchoDetector()
-        found = detector.observe_records(records)
+        found = detector.observe_records(sightings)
         assert found == truth.total()
         directions = detector.direction_totals()
         assert directions.get(("ETH", "ETC"), 0) == truth.echoes_into["ETC"]
@@ -128,10 +129,10 @@ class TestReplayWorkload:
     def test_deterministic_per_seed(self):
         a = ReplayWorkload(ReplayWorkloadConfig(days=5, seed=9))
         b = ReplayWorkload(ReplayWorkloadConfig(days=5, seed=9))
-        ra, ta = a.generate([1000.0] * 5, [400.0] * 5)
-        rb, tb = b.generate([1000.0] * 5, [400.0] * 5)
+        sa, ta = a.generate([1000.0] * 5, [400.0] * 5)
+        sb, tb = b.generate([1000.0] * 5, [400.0] * 5)
         assert ta.total() == tb.total()
-        assert [r.tx_hash for r in ra] == [r.tx_hash for r in rb]
+        assert sa.hashes == sb.hashes
 
 
 class TestUpgradeForks:
