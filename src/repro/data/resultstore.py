@@ -9,25 +9,24 @@ for a previously computed config straight from SQLite without touching
 the engine, and ``GET /results/{digest}`` works across process
 lifetimes.
 
-Stdlib ``sqlite3``, WAL journal mode so the serving event loop's
-readers never block the executor thread's writer, and a
-``busy_timeout`` instead of immediate lock errors.  One connection is shared across threads behind a
-lock (every statement here is short), which keeps the store usable from
-both the asyncio thread and the worker-pool bridge.
+Stdlib ``sqlite3`` through :class:`~repro.data.sqlitestore.SQLiteStore`:
+WAL journal mode so the serving event loop's readers never block the
+executor thread's writer, and one connection shared across threads
+behind a lock, which keeps the store usable from both the asyncio thread
+and the worker-pool bridge.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
-import threading
 import time
-from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Union
+from typing import Any, Dict, List, NamedTuple, Optional
+
+from .sqlitestore import SQLiteStore
 
 __all__ = ["ResultStore", "JobRow", "RESULTSTORE_SCHEMA_VERSION"]
 
-#: Bump on any table/column change; refuse files from a newer layout.
+#: Bump on any table/column change; files of any other version are refused.
 RESULTSTORE_SCHEMA_VERSION = 1
 
 _SCHEMA = """
@@ -96,56 +95,13 @@ class JobRow(NamedTuple):
         return payload
 
 
-class ResultStore:
+class ResultStore(SQLiteStore):
     """WAL-mode SQLite persistence for the scenario service."""
 
-    BUSY_TIMEOUT_MS = 5000
-
-    def __init__(self, path: Union[str, Path] = ":memory:") -> None:
-        self.path = str(path)
-        self._lock = threading.Lock()
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        self._conn.execute(f"PRAGMA busy_timeout={self.BUSY_TIMEOUT_MS}")
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        with self._conn:
-            self._conn.executescript(_SCHEMA)
-            self._check_schema_version()
-
-    def _check_schema_version(self) -> None:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE name='schema_version'"
-        ).fetchone()
-        if row is None:
-            self._conn.execute(
-                "INSERT INTO meta VALUES ('schema_version', ?)",
-                (str(RESULTSTORE_SCHEMA_VERSION),),
-            )
-            return
-        version = int(row[0])
-        if version > RESULTSTORE_SCHEMA_VERSION:
-            raise ValueError(
-                f"result store schema {version} is newer than this code "
-                f"understands ({RESULTSTORE_SCHEMA_VERSION})"
-            )
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    @property
-    def journal_mode(self) -> str:
-        with self._lock:
-            (mode,) = self._conn.execute("PRAGMA journal_mode").fetchone()
-        return mode
+    SCHEMA = _SCHEMA
+    SCHEMA_VERSION = RESULTSTORE_SCHEMA_VERSION
+    STORE_NAME = "result store"
+    SchemaError = ValueError
 
     # -- writes ------------------------------------------------------------
 

@@ -15,8 +15,8 @@ into declarative, cacheable, parallel experiment jobs:
   (specs, keys, wall times, cache hits/misses, failures).
 * :mod:`~repro.harness.progress` — stderr narration for CLI runs.
 * :mod:`~repro.harness.ledger` — the durable WAL-SQLite **sweep
-  ledger**: per-chunk leases, retries, and quarantine, shared safely by
-  concurrent processes.
+  ledger**: per-chunk leases, retries, quarantine and each finished
+  chunk's summary, shared safely by concurrent processes.
 * :mod:`~repro.harness.sweeprun` — chunked, resumable sweep execution
   (:class:`SweepRunner`) over content-addressed chunks, the
   :class:`CrashyPool` fault-injection rig that proves crash-anywhere

@@ -20,7 +20,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, List, NamedTuple, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Tuple, Union
 
 __all__ = ["ResultCache", "NullCache", "CacheStats", "PruneResult"]
 
@@ -66,22 +66,35 @@ class PruneResult(NamedTuple):
 
 
 class NullCache:
-    """The ``--no-cache`` degenerate case: every lookup misses."""
+    """The ``--no-cache`` case: nothing touches disk.
+
+    Stored values are kept in memory for this instance's lifetime, so
+    composite runners sharing one instance compute each shared input
+    once; a fresh instance always misses.  :class:`WorkerPool` holds one
+    per pool for its serial path, so the memo never outlives the pool.
+    A hit hands back the stored object itself, not a copy, so a value
+    must not be mutated once stored.
+    """
 
     root = None
 
     def __init__(self) -> None:
         self.stats = CacheStats()
+        self._values: Dict[str, Any] = {}
 
     def lookup(self, key: str) -> Tuple[bool, Any]:
+        if key in self._values:
+            self.stats.hits += 1
+            return True, self._values[key]
         self.stats.misses += 1
         return False, None
 
     def store(self, key: str, value: Any) -> None:
-        pass
+        self._values[key] = value
+        self.stats.stores += 1
 
     def contains(self, key: str) -> bool:
-        return False
+        return key in self._values
 
 
 class ResultCache:

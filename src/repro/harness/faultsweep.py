@@ -204,12 +204,12 @@ def run_fault_sweep(
     """Run the grid and write the robustness artifacts.
 
     ``settings`` are the :class:`~repro.harness.sweeprun.SweepSettings`
-    keywords.  With ``chunk_size`` set the sweep is crash-safe over the ledger
-    (default ``<output_dir>/sweep-ledger``): kill it anywhere and rerun
-    with ``resume=True``; finished chunks are stitched from their
-    persisted artifacts and the ``robustness.json`` sweep digest is
-    byte-identical to the single-shot run.  Chunks that keep failing
-    are quarantined and the sweep completes *degraded*.
+    keywords.  With ``chunk_size`` set the sweep is crash-safe over the
+    ledger (default ``<output_dir>/sweep-ledger``): kill it anywhere and
+    rerun with ``resume=True``; finished chunks are stitched from the
+    summaries in their ledger rows and the ``robustness.json`` sweep
+    digest is byte-identical to the single-shot run.  Chunks that keep
+    failing are quarantined and the sweep completes *degraded*.
     """
     config = config or FaultSweepConfig()
     settings = SweepSettings(**settings)

@@ -2,15 +2,15 @@
 
 A chunked sweep (:mod:`repro.harness.sweeprun`) is only as survivable as
 the record of what already happened.  The ledger is that record: one
-WAL-mode SQLite file (same stack and idiom as
-:class:`repro.data.resultstore.ResultStore`) holding one row per chunk
-with a small state machine::
+WAL-mode SQLite file (the :class:`repro.data.sqlitestore.SQLiteStore`
+idiom, shared with :class:`repro.data.resultstore.ResultStore`) holding
+one row per chunk with a small state machine::
 
     pending ──claim──▶ leased ──complete──▶ done
        ▲                  │
        │                  ├──fail (attempts left)──▶ pending
        │                  └──fail (exhausted)──────▶ quarantined
-       └──lease expiry / release / corrupt-artifact demotion
+       └──lease expiry / release
 
 Claims are atomic (``BEGIN IMMEDIATE`` serialises writers), carry a
 **lease** with an expiry timestamp, and pick the lowest-``seq`` claimable
@@ -21,19 +21,20 @@ to the claimable pool, and stage barriers (``run-all`` waves) are
 respected because a stage opens only once every earlier stage is
 terminal.
 
-Nothing in here is part of the deterministic artifact surface: lease
-timestamps and attempt counts are wall-clock bookkeeping.  The
-determinism contract lives one level up — the per-chunk artifact digests
-the ledger records are what the combine step verifies.
+A ``done`` row carries its chunk's canonical-JSON summary, written in
+the same transaction that marks it ``done``: the row is the only record
+of a finished chunk, so no crash can leave a summary and its state
+disagreeing.  The combine step stitches those summaries in ``seq``
+order.  Everything else in a row — lease timestamps, attempt counts —
+is wall-clock bookkeeping outside the deterministic artifact surface.
 """
 
 from __future__ import annotations
 
-import sqlite3
-import threading
 import time
-from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence
+
+from ..data.sqlitestore import SQLiteStore
 
 __all__ = [
     "SweepLedger",
@@ -47,11 +48,12 @@ __all__ = [
     "LEDGER_SCHEMA_VERSION",
 ]
 
-#: Bump on any table/column change; refuse files from a newer layout.
-LEDGER_SCHEMA_VERSION = 1
+#: Bump on any table/column change; files of any other version are
+#: refused.  Version 2 holds each done chunk's summary in its row.
+LEDGER_SCHEMA_VERSION = 2
 
 #: Every state a chunk row may be in.
-CHUNK_STATES = ("pending", "leased", "done", "failed", "quarantined")
+CHUNK_STATES = ("pending", "leased", "done", "quarantined")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -64,21 +66,22 @@ CREATE TABLE IF NOT EXISTS chunks (
     seq           INTEGER NOT NULL,     -- canonical combine order
     stage         INTEGER NOT NULL,     -- barrier stage (run-all wave)
     label         TEXT NOT NULL,
-    state         TEXT NOT NULL,        -- pending|leased|done|failed|quarantined
+    state         TEXT NOT NULL,        -- pending|leased|done|quarantined
     owner         TEXT,                 -- current/last lease holder
     lease_expires REAL,                 -- wall-clock expiry of the lease
     attempts      INTEGER NOT NULL DEFAULT 0,  -- execution attempts begun
     failures      INTEGER NOT NULL DEFAULT 0,  -- attempts that ended in error
-    digest        TEXT,                 -- artifact digest (done only)
+    summary       TEXT,                 -- canonical-JSON summary (done only)
     error         TEXT,                 -- last failure detail
-    updated_at    REAL NOT NULL
+    updated_at    REAL NOT NULL,
+    CHECK (state != 'done' OR summary IS NOT NULL)
 );
 CREATE INDEX IF NOT EXISTS chunks_by_state ON chunks (state, stage, seq);
 """
 
 _CHUNK_COLUMNS = (
     "chunk_id", "seq", "stage", "label", "state", "owner", "lease_expires",
-    "attempts", "failures", "digest", "error", "updated_at",
+    "attempts", "failures", "summary", "error", "updated_at",
 )
 
 
@@ -115,7 +118,7 @@ class ChunkRow(NamedTuple):
     lease_expires: Optional[float]
     attempts: int
     failures: int
-    digest: Optional[str]
+    summary: Optional[str]
     error: Optional[str]
     updated_at: float
 
@@ -128,62 +131,15 @@ class ClaimedChunk(NamedTuple):
     expired_takeover: bool
 
 
-class SweepLedger:
+class SweepLedger(SQLiteStore):
     """WAL-mode SQLite persistence for one sweep's chunk state machine."""
 
-    BUSY_TIMEOUT_MS = 5000
-
-    def __init__(self, path: Union[str, Path] = ":memory:") -> None:
-        self.path = str(path)
-        if self.path != ":memory:":
-            Path(self.path).parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        self._conn.execute(f"PRAGMA busy_timeout={self.BUSY_TIMEOUT_MS}")
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        with self._conn:
-            self._conn.executescript(_SCHEMA)
-            self._check_schema_version()
-
-    def _check_schema_version(self) -> None:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE name='schema_version'"
-        ).fetchone()
-        if row is None:
-            self._conn.execute(
-                "INSERT INTO meta VALUES ('schema_version', ?)",
-                (str(LEDGER_SCHEMA_VERSION),),
-            )
-            return
-        version = int(row[0])
-        if version > LEDGER_SCHEMA_VERSION:
-            raise LedgerError(
-                f"sweep ledger schema {version} is newer than this code "
-                f"understands ({LEDGER_SCHEMA_VERSION})"
-            )
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    def __enter__(self) -> "SweepLedger":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    SCHEMA = _SCHEMA
+    SCHEMA_VERSION = LEDGER_SCHEMA_VERSION
+    STORE_NAME = "sweep ledger"
+    SchemaError = LedgerError
 
     # -- registration ------------------------------------------------------
-
-    @property
-    def sweep_key(self) -> Optional[str]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE name='sweep_key'"
-            ).fetchone()
-        return row[0] if row else None
 
     def register(
         self,
@@ -263,16 +219,9 @@ class SweepLedger:
                 if stage_row is None or stage_row[0] is None:
                     self._conn.execute("COMMIT")
                     return None
+                # The lowest open stage: a stage only opens once every
+                # earlier stage is terminal.
                 stage = stage_row[0]
-                # A stage only opens once every earlier stage is terminal.
-                (blockers,) = self._conn.execute(
-                    "SELECT COUNT(*) FROM chunks WHERE stage < ?"
-                    " AND state NOT IN ('done', 'quarantined')",
-                    (stage,),
-                ).fetchone()
-                if blockers:  # pragma: no cover - stage is already the min
-                    self._conn.execute("COMMIT")
-                    return None
                 row = self._conn.execute(
                     "SELECT chunk_id, state FROM chunks WHERE stage = ?"
                     " AND (state = 'pending'"
@@ -316,17 +265,18 @@ class SweepLedger:
             )
         return cursor.rowcount == 1
 
-    def complete(self, chunk_id: str, owner: str, digest: str) -> bool:
-        """Mark a leased chunk ``done``.  False: the lease was already
-        stolen (a slow claimant racing a takeover) — results are
-        identical by determinism, so the caller just moves on."""
+    def complete(self, chunk_id: str, owner: str, summary_json: str) -> bool:
+        """Mark a leased chunk ``done``, storing its summary in the same
+        write.  False: the lease was already stolen (a slow claimant
+        racing a takeover) — results are identical by determinism, so
+        the caller just moves on."""
         now = time.time()
         with self._lock, self._conn:
             cursor = self._conn.execute(
-                "UPDATE chunks SET state='done', digest=?, error=NULL,"
+                "UPDATE chunks SET state='done', summary=?, error=NULL,"
                 " owner=?, lease_expires=NULL, updated_at=?"
                 " WHERE chunk_id=? AND owner=? AND state='leased'",
-                (digest, owner, now, chunk_id, owner),
+                (summary_json, owner, now, chunk_id, owner),
             )
         return cursor.rowcount == 1
 
@@ -377,18 +327,6 @@ class SweepLedger:
                 (now, chunk_id, owner),
             )
         return cursor.rowcount == 1
-
-    def demote(self, chunk_id: str, reason: str) -> None:
-        """Send a ``done`` chunk back to ``pending`` (its artifact
-        vanished or failed verification on attach)."""
-        now = time.time()
-        with self._lock, self._conn:
-            self._conn.execute(
-                "UPDATE chunks SET state='pending', digest=NULL, error=?,"
-                " owner=NULL, lease_expires=NULL, updated_at=?"
-                " WHERE chunk_id=? AND state='done'",
-                (reason, now, chunk_id),
-            )
 
     # -- reads -------------------------------------------------------------
 

@@ -129,6 +129,13 @@ class WorkerPool:
         #: metrics registry and its summary lands on the JobRecord.
         self.collect_metrics = collect_metrics
         self.progress = progress or NullProgress()
+        #: The serial path's cache.  Without a cache directory it is one
+        #: in-memory :class:`NullCache` for the pool's lifetime, so the
+        #: jobs of every ``run`` share their inputs (each parallel
+        #: worker still starts from an empty one).
+        self._serial_cache = (
+            ResultCache(self.cache_dir) if self.cache_dir else NullCache()
+        )
         self._ctx = None
         if workers > 1:
             self._ctx = self._probe_context(start_method)
@@ -190,9 +197,7 @@ class WorkerPool:
     # -- serial fallback ---------------------------------------------------
 
     def _run_serial(self, specs: Sequence[JobSpec]) -> List[JobResult]:
-        cache = (
-            ResultCache(self.cache_dir) if self.cache_dir else NullCache()
-        )
+        cache = self._serial_cache
         results: List[JobResult] = []
         for spec in specs:
             self.progress.job_started(spec.label)

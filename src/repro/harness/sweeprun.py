@@ -4,9 +4,10 @@ Long sweeps (the fault grid, figure batches, eventually the 1M-block
 horizons from the ROADMAP) used to run as one monolithic
 :meth:`WorkerPool.run` — a crash, OOM, or SIGTERM at hour three lost
 everything.  This module splits a sweep into **content-addressed
-chunks**, records per-chunk state in a durable
-:class:`~repro.harness.ledger.SweepLedger`, and persists one small JSON
-artifact per finished chunk, so that:
+chunks** and records per-chunk state in a durable
+:class:`~repro.harness.ledger.SweepLedger` — a finished chunk's
+canonical-JSON summary lands in its ledger row in the same transaction
+that marks it done — so that:
 
 * a killed sweep resumes from the last finished chunk (``--resume``),
   possibly in a *different* process — or several at once, sharing the
@@ -15,10 +16,10 @@ artifact per finished chunk, so that:
 * a chunk that keeps failing is **quarantined** after its retry budget
   instead of sinking the sweep — the run completes degraded, with the
   quarantined chunks listed explicitly;
-* the deterministic ``combine`` step stitches artifacts in canonical
-  ``seq`` order, so the combined summary digest is byte-identical to the
-  uninterrupted single-shot run (the repo's determinism contract, now
-  extended across process deaths).
+* the deterministic ``combine`` step stitches the rows' summaries in
+  canonical ``seq`` order, so the combined summary digest is
+  byte-identical to the uninterrupted single-shot run (the repo's
+  determinism contract, now extended across process deaths).
 
 :func:`run_sweep` is the one driver every sweep command goes through
 (``run-all``, ``fault-sweep``, ``topology-sweep``).  A sweep supplies
@@ -41,7 +42,6 @@ import json
 import os
 import signal
 import socket
-import tempfile
 import threading
 import time
 import uuid
@@ -78,7 +78,6 @@ __all__ = [
     "sweep_digest",
     "sweep_key_for",
     "write_sweep_tables",
-    "load_chunk_artifact",
     "EXIT_OK",
     "EXIT_FAILED",
     "EXIT_USAGE",
@@ -183,67 +182,6 @@ def sweep_key_for(
 
 
 # --------------------------------------------------------------------------
-# chunk artifacts
-
-
-def _artifact_path(artifact_dir: Path, chunk_id: str) -> Path:
-    return artifact_dir / f"{chunk_id}.json"
-
-
-def _dump_artifact(summary: Dict[str, Any]) -> Tuple[bytes, str]:
-    blob = json.dumps(
-        summary, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
-    return blob, hashlib.sha256(blob).hexdigest()
-
-
-def write_chunk_artifact(
-    artifact_dir: Path, chunk_id: str, summary: Dict[str, Any]
-) -> str:
-    """Atomically persist one chunk summary; returns its digest."""
-    blob, digest = _dump_artifact(summary)
-    artifact_dir.mkdir(parents=True, exist_ok=True)
-    path = _artifact_path(artifact_dir, chunk_id)
-    descriptor, tmp_name = tempfile.mkstemp(
-        prefix=f".{chunk_id[:8]}-", suffix=".tmp", dir=artifact_dir
-    )
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return digest
-
-
-def load_chunk_artifact(
-    artifact_dir: Path, chunk_id: str, expect_digest: Optional[str] = None
-) -> Optional[Dict[str, Any]]:
-    """Read one chunk summary back; ``None`` on any corruption.
-
-    Corruption means: missing file, invalid JSON, or — when
-    ``expect_digest`` is given — a byte-level digest mismatch against
-    what the ledger recorded at completion time.
-    """
-    path = _artifact_path(artifact_dir, chunk_id)
-    try:
-        blob = path.read_bytes()
-    except OSError:
-        return None
-    if expect_digest is not None:
-        if hashlib.sha256(blob).hexdigest() != expect_digest:
-            return None
-    try:
-        return json.loads(blob.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-
-
-# --------------------------------------------------------------------------
 # fault injection
 
 
@@ -256,7 +194,8 @@ class CrashyPool:
     * ``"before"`` — crash before any job runs (nothing observable
       happened; the chunk lease must recover it);
     * ``"after"`` — run the chunk fully, then crash before the caller
-      can persist the artifact (the expensive-work-lost case);
+      can record its summary in the ledger (the expensive-work-lost
+      case);
     * ``"hard"`` — raise ``SystemExit`` mid-chunk, emulating a killed
       orchestrator process inside a test.
 
@@ -285,7 +224,7 @@ class CrashyPool:
         if mode == "after":
             raise RuntimeError(
                 f"CrashyPool: injected crash after run {index} "
-                f"(artifact never written)"
+                f"(summary never recorded)"
             )
         return results
 
@@ -371,10 +310,10 @@ class _LeaseHeartbeat:
 
 
 class SweepRunner:
-    """Claim → run → persist → repeat, until the ledger is terminal.
+    """Claim → run → record → repeat, until the ledger is terminal.
 
     The runner owns no sweep semantics: ``summarize`` turns one chunk's
-    pool results into a JSON-able artifact (raising fails the chunk),
+    pool results into a JSON-able summary (raising fails the chunk),
     and the caller stitches the returned summaries into its final
     artifacts.  Several runners (threads or processes) may share one
     ledger directory; each claims disjoint chunks.
@@ -442,7 +381,6 @@ class SweepRunner:
         chunks = list(chunks)
         sweep_key = sweep_key or sweep_key_for(chunks)
         by_id = {chunk.chunk_id: chunk for chunk in chunks}
-        artifact_dir = self.ledger_dir / "chunks"
         counters = self.registry
         installed: List[Tuple[int, Any]] = []
         if self.install_signal_handlers and (
@@ -466,13 +404,12 @@ class SweepRunner:
                 resume=resume,
             )
             if resume and done:
-                done = self._verify_resumed(ledger, artifact_dir, by_id)
                 counters.counter("sweep.chunks.resumed").inc(done)
                 self.progress.note(
                     f"resume: {done}/{len(chunks)} chunk(s) already done"
                 )
-            state = self._claim_loop(ledger, by_id, artifact_dir)
-            return self._finish(ledger, by_id, artifact_dir, state)
+            state = self._claim_loop(ledger, by_id)
+            return self._finish(ledger, by_id, state)
         finally:
             for signum, previous in installed:
                 try:
@@ -481,40 +418,8 @@ class SweepRunner:
                     pass
             ledger.close()
 
-    def _verify_resumed(
-        self,
-        ledger: SweepLedger,
-        artifact_dir: Path,
-        by_id: Dict[str, SweepChunk],
-    ) -> int:
-        """Re-check every ``done`` chunk's artifact; demote liars.
-
-        A chunk whose artifact vanished, truncated, or no longer matches
-        the digest recorded at completion goes back to ``pending`` — the
-        resumed sweep recomputes it instead of stitching garbage.
-        """
-        verified = 0
-        for row in ledger.chunks():
-            if row.state != "done" or row.chunk_id not in by_id:
-                continue
-            summary = load_chunk_artifact(
-                artifact_dir, row.chunk_id, expect_digest=row.digest
-            )
-            if summary is None:
-                ledger.demote(row.chunk_id, "artifact missing or corrupt")
-                self.registry.counter("sweep.chunks.demoted").inc()
-                self.progress.note(
-                    f"chunk {row.chunk_id[:12]} artifact corrupt; recomputing"
-                )
-            else:
-                verified += 1
-        return verified
-
     def _claim_loop(
-        self,
-        ledger: SweepLedger,
-        by_id: Dict[str, SweepChunk],
-        artifact_dir: Path,
+        self, ledger: SweepLedger, by_id: Dict[str, SweepChunk]
     ) -> str:
         counters = self.registry
         while True:
@@ -539,15 +444,11 @@ class SweepRunner:
                     f"chunk {claim.row.chunk_id[:12]}: taking over a "
                     f"lapsed lease (attempt {claim.row.attempts})"
                 )
-            chunk = by_id.get(claim.row.chunk_id)
-            if chunk is None:  # pragma: no cover - register() guarantees it
-                ledger.fail(
-                    claim.row.chunk_id, self.owner,
-                    "chunk not in this sweep definition", self.chunk_retries,
-                )
-                continue
+            # register() bound the ledger to this sweep key, a hash of
+            # these very chunk ids, so every row is in ``by_id``.
+            chunk = by_id[claim.row.chunk_id]
             try:
-                self._execute_chunk(ledger, chunk, artifact_dir)
+                self._execute_chunk(ledger, chunk)
             except (KeyboardInterrupt, SystemExit):
                 # Hard interrupt mid-chunk: put the chunk straight back
                 # (no failure charged) and checkpoint.
@@ -555,9 +456,7 @@ class SweepRunner:
                 counters.counter("sweep.interrupts").inc()
                 return "interrupted"
 
-    def _execute_chunk(
-        self, ledger: SweepLedger, chunk: SweepChunk, artifact_dir: Path
-    ) -> None:
+    def _execute_chunk(self, ledger: SweepLedger, chunk: SweepChunk) -> None:
         counters = self.registry
         try:
             with _LeaseHeartbeat(
@@ -578,8 +477,11 @@ class SweepRunner:
                         )
                     )
                 summary = self.summarize(chunk, results)
-            digest = write_chunk_artifact(
-                artifact_dir, chunk.chunk_id, summary
+            # Canonical JSON, and NaN refused: a summary that cannot
+            # round-trip byte for byte fails its chunk here.
+            summary_json = json.dumps(
+                summary, sort_keys=True, separators=(",", ":"),
+                allow_nan=False,
             )
         except (KeyboardInterrupt, SystemExit):
             raise
@@ -600,20 +502,16 @@ class SweepRunner:
                     f"{error}"
                 )
             return
-        if ledger.complete(chunk.chunk_id, self.owner, digest):
+        if ledger.complete(chunk.chunk_id, self.owner, summary_json):
             counters.counter("sweep.chunks.completed").inc()
         else:
-            # Lease stolen while we computed; the thief's artifact is
+            # Lease stolen while we computed; the thief's summary is
             # byte-identical by determinism, so this work just counts as
             # a duplicate, not a conflict.
             counters.counter("sweep.leases.lost").inc()
 
     def _finish(
-        self,
-        ledger: SweepLedger,
-        by_id: Dict[str, SweepChunk],
-        artifact_dir: Path,
-        state: str,
+        self, ledger: SweepLedger, by_id: Dict[str, SweepChunk], state: str
     ) -> SweepOutcome:
         counts = ledger.counts()
         metrics = self.registry.summary()
@@ -622,38 +520,24 @@ class SweepRunner:
                 state="interrupted", counts=counts, metrics=metrics,
                 error="interrupted; resume with --resume",
             )
+        rows = ledger.chunks()
+        quarantined = [row for row in rows if row.state == "quarantined"]
         if state == "failed":
             return SweepOutcome(
                 state="failed", counts=counts, metrics=metrics,
-                quarantined=[
-                    row for row in ledger.chunks()
-                    if row.state == "quarantined"
-                ],
+                quarantined=quarantined,
                 error=(
                     f"{counts['quarantined']} quarantined chunk(s) exceed "
                     f"--max-quarantined {self.max_quarantined}"
                 ),
             )
-        summaries: List[Tuple[SweepChunk, Dict[str, Any]]] = []
-        quarantined = []
-        for row in ledger.chunks():
-            if row.state == "quarantined":
-                quarantined.append(row)
-                continue
-            if row.state != "done":  # pragma: no cover - loop is terminal
-                continue
-            summary = load_chunk_artifact(
-                artifact_dir, row.chunk_id, expect_digest=row.digest
-            )
-            if summary is None:
-                raise ChunkFailure(
-                    f"chunk {row.chunk_id[:12]} artifact corrupt at combine "
-                    f"time; re-run with --resume to recompute it"
-                )
-            summaries.append((by_id[row.chunk_id], summary))
         return SweepOutcome(
             state="degraded" if quarantined else "complete",
-            summaries=summaries,
+            summaries=[
+                (by_id[row.chunk_id], json.loads(row.summary))
+                for row in rows
+                if row.state == "done"
+            ],
             quarantined=quarantined,
             counts=counts,
             metrics=metrics,
@@ -707,7 +591,7 @@ def write_sweep_tables(
 
 
 #: Turns one chunk's (or single-shot stage's) ok results into a JSON-able
-#: summary; the chunked path persists it as the chunk artifact.
+#: summary; the chunked path records it in the chunk's ledger row.
 Summarize = Callable[[List[JobResult]], Dict[str, Any]]
 #: ``(summaries in canonical order, chunked-only JSON extras)`` →
 #: ``(paths written, sweep digest or None)``.

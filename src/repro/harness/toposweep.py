@@ -277,10 +277,11 @@ def run_topology_sweep(
     """Run the families and write the topology artifacts.
 
     ``settings`` are the :class:`~repro.harness.sweeprun.SweepSettings`
-    keywords.  With ``chunk_size`` set the sweep runs over the DESIGN §10 ledger
-    (default ``<output_dir>/sweep-ledger``), resumable with the same
-    ``topology.json`` sweep digest as the single-shot run; chunks that
-    keep failing are quarantined (degraded, exit 4).
+    keywords.  With ``chunk_size`` set the sweep runs over the DESIGN §10
+    ledger (default ``<output_dir>/sweep-ledger``): finished chunks are
+    stitched from the summaries in their ledger rows, so a resumed sweep
+    has the same ``topology.json`` sweep digest as the single-shot run;
+    chunks that keep failing are quarantined (degraded, exit 4).
     """
     config = config or TopologySweepConfig()
     settings = SweepSettings(**settings)

@@ -315,6 +315,35 @@ class TestCommands:
         assert main(base + ["--resume"]) == 0
         capsys.readouterr()
 
+    def test_fault_sweep_refuses_an_old_ledger(self, tmp_path, capsys):
+        # A version-1 ledger (chunk digests, no summary column) is
+        # refused up front as a usage error, not at its first write.
+        import sqlite3
+
+        ledger_dir = tmp_path / "out" / "sweep-ledger"
+        ledger_dir.mkdir(parents=True)
+        conn = sqlite3.connect(ledger_dir / "ledger.db")
+        conn.executescript(
+            "CREATE TABLE meta (name TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "INSERT INTO meta VALUES ('schema_version', '1');"
+            "CREATE TABLE chunks (chunk_id TEXT PRIMARY KEY, seq INTEGER,"
+            " stage INTEGER, label TEXT, state TEXT, owner TEXT,"
+            " lease_expires REAL, attempts INTEGER, failures INTEGER,"
+            " digest TEXT, error TEXT, updated_at REAL);"
+        )
+        conn.close()
+        code = main(
+            ["fault-sweep", "--nodes", "8", "--miners", "2",
+             "--horizon", "300", "--churn", "0", "--loss", "0",
+             "--split", "0", "--jobs", "1", "--no-cache",
+             "--output-dir", str(tmp_path / "out"),
+             "--chunk-size", "1", "--resume"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "schema version 1" in err
+        assert "Traceback" not in err
+
     def test_fault_sweep_poisoned_exits_degraded(self, tmp_path, capsys):
         code = main(
             ["fault-sweep", "--nodes", "8", "--miners", "2",

@@ -86,11 +86,16 @@ class TestResultCache:
         assert not hit
         assert not path.exists()
 
-    def test_null_cache_never_hits(self):
+    def test_null_cache_memoizes_within_one_instance(self):
+        key = "aa" + "0" * 62
         cache = NullCache()
-        cache.store("aa" + "0" * 62, 42)
-        hit, _ = cache.lookup("aa" + "0" * 62)
-        assert not hit
+        assert cache.lookup(key) == (False, None)
+        cache.store(key, 42)
+        assert cache.contains(key)
+        assert cache.lookup(key) == (True, 42)
+        # A fresh instance starts empty, and nothing touched disk.
+        assert NullCache().lookup(key) == (False, None)
+        assert cache.root is None
 
 
 class TestExecuteJob:

@@ -1,5 +1,6 @@
 """The sweep ledger: claims, leases, quarantine, concurrent safety."""
 
+import sqlite3
 import threading
 
 import pytest
@@ -12,6 +13,7 @@ from repro.harness import (
 )
 
 KEY = "sweep-key-1"
+SUMMARY = '{"values":[1]}'
 
 
 def defs(count, stage=0, start_seq=0):
@@ -33,8 +35,8 @@ class TestRegister:
     def test_fresh_registration(self, ledger):
         assert ledger.register(KEY, defs(3)) == 0
         assert ledger.counts() == {
-            "pending": 3, "leased": 0, "done": 0, "failed": 0,
-            "quarantined": 0, "total": 3,
+            "pending": 3, "leased": 0, "done": 0, "quarantined": 0,
+            "total": 3,
         }
 
     def test_wrong_sweep_key_rejected(self, ledger):
@@ -45,14 +47,14 @@ class TestRegister:
     def test_progress_without_resume_rejected(self, ledger):
         ledger.register(KEY, defs(2))
         claim = ledger.claim("owner-a", 60.0)
-        ledger.complete(claim.row.chunk_id, "owner-a", "digest")
+        ledger.complete(claim.row.chunk_id, "owner-a", SUMMARY)
         with pytest.raises(LedgerNeedsResume):
             ledger.register(KEY, defs(2))
 
     def test_resume_reports_done_count(self, ledger):
         ledger.register(KEY, defs(2))
         claim = ledger.claim("owner-a", 60.0)
-        ledger.complete(claim.row.chunk_id, "owner-a", "digest")
+        ledger.complete(claim.row.chunk_id, "owner-a", SUMMARY)
         assert ledger.register(KEY, defs(2), resume=True) == 1
 
 
@@ -89,7 +91,7 @@ class TestClaims:
         assert claim.row.stage == 0
         # Stage 1 stays closed while stage 0 is non-terminal.
         assert ledger.claim("b", 60.0) is None
-        ledger.complete(claim.row.chunk_id, "a", "digest")
+        ledger.complete(claim.row.chunk_id, "a", SUMMARY)
         opened = ledger.claim("b", 60.0)
         assert opened is not None and opened.row.stage == 1
 
@@ -102,13 +104,32 @@ class TestClaims:
 
 
 class TestCompletionAndFailure:
-    def test_complete_records_digest(self, ledger):
+    def test_complete_records_summary(self, ledger):
         ledger.register(KEY, defs(1))
         claim = ledger.claim("a", 60.0)
-        assert ledger.complete(claim.row.chunk_id, "a", "digest-1")
+        assert ledger.complete(claim.row.chunk_id, "a", SUMMARY)
         row = ledger.get(claim.row.chunk_id)
-        assert row.state == "done" and row.digest == "digest-1"
+        assert row.state == "done" and row.summary == SUMMARY
         assert ledger.all_terminal()
+
+    def test_done_summary_survives_reopening(self, tmp_path):
+        path = tmp_path / "ledger.db"
+        with SweepLedger(path) as ledger:
+            ledger.register(KEY, defs(2))
+            claim = ledger.claim("a", 60.0)
+            ledger.complete(claim.row.chunk_id, "a", SUMMARY)
+        with SweepLedger(path) as reopened:
+            assert reopened.register(KEY, defs(2), resume=True) == 1
+            done, pending = reopened.chunks()
+            assert (done.state, done.summary) == ("done", SUMMARY)
+            assert (pending.state, pending.summary) == ("pending", None)
+
+    def test_done_row_without_summary_is_refused(self, ledger):
+        ledger.register(KEY, defs(1))
+        claim = ledger.claim("a", 60.0)
+        with pytest.raises(sqlite3.IntegrityError):
+            ledger.complete(claim.row.chunk_id, "a", None)
+        assert ledger.get(claim.row.chunk_id).state == "leased"
 
     def test_complete_by_non_owner_is_refused(self, ledger):
         ledger.register(KEY, defs(1))
@@ -143,14 +164,6 @@ class TestCompletionAndFailure:
         row = ledger.get(claim.row.chunk_id)
         assert row.state == "pending" and row.attempts == 0
 
-    def test_demote_reopens_a_done_chunk(self, ledger):
-        ledger.register(KEY, defs(1))
-        claim = ledger.claim("a", 60.0)
-        ledger.complete(claim.row.chunk_id, "a", "digest")
-        ledger.demote(claim.row.chunk_id, "artifact corrupt")
-        row = ledger.get(claim.row.chunk_id)
-        assert row.state == "pending" and row.digest is None
-
 
 class TestConcurrency:
     def test_concurrent_claims_are_disjoint(self, tmp_path):
@@ -171,7 +184,7 @@ class TestConcurrency:
                         return
                     with lock:
                         claimed.append(claim.row.chunk_id)
-                    ledger.complete(claim.row.chunk_id, owner, "digest")
+                    ledger.complete(claim.row.chunk_id, owner, SUMMARY)
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
             finally:

@@ -85,6 +85,55 @@ class TestCacheBehavior:
         assert manifest.cache_dir is None
         assert not manifest.failures
 
+    def test_no_cache_computes_each_shared_input_once(
+        self, cold_and_warm, tmp_path, monkeypatch
+    ):
+        # The serial pool shares one in-memory NullCache across every
+        # wave, so the composite jobs reuse the roots instead of each
+        # re-running the simulation, the partition and the replay.
+        from repro.scenarios.partition_event import PartitionScenario
+        from repro.scenarios.replay_attack import ReplayWorkload
+        from repro.sim.engine import ForkSimulation
+
+        calls = {}
+        for owner, name in (
+            (ForkSimulation, "run"),
+            (PartitionScenario, "run"),
+            (ReplayWorkload, "generate"),
+        ):
+            label = f"{owner.__name__}.{name}"
+            calls[label] = 0
+
+            def counted(*args, _inner=getattr(owner, name), _label=label,
+                        **kwargs):
+                calls[_label] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        root, _, _ = cold_and_warm
+        manifest = run_all(
+            days=DAYS,
+            prefork_days=2,
+            jobs=1,
+            cache_dir=None,
+            output_dir=tmp_path / "out",
+            timeout=300.0,
+            partition_config=QUICK_PARTITION,
+        ).manifest
+        assert calls == {
+            "ForkSimulation.run": 1,
+            "PartitionScenario.run": 1,
+            "ReplayWorkload.generate": 1,
+        }
+        assert manifest.cache_hits == 0
+        names = ["observations.txt"] + [
+            f"figure{n}.{ext}" for n in range(1, 6) for ext in ("txt", "csv")
+        ]
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == (
+                root / "out" / name
+            ).read_bytes()
+
     def test_single_shot_opens_no_ledger(self, cold_and_warm):
         root, _, _ = cold_and_warm
         assert not (root / "out" / "run-all-ledger").exists()

@@ -1,11 +1,8 @@
 """Chunked sweeps: planning, crash-anywhere resumability, quarantine."""
 
-import json
-
 import pytest
 
 from repro.harness import (
-    ChunkFailure,
     CrashyPool,
     EXIT_DEGRADED,
     EXIT_OK,
@@ -16,7 +13,6 @@ from repro.harness import (
     plan_chunks,
     sweep_key_for,
 )
-from repro.harness.sweeprun import load_chunk_artifact, write_chunk_artifact
 
 
 def echo_specs(count, start=0):
@@ -82,20 +78,6 @@ class TestPlanChunks:
             plan_chunks([echo_specs(2)], 0)
 
 
-class TestChunkArtifacts:
-    def test_round_trip_with_digest(self, tmp_path):
-        digest = write_chunk_artifact(tmp_path, "abc", {"values": [1, 2]})
-        assert load_chunk_artifact(tmp_path, "abc", digest) == {
-            "values": [1, 2]
-        }
-
-    def test_corruption_is_detected(self, tmp_path):
-        digest = write_chunk_artifact(tmp_path, "abc", {"values": [1]})
-        (tmp_path / "abc.json").write_text('{"values": [999]}')
-        assert load_chunk_artifact(tmp_path, "abc", digest) is None
-        assert load_chunk_artifact(tmp_path, "missing") is None
-
-
 class TestCleanRun:
     def test_completes_in_canonical_order(self, tmp_path):
         chunks = plan_chunks([echo_specs(5)], 2)
@@ -103,6 +85,12 @@ class TestCleanRun:
         assert outcome.state == "complete"
         assert collected(outcome) == list(range(5))
         assert outcome.counts["done"] == 3
+
+    def test_ledger_directory_holds_only_the_database(self, tmp_path):
+        make_runner(tmp_path).run(plan_chunks([echo_specs(3)], 1))
+        names = {path.name for path in (tmp_path / "ledger").iterdir()}
+        assert "ledger.db" in names
+        assert names <= {"ledger.db", "ledger.db-wal", "ledger.db-shm"}
 
     def test_rerun_without_resume_is_refused(self, tmp_path):
         chunks = plan_chunks([echo_specs(2)], 1)
@@ -163,18 +151,6 @@ class TestCrashRecovery:
         resumed = make_runner(tmp_path).run(chunks, resume=True)
         assert resumed.state == "complete"
         assert collected(resumed) == [0, 1, 2]
-
-    def test_corrupt_artifact_is_demoted_and_recomputed(self, tmp_path):
-        chunks = plan_chunks([echo_specs(3)], 1)
-        first = make_runner(tmp_path).run(chunks)
-        victim = chunks[1].chunk_id
-        artifact = tmp_path / "ledger" / "chunks" / f"{victim}.json"
-        artifact.write_text(json.dumps({"values": [999]}))
-
-        second = make_runner(tmp_path).run(chunks, resume=True)
-        assert second.state == "complete"
-        assert collected(second) == collected(first) == [0, 1, 2]
-        assert second.metrics["counters"]["sweep.chunks.demoted"] == 1
 
     def test_two_runners_share_one_ledger(self, tmp_path):
         import threading
@@ -248,25 +224,26 @@ class TestSummarizeContract:
         assert outcome.state == "degraded"
         assert "summary refused" in outcome.quarantined[0].error
 
-    def test_combine_time_corruption_raises(self, tmp_path):
-        # An artifact that rots *between* its chunk finishing and the
-        # combine step must fail loudly, never stitch garbage.
-        chunks = plan_chunks([echo_specs(2)], 1)
-        artifact = (
-            tmp_path / "ledger" / "chunks" / f"{chunks[0].chunk_id}.json"
+    def test_nan_summary_quarantines_the_chunk(self, tmp_path):
+        # A summary that canonical JSON cannot hold never reaches the
+        # ledger: its chunk fails like any other summarize error.
+        def nan_summary(chunk, results):
+            return {"values": [float("nan")]}
+
+        runner = SweepRunner(
+            tmp_path / "ledger",
+            WorkerPool(workers=1, retries=0),
+            nan_summary,
+            lease_seconds=30.0,
+            chunk_retries=0,
+            install_signal_handlers=False,
         )
-
-        class RottingPool:
-            def __init__(self):
-                self.inner = WorkerPool(workers=1, retries=0)
-
-            def run(self, specs):
-                if artifact.exists():  # chunk 0 landed; rot it
-                    artifact.write_text("garbage")
-                return self.inner.run(specs)
-
-        with pytest.raises(ChunkFailure):
-            make_runner(tmp_path, pool=RottingPool()).run(chunks)
+        outcome = runner.run(plan_chunks([echo_specs(1)], 1))
+        assert outcome.state == "degraded"
+        assert outcome.summaries == []
+        [row] = outcome.quarantined
+        assert row.summary is None
+        assert "ValueError" in row.error and "JSON" in row.error
 
     # EXIT code constants are part of the CLI contract.
     def test_exit_codes_are_distinct(self):

@@ -18,9 +18,11 @@ import pytest
 from repro.faults import ChurnBurst, FaultSchedule, LinkFault, SplitFault
 from repro.data.resultstore import ResultStore
 from repro.harness import (
+    CrashyPool,
     NullCache,
     NullProgress,
     ResultCache,
+    SweepRunner,
     WorkerPool,
     chaos_partition_spec,
     echoes_spec,
@@ -31,6 +33,7 @@ from repro.harness import (
     observations_spec,
     partition_spec,
     perf_probe_spec,
+    plan_chunks,
     registered_kinds,
     simulate_chunk_spec,
     simulate_spec,
@@ -321,3 +324,50 @@ class TestCacheTierDeterminism:
         with ResultStore(db) as store:
             stored = store.get_result(cold)["summary"]
         assert summary_digest(json.loads(json.dumps(stored))) == cold
+
+
+class TestChunkResumeDeterminism:
+    """Every spec as one chunk of a sweep that is killed mid-run and
+    finished by a fresh runner over the same ledger: the summaries the
+    ledger rows hand back digest like the cold in-process run."""
+
+    def test_killed_and_resumed_sweep_matches_cold(self, cache_tier, tmp_path):
+        spec_ids = sorted(SUMMARY_SPECS)
+        chunks = plan_chunks([[SUMMARY_SPECS[i] for i in spec_ids]], 1)
+
+        def digests(chunk, results):
+            return {"digests": [_digest(r.spec, r.value) for r in results]}
+
+        def runner(pool):
+            return SweepRunner(
+                tmp_path / "ledger",
+                pool,
+                digests,
+                lease_seconds=300.0,
+                chunk_retries=0,
+                install_signal_handlers=False,
+            )
+
+        kill_at = len(chunks) // 2
+        killed = runner(
+            CrashyPool(
+                WorkerPool(cache_dir=None, timeout=300.0, retries=0),
+                crash_at={kill_at: "hard"},
+            )
+        ).run(chunks)
+        assert killed.state == "interrupted"
+        assert killed.counts["done"] == kill_at
+
+        resumed = runner(
+            WorkerPool(cache_dir=None, timeout=300.0, retries=0)
+        ).run(chunks, resume=True)
+        assert resumed.state == "complete"
+        assert resumed.metrics["counters"]["sweep.chunks.resumed"] == kill_at
+        stitched = [
+            digest
+            for _, summary in resumed.summaries
+            for digest in summary["digests"]
+        ]
+        assert dict(zip(spec_ids, stitched)) == {
+            spec_id: cache_tier(spec_id)[2] for spec_id in spec_ids
+        }
