@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .difficulty import HOMESTEAD_RULE, DifficultyRule, make_fast_rule
+from .difficulty import HOMESTEAD_RULE, DifficultyRule
 from .gas import FRONTIER_SCHEDULE, TANGERINE_SCHEDULE, GasSchedule
 from .types import Wei, to_wei
 
@@ -158,17 +158,6 @@ class ChainConfig:
             block_number,
             self.bomb_delay,
         )
-
-    @property
-    def fast_difficulty(self):
-        """The inlined difficulty kernel for this chain's rule + bomb delay.
-
-        Selected (and memoized) once per ``(rule, bomb_delay)`` pair; the
-        hot per-block loops call this closure instead of walking
-        :meth:`compute_difficulty`'s dispatch chain.  Trajectory-identical
-        by construction — see :func:`repro.chain.difficulty.make_fast_rule`.
-        """
-        return make_fast_rule(self.difficulty_rule, self.bomb_delay)
 
     def fork_summary(self) -> str:
         """Human-readable fork schedule (README / reports)."""

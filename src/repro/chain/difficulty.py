@@ -29,7 +29,6 @@ We implement the consensus rules exactly as specified:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "DifficultyRule",
     "HOMESTEAD_RULE",
     "FRONTIER_RULE",
-    "make_fast_rule",
     "expected_block_time",
     "equilibrium_difficulty",
 ]
@@ -155,103 +153,6 @@ class DifficultyRule:
 
 FRONTIER_RULE = DifficultyRule("frontier", frontier_difficulty)
 HOMESTEAD_RULE = DifficultyRule("homestead", homestead_difficulty)
-
-
-@lru_cache(maxsize=None)
-def make_fast_rule(
-    rule: DifficultyRule, bomb_delay: int = 0
-) -> Callable[[int, int, int, int], int]:
-    """An inlined ``(parent_d, parent_ts, ts, number) -> difficulty`` kernel.
-
-    The returned callable is trajectory-identical to
-    ``rule(parent_d, parent_ts, ts, number, bomb_delay)`` — proven by the
-    randomized parity sweeps in ``tests/test_perf_kernels.py`` — but with
-    the bomb delay bound into the closure and the adjustment, bomb, and
-    floor folded into straight integer arithmetic (no inner calls).  The
-    per-block simulator selects it once per :class:`ChainConfig` instead
-    of paying the ``DifficultyRule.__call__`` → rule → ``difficulty_bomb``
-    chain on every block.
-
-    Unknown (user-registered) rules fall back to a thin binding of the
-    reference implementation, so the fast path is an optimization, never
-    a behavior switch.  The closure carries ``kernel_kind`` naming the
-    inlined algorithm (``"homestead"`` / ``"frontier"`` / ``"generic"``)
-    so batch kernels can inline the same arithmetic one level further.
-    """
-    # ``2 * BOMB_PERIOD`` is where the bomb exponent first reaches zero;
-    # below that threshold the bomb term is exactly 0.
-    bomb_floor = 2 * BOMB_PERIOD + bomb_delay
-
-    if rule.compute is homestead_difficulty:
-
-        def fast(
-            parent_difficulty: int,
-            parent_timestamp: int,
-            timestamp: int,
-            block_number: int,
-        ) -> int:
-            if timestamp <= parent_timestamp:
-                raise ValueError("timestamp must increase between blocks")
-            multiplier = 1 - (timestamp - parent_timestamp) // 10
-            if multiplier < HOMESTEAD_CLAMP:
-                multiplier = HOMESTEAD_CLAMP
-            difficulty = (
-                parent_difficulty
-                + parent_difficulty // DIFFICULTY_BOUND_DIVISOR * multiplier
-            )
-            if block_number >= bomb_floor:
-                difficulty += (
-                    1 << ((block_number - bomb_delay) // BOMB_PERIOD - 2)
-                )
-            return (
-                difficulty if difficulty > MIN_DIFFICULTY else MIN_DIFFICULTY
-            )
-
-        fast.kernel_kind = "homestead"
-    elif rule.compute is frontier_difficulty:
-
-        def fast(
-            parent_difficulty: int,
-            parent_timestamp: int,
-            timestamp: int,
-            block_number: int,
-        ) -> int:
-            if timestamp <= parent_timestamp:
-                raise ValueError("timestamp must increase between blocks")
-            adjustment = parent_difficulty // DIFFICULTY_BOUND_DIVISOR
-            if timestamp - parent_timestamp < 13:
-                difficulty = parent_difficulty + adjustment
-            else:
-                difficulty = parent_difficulty - adjustment
-            if block_number >= bomb_floor:
-                difficulty += (
-                    1 << ((block_number - bomb_delay) // BOMB_PERIOD - 2)
-                )
-            return (
-                difficulty if difficulty > MIN_DIFFICULTY else MIN_DIFFICULTY
-            )
-
-        fast.kernel_kind = "frontier"
-    else:
-
-        def fast(
-            parent_difficulty: int,
-            parent_timestamp: int,
-            timestamp: int,
-            block_number: int,
-        ) -> int:
-            return rule(
-                parent_difficulty,
-                parent_timestamp,
-                timestamp,
-                block_number,
-                bomb_delay,
-            )
-
-        fast.kernel_kind = "generic"
-    fast.bomb_delay = bomb_delay
-    fast.rule_name = rule.name
-    return fast
 
 
 def expected_block_time(difficulty: int, network_hashrate: float) -> float:

@@ -580,12 +580,12 @@ class FullNode:
         """Transport delivery point; dispatches on message type.
 
         The hot path replaces the seed's nine-branch ``isinstance``
-        ladder with one exact-type dict probe (messages are final
-        dataclasses, so ``type(message)`` is the ladder's answer); a
-        subclassed message — none exist in the repo, but the contract
-        allows them — falls back to the ladder.  Handler order and
-        side effects are identical to the seed body, kept verbatim as
-        :class:`repro.perf.reference.ReferenceNode`'s ``receive``.
+        ladder with one exact-type dict probe: messages are final
+        dataclasses, so ``type(message)`` is the ladder's answer, and
+        a type without an entry (Ping/Pong when no resilience policy
+        is armed) is ignored, as the ladder ignored it.  Handler order
+        and side effects are identical to the seed body, kept verbatim
+        as :class:`repro.perf.reference.ReferenceNode`'s ``receive``.
         """
         if not self.online:
             return
@@ -604,30 +604,6 @@ class FullNode:
         handler = _DISPATCH_GET(type(message))
         if handler is not None:
             handler(self, message)
-        else:
-            self._dispatch_ladder(message)
-
-    def _dispatch_ladder(self, message: Message) -> None:
-        """The seed dispatch ladder (the fast path's subclassed-message
-        fallback, and the reference node's only dispatch)."""
-        if isinstance(message, Status):
-            self._on_status(message)
-        elif isinstance(message, Disconnect):
-            self._on_disconnect(message)
-        elif isinstance(message, NewBlock):
-            self._on_new_block(message)
-        elif isinstance(message, NewBlockHashes):
-            self._on_new_block_hashes(message)
-        elif isinstance(message, GetBlocks):
-            self._on_get_blocks(message)
-        elif isinstance(message, Blocks):
-            self._on_blocks(message)
-        elif isinstance(message, Transactions):
-            self._on_transactions(message)
-        elif isinstance(message, FindNode):
-            self._on_find_node(message)
-        elif isinstance(message, Neighbors):
-            self._on_neighbors(message)
 
     def _on_disconnect(self, message: Disconnect) -> None:
         self.peers.discard(message.sender_id)

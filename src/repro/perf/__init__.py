@@ -1,9 +1,10 @@
 """Performance kernels and their regression gate.
 
 The fast paths live where the hot loops are — the batched block
-kernel in :meth:`repro.sim.blockprod.BlockProducer.advance_batch`, the
-inlined difficulty rules in :func:`repro.chain.difficulty.make_fast_rule`,
-the tightened event loop in :meth:`repro.net.simulator.Simulator.run_until`,
+kernel in :meth:`repro.sim.blockprod.BlockProducer.advance_batch` (one
+Homestead loop; every other configuration mines through
+``advance_one``), the tightened event loop in
+:meth:`repro.net.simulator.Simulator.run_until`,
 and the plain-transport fast path plus delivery-wave kernels in
 :class:`repro.net.network.Network`.  This package holds what keeps them
 honest:

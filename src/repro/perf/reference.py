@@ -60,12 +60,17 @@ from ..data.windows import DAY, HOUR, window_index
 from ..net.kademlia import RoutingTable, bucket_index
 from ..net.messages import (
     Blocks,
+    Disconnect,
+    FindNode,
     GetBlocks,
     Message,
+    Neighbors,
     NewBlock,
     NewBlockHashes,
     Ping,
     Pong,
+    Status,
+    Transactions,
 )
 from ..net.network import Network
 from ..net.node import FullNode
@@ -651,6 +656,28 @@ class ReferenceNode(FullNode):
                 return
         self.routing.observe(sender)
         self._dispatch_ladder(message)
+
+    def _dispatch_ladder(self, message: Message) -> None:
+        """The seed dispatch ladder: an ``isinstance`` chain in the seed's
+        branch order, which ignores types it does not name."""
+        if isinstance(message, Status):
+            self._on_status(message)
+        elif isinstance(message, Disconnect):
+            self._on_disconnect(message)
+        elif isinstance(message, NewBlock):
+            self._on_new_block(message)
+        elif isinstance(message, NewBlockHashes):
+            self._on_new_block_hashes(message)
+        elif isinstance(message, GetBlocks):
+            self._on_get_blocks(message)
+        elif isinstance(message, Blocks):
+            self._on_blocks(message)
+        elif isinstance(message, Transactions):
+            self._on_transactions(message)
+        elif isinstance(message, FindNode):
+            self._on_find_node(message)
+        elif isinstance(message, Neighbors):
+            self._on_neighbors(message)
 
     def _on_blocks(self, message: Blocks) -> None:
         first_orphan: Optional[Block] = None

@@ -28,7 +28,6 @@ from ..chain.difficulty import (
     DIFFICULTY_BOUND_DIVISOR,
     HOMESTEAD_CLAMP,
     MIN_DIFFICULTY,
-    frontier_difficulty,
     homestead_difficulty,
 )
 from ..data.records import BlockRecord
@@ -294,12 +293,18 @@ class BlockProducer:
         lives in locals, the three always-present trace columns buffer
         interleaved through one bound ``array.extend`` per block (de-
         interleaved by stepped slices in the flush), the miner-label
-        intern table is a bound ``dict.get``, the Homestead/Frontier
-        difficulty rule is inlined as straight integer arithmetic
-        (generic rules fall back to the per-config closure from
-        :attr:`~repro.chain.config.ChainConfig.fast_difficulty`), and
-        the standard pool and transaction samplers run inline from the
-        parameters they publish (``categorical_parts``, ``tx_parts``).
+        intern table is a bound ``dict.get``, the Homestead difficulty
+        rule is inlined as straight integer arithmetic, and the standard
+        pool and transaction samplers run inline from the parameters
+        they publish (``categorical_parts``, ``tx_parts``).  Without a
+        transaction sampler the same loop runs with a zero transaction
+        rate, which draws nothing.
+
+        The kernel covers the configuration every fork-sim run uses.
+        Any other one — a non-Homestead rule, a sampler that publishes
+        no parameters or has no solo miners, or an interpreter whose
+        ``random`` failed the import-time probes — mines through
+        :meth:`advance_one`, one call per block.
         """
         if hashrate <= 0:
             raise ValueError("cannot mine with zero hashrate")
@@ -307,12 +312,32 @@ class BlockProducer:
             return 0
         end = _INF if end_timestamp is None else end_timestamp
 
+        parts = getattr(miner_sampler, "categorical_parts", None)
+        tx_parts = (
+            (0.0, 0.0)
+            if tx_sampler is None
+            else getattr(tx_sampler, "tx_parts", None)
+        )
+        if (
+            not (_INLINE_EXPOVARIATE and _INLINE_RANDBELOW)
+            or parts is None
+            or parts[3] <= 0  # no solo miners to draw from
+            or tx_parts is None
+            or self.config.difficulty_rule.compute is not homestead_difficulty
+        ):
+            produced = 0
+            while produced < n and self.clock < end:
+                self.advance_one(hashrate, miner_sampler, tx_sampler)
+                produced += 1
+            return produced
+
         # -- hoisted bindings (the whole point of the kernel) -------------
         rng = self.rng
-        expovariate = rng.expovariate
         rng_random = rng.random
+        getrandbits = rng.getrandbits
+        gauss = rng.gauss
         _log = math.log
-        inline_expo = _INLINE_EXPOVARIATE
+        _exp = math.exp
         trace = self.trace
         label_get = trace._label_index.get
         label_id = trace.label_id
@@ -326,11 +351,9 @@ class BlockProducer:
         # is a same-typecode array copy, ~2 orders of magnitude cheaper
         # than the per-block calls it absorbs.  Block numbers are
         # consecutive, so they need no per-block append at all — a
-        # single ``extend(range(...))`` in the flush; likewise the
-        # transaction columns zero-fill in one C call when no
-        # transaction sampler is installed.  The flush runs in a
-        # ``finally`` so the columns stay aligned (complete blocks only)
-        # even if a sampler raises mid-batch — the buffer gains a
+        # single ``extend(range(...))`` in the flush.  The flush runs in
+        # a ``finally`` so the columns stay aligned (complete blocks
+        # only) even if a sampler raises mid-batch — the buffer gains a
         # block's triple only after every draw for that block succeeded,
         # matching the reference path's exception behavior.
         buf = array("q")
@@ -344,362 +367,157 @@ class BlockProducer:
         # memoized lazily per index.  The memo preserves the reference
         # path's first-win label interning order exactly — ids are only
         # assigned the first time a miner actually wins a block.
-        parts = getattr(miner_sampler, "categorical_parts", None)
-        inline_sampler = _INLINE_RANDBELOW and parts is not None
-        if inline_sampler:
-            (
-                cumulative,
-                pool_labels,
-                pooled_mass,
-                solo_count,
-                solo_labels,
-                last_pool,
-            ) = parts
-            if solo_count <= 0:
-                inline_sampler = False
-            else:
-                getrandbits = rng.getrandbits
-                solo_bits = solo_count.bit_length()
-                pool_ids: List[Optional[int]] = [None] * len(pool_labels)
-                # The solo-label list is shared across days (one list per
-                # landscape), so its id memo survives between batches;
-                # the identity check keys the cache without hashing, and
-                # holding the list itself keeps the key from being
-                # recycled.  Pool labels are rebuilt daily, so their memo
-                # is per-batch.
-                memo = self._solo_memo
-                if memo is not None and memo[0] is solo_labels:
-                    solo_ids = memo[1]
-                else:
-                    solo_ids: List[Optional[int]] = [None] * solo_count
-                    self._solo_memo = (solo_labels, solo_ids)
+        (
+            cumulative,
+            pool_labels,
+            pooled_mass,
+            solo_count,
+            solo_labels,
+            last_pool,
+        ) = parts
+        solo_bits = solo_count.bit_length()
+        pool_ids: List[Optional[int]] = [None] * len(pool_labels)
+        # The solo-label list is shared across days (one list per
+        # landscape), so its id memo survives between batches; the
+        # identity check keys the cache without hashing, and holding the
+        # list itself keeps the key from being recycled.  Pool labels are
+        # rebuilt daily, so their memo is per-batch.
+        memo = self._solo_memo
+        if memo is not None and memo[0] is solo_labels:
+            solo_ids = memo[1]
+        else:
+            solo_ids: List[Optional[int]] = [None] * solo_count
+            self._solo_memo = (solo_labels, solo_ids)
+
+        # The standard transaction sampler likewise publishes
+        # ``tx_parts``, so each block's transactions are drawn inline.
+        rate_per_second, contract_p = tx_parts
 
         number = start_number = self.number
         timestamp = self.timestamp
         difficulty = self.difficulty
         clock = self.clock
-        has_tx = tx_sampler is not None
 
-        # The standard transaction sampler likewise publishes
-        # ``tx_parts``, so the Homestead workload loop draws each block's
-        # transactions inline; any other callable runs the general loop.
-        tx_parts = getattr(tx_sampler, "tx_parts", None)
-        if tx_parts is not None:
-            rate_per_second, contract_p = tx_parts
-            gauss = rng.gauss
-            _exp = math.exp
-
-        rule = self.config.difficulty_rule
-        compute = rule.compute
         bomb_delay = self.config.bomb_delay
-        bomb_floor = 2 * BOMB_PERIOD + bomb_delay
         # Consensus constants as locals: LOAD_FAST instead of LOAD_GLOBAL
         # on every block.
         bound_divisor = DIFFICULTY_BOUND_DIVISOR
         clamp = HOMESTEAD_CLAMP
         min_difficulty = MIN_DIFFICULTY
         bomb_period = BOMB_PERIOD
-        homestead = compute is homestead_difficulty
-        frontier = compute is frontier_difficulty
-        fast_rule = (
-            None if homestead or frontier else self.config.fast_difficulty
-        )
-
-        # Bomb cache for the dedicated loops: the bomb term is constant
-        # between exponent boundaries (every ``bomb_period`` blocks), so
-        # recompute the shift only when ``number`` crosses one.  Starting
-        # ``bomb_next`` at the activation floor folds the is-the-bomb-
+        # Bomb cache: the bomb term is constant between exponent
+        # boundaries (every ``bomb_period`` blocks), so recompute the
+        # shift only when ``number`` crosses one.  Starting ``bomb_next``
+        # at the activation floor (``2 * BOMB_PERIOD`` past the delay,
+        # where the exponent first reaches zero) folds the is-the-bomb-
         # active test into the same compare: below the floor the cached
         # term stays 0, and adding 0 is exact integer identity.
         bomb_term = 0
-        bomb_next = bomb_floor
+        bomb_next = 2 * bomb_period + bomb_delay
 
         produced = 0
         # A ``for`` over ``range`` replaces the per-iteration
         # ``produced < n`` compare and counter increment with a single C
         # iterator step; ``produced`` lands on the block count either way.
-        #
-        # The dominant configuration — Homestead rule, inline expovariate,
-        # inline categorical sampler — gets dedicated loops with zero
-        # per-iteration mode checks, specialized once more on whether a
-        # transaction sampler is installed (so the difficulty-only loop
-        # carries no dead ``has_tx`` tests and the workload loop no
-        # always-true ones; the workload loop also needs the inline
-        # transaction parameters); every other combination runs the
-        # general loop in the ``else`` branch.  All bodies are
-        # expression-for-expression the same where they overlap, and all
-        # are held to the reference trajectory by the differential tests.
-        # The ``finally`` flush keeps the derived columns (numbers, the
-        # zero-filled transaction columns) and the chain tip consistent
-        # with whatever full blocks were appended, even if a sampler
-        # raises mid-batch — the same partial-progress state the
-        # reference per-call loop leaves behind.
+        # The ``finally`` flush keeps the derived column (numbers) and the
+        # chain tip consistent with whatever full blocks were appended,
+        # even if a sampler raises mid-batch — the same partial-progress
+        # state the reference per-call loop leaves behind.
         try:
-            if homestead and inline_expo and inline_sampler and not has_tx:
-                for produced in range(1, n + 1):
-                    if clock >= end:
-                        produced -= 1
-                        break
-                    # interval ~ Exponential(hashrate / difficulty),
-                    # inlined (see _expovariate_inline_ok).
-                    interval = -_log(1.0 - rng_random()) / (
-                        hashrate / difficulty
+            for produced in range(1, n + 1):
+                if clock >= end:
+                    produced -= 1
+                    break
+                # interval ~ Exponential(hashrate / difficulty), inlined
+                # (same single draw, same operation order, bit-identical
+                # result — see _expovariate_inline_ok).
+                interval = -_log(1.0 - rng_random()) / (hashrate / difficulty)
+                step = _round(interval)
+                if step < 1:
+                    step = 1
+                new_timestamp = clock + step
+                if new_timestamp <= timestamp:
+                    new_timestamp = timestamp + 1
+                number += 1
+                # EIP-2 difficulty update + bomb, straight-line.  A zero
+                # multiplier (block time in [10, 20)) adds nothing, so
+                # skip the divide/multiply entirely; the cached bomb term
+                # is exact between exponent boundaries (and exactly 0
+                # before activation).
+                multiplier = 1 - (new_timestamp - timestamp) // 10
+                if multiplier < clamp:
+                    multiplier = clamp
+                if multiplier:
+                    difficulty += difficulty // bound_divisor * multiplier
+                if number >= bomb_next:
+                    bomb_exp = (number - bomb_delay) // bomb_period
+                    bomb_term = 1 << (bomb_exp - 2)
+                    bomb_next = (bomb_exp + 1) * bomb_period + bomb_delay
+                difficulty += bomb_term
+                if difficulty < min_difficulty:
+                    difficulty = min_difficulty
+                # The per_block_sampler closure, expression for
+                # expression.  Plain loops: at ~7 transactions per block,
+                # building itertools pipelines costs more than the few
+                # iterations they would save.
+                lam = rate_per_second * step
+                tx_count = contract_count = 0
+                if lam > 1000:
+                    tx_count = max(0, _round(gauss(lam, math.sqrt(lam))))
+                elif lam > 0:
+                    threshold = _exp(-lam)
+                    product = rng_random()
+                    while product > threshold:
+                        tx_count += 1
+                        product *= rng_random()
+                if tx_count <= 64:
+                    for _ in range(tx_count):
+                        if rng_random() < contract_p:
+                            contract_count += 1
+                else:
+                    mean = tx_count * contract_p
+                    sigma = math.sqrt(mean * (1 - contract_p) + 1e-9)
+                    contract_count = max(
+                        0, min(tx_count, _round(gauss(mean, sigma)))
                     )
-                    step = _round(interval)
-                    if step < 1:
-                        step = 1
-                    # ``clock >= timestamp`` is an invariant of every
-                    # producer code path (construction sets them equal,
-                    # the loops keep them equal, the zero-hashrate stall
-                    # only raises the clock), so with ``step >= 1`` the
-                    # reference path's ``new_timestamp <= timestamp``
-                    # clamp can never fire — elided here; the digest
-                    # gate would catch any divergence.
-                    new_timestamp = clock + step
-                    number += 1
-                    # EIP-2 difficulty update + bomb, straight-line.  A
-                    # zero multiplier (block time in [10, 20)) adds
-                    # nothing, so skip the divide/multiply entirely; the
-                    # cached bomb term is exact between exponent
-                    # boundaries (and exactly 0 before activation).
-                    multiplier = 1 - (new_timestamp - timestamp) // 10
-                    if multiplier < clamp:
-                        multiplier = clamp
-                    if multiplier:
-                        difficulty += (
-                            difficulty // bound_divisor * multiplier
-                        )
-                    if number >= bomb_next:
-                        bomb_exp = (number - bomb_delay) // bomb_period
-                        bomb_term = 1 << (bomb_exp - 2)
-                        bomb_next = (
-                            bomb_exp + 1
-                        ) * bomb_period + bomb_delay
-                    difficulty += bomb_term
-                    if difficulty < min_difficulty:
-                        difficulty = min_difficulty
-                    # The winning-miner draw, in advance_one's exact RNG
-                    # order (no transaction draw in this loop); appends
-                    # only after every draw for the block succeeded.
-                    point = rng_random()
-                    if point >= pooled_mass:
+                # The winning-miner draw, last in advance_one's RNG order;
+                # appends only after every draw for the block succeeded.
+                point = rng_random()
+                if point >= pooled_mass:
+                    slot = getrandbits(solo_bits)
+                    while slot >= solo_count:
                         slot = getrandbits(solo_bits)
-                        while slot >= solo_count:
-                            slot = getrandbits(solo_bits)
-                        miner_id = solo_ids[slot]
-                        if miner_id is None:
-                            miner = solo_labels[slot]
-                            miner_id = label_get(miner)
-                            if miner_id is None:
-                                miner_id = label_id(miner)
-                            solo_ids[slot] = miner_id
-                    else:
-                        slot = _bisect_right(cumulative, point)
-                        if slot > last_pool:
-                            slot = last_pool
-                        miner_id = pool_ids[slot]
-                        if miner_id is None:
-                            miner = pool_labels[slot]
-                            miner_id = label_get(miner)
-                            if miner_id is None:
-                                miner_id = label_id(miner)
-                            pool_ids[slot] = miner_id
-                    put((new_timestamp, difficulty, miner_id))
-                    timestamp = clock = new_timestamp
-            elif (
-                homestead and inline_expo and inline_sampler
-                and tx_parts is not None
-            ):
-                for produced in range(1, n + 1):
-                    if clock >= end:
-                        produced -= 1
-                        break
-                    # Same body as the loop above, with the transaction
-                    # draws between the interval and the winning miner —
-                    # advance_one's exact RNG order.
-                    interval = -_log(1.0 - rng_random()) / (
-                        hashrate / difficulty
-                    )
-                    step = _round(interval)
-                    if step < 1:
-                        step = 1
-                    new_timestamp = clock + step
-                    if new_timestamp <= timestamp:
-                        new_timestamp = timestamp + 1
-                    number += 1
-                    multiplier = 1 - (new_timestamp - timestamp) // 10
-                    if multiplier < clamp:
-                        multiplier = clamp
-                    if multiplier:
-                        difficulty += (
-                            difficulty // bound_divisor * multiplier
-                        )
-                    if number >= bomb_next:
-                        bomb_exp = (number - bomb_delay) // bomb_period
-                        bomb_term = 1 << (bomb_exp - 2)
-                        bomb_next = (
-                            bomb_exp + 1
-                        ) * bomb_period + bomb_delay
-                    difficulty += bomb_term
-                    if difficulty < min_difficulty:
-                        difficulty = min_difficulty
-                    # The per_block_sampler closure, expression for
-                    # expression.  Plain loops: at ~7 transactions per
-                    # block, building itertools pipelines costs more
-                    # than the few iterations they would save.
-                    lam = rate_per_second * step
-                    tx_count = contract_count = 0
-                    if lam > 1000:
-                        tx_count = max(0, _round(gauss(lam, math.sqrt(lam))))
-                    elif lam > 0:
-                        threshold = _exp(-lam)
-                        product = rng_random()
-                        while product > threshold:
-                            tx_count += 1
-                            product *= rng_random()
-                    if tx_count <= 64:
-                        for _ in range(tx_count):
-                            if rng_random() < contract_p:
-                                contract_count += 1
-                    else:
-                        mean = tx_count * contract_p
-                        sigma = math.sqrt(mean * (1 - contract_p) + 1e-9)
-                        contract_count = max(
-                            0, min(tx_count, _round(gauss(mean, sigma)))
-                        )
-                    point = rng_random()
-                    if point >= pooled_mass:
-                        slot = getrandbits(solo_bits)
-                        while slot >= solo_count:
-                            slot = getrandbits(solo_bits)
-                        miner_id = solo_ids[slot]
-                        if miner_id is None:
-                            miner = solo_labels[slot]
-                            miner_id = label_get(miner)
-                            if miner_id is None:
-                                miner_id = label_id(miner)
-                            solo_ids[slot] = miner_id
-                    else:
-                        slot = _bisect_right(cumulative, point)
-                        if slot > last_pool:
-                            slot = last_pool
-                        miner_id = pool_ids[slot]
-                        if miner_id is None:
-                            miner = pool_labels[slot]
-                            miner_id = label_get(miner)
-                            if miner_id is None:
-                                miner_id = label_id(miner)
-                            pool_ids[slot] = miner_id
-                    append_txs(tx_count)
-                    append_contract_txs(contract_count)
-                    put((new_timestamp, difficulty, miner_id))
-                    timestamp = clock = new_timestamp
-            else:
-                for produced in range(1, n + 1):
-                    if clock >= end:
-                        produced -= 1
-                        break
-                    # ``Random.expovariate`` is a Python-level wrapper
-                    # around ``-log(1.0 - random()) / lambd``; inline it
-                    # (same single draw, same operation order, bit-
-                    # identical result — see _expovariate_inline_ok).
-                    if inline_expo:
-                        interval = -_log(1.0 - rng_random()) / (
-                            hashrate / difficulty
-                        )
-                    else:  # pragma: no cover - non-CPython fallback
-                        interval = expovariate(hashrate / difficulty)
-                    step = _round(interval)
-                    if step < 1:
-                        step = 1
-                    new_timestamp = clock + step
-                    if new_timestamp <= timestamp:
-                        new_timestamp = timestamp + 1
-                    number += 1
-                    # -- difficulty rule, inlined for the consensus
-                    # algorithms ------------------------------------------
-                    if homestead:
-                        multiplier = 1 - (new_timestamp - timestamp) // 10
-                        if multiplier < clamp:
-                            multiplier = clamp
-                        difficulty += (
-                            difficulty // bound_divisor * multiplier
-                        )
-                        if number >= bomb_floor:
-                            difficulty += 1 << (
-                                (number - bomb_delay) // bomb_period - 2
-                            )
-                        if difficulty < min_difficulty:
-                            difficulty = min_difficulty
-                    elif frontier:
-                        adjustment = difficulty // bound_divisor
-                        if new_timestamp - timestamp < 13:
-                            difficulty += adjustment
-                        else:
-                            difficulty -= adjustment
-                        if number >= bomb_floor:
-                            difficulty += 1 << (
-                                (number - bomb_delay) // bomb_period - 2
-                            )
-                        if difficulty < min_difficulty:
-                            difficulty = min_difficulty
-                    else:
-                        difficulty = fast_rule(
-                            difficulty, timestamp, new_timestamp, number
-                        )
-                    # -- samplers, in advance_one's exact RNG draw order --
-                    if has_tx:
-                        tx_count, contract_count = tx_sampler(rng, step)
-                    if inline_sampler:
-                        point = rng_random()
-                        if point >= pooled_mass:
-                            slot = getrandbits(solo_bits)
-                            while slot >= solo_count:
-                                slot = getrandbits(solo_bits)
-                            miner_id = solo_ids[slot]
-                            if miner_id is None:
-                                miner = solo_labels[slot]
-                                miner_id = label_get(miner)
-                                if miner_id is None:
-                                    miner_id = label_id(miner)
-                                solo_ids[slot] = miner_id
-                        else:
-                            slot = _bisect_right(cumulative, point)
-                            if slot > last_pool:
-                                slot = last_pool
-                            miner_id = pool_ids[slot]
-                            if miner_id is None:
-                                miner = pool_labels[slot]
-                                miner_id = label_get(miner)
-                                if miner_id is None:
-                                    miner_id = label_id(miner)
-                                pool_ids[slot] = miner_id
-                    else:
-                        miner = miner_sampler(rng)
+                    miner_id = solo_ids[slot]
+                    if miner_id is None:
+                        miner = solo_labels[slot]
                         miner_id = label_get(miner)
                         if miner_id is None:
                             miner_id = label_id(miner)
-                    if has_tx:
-                        append_txs(tx_count)
-                        append_contract_txs(contract_count)
-                    put((new_timestamp, difficulty, miner_id))
-                    timestamp = clock = new_timestamp
+                        solo_ids[slot] = miner_id
+                else:
+                    slot = _bisect_right(cumulative, point)
+                    if slot > last_pool:
+                        slot = last_pool
+                    miner_id = pool_ids[slot]
+                    if miner_id is None:
+                        miner = pool_labels[slot]
+                        miner_id = label_get(miner)
+                        if miner_id is None:
+                            miner_id = label_id(miner)
+                        pool_ids[slot] = miner_id
+                append_txs(tx_count)
+                append_contract_txs(contract_count)
+                put((new_timestamp, difficulty, miner_id))
+                timestamp = clock = new_timestamp
         finally:
             # De-interleave the per-block triples into their columns
-            # (same-typecode array extends), then derive the rest: block
-            # numbers are consecutive, so one ``extend(range(...))``
+            # (same-typecode array extends), then derive the block
+            # numbers: they are consecutive, so one ``extend(range(...))``
             # covers them.
             trace.timestamps.extend(buf[0::3])
             trace.difficulties.extend(buf[1::3])
             trace.miner_ids.extend(buf[2::3])
             trace.numbers.extend(range(start_number + 1, number + 1))
-            if not has_tx:
-                # Without a transaction sampler every block carries zero
-                # transactions; fill both columns in one C call instead
-                # of two dead appends per block.
-                zeros = bytes(8 * (number - start_number))
-                trace.tx_counts.frombytes(zeros)
-                trace.contract_tx_counts.frombytes(zeros)
             self.number = number
             self.timestamp = timestamp
             self.clock = clock

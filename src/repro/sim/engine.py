@@ -94,7 +94,8 @@ class ForkSimConfig:
     allocator_alpha: float = 0.12
     events: Sequence[ExternalDraw] = field(default_factory=lambda: list(DEFAULT_EVENTS))
     #: Include the per-block transaction workload (disable for
-    #: difficulty-only experiments to halve runtime).
+    #: difficulty-only experiments: a 90-day run then takes about 0.7x
+    #: the CPU time).
     with_transactions: bool = True
 
     def to_dict(self) -> Dict[str, Any]:

@@ -5,9 +5,11 @@ is *trajectory-identical* to the seed-state implementation it replaced —
 same RNG draw order, same outputs, bit for bit.  These tests hold each
 kernel against its retained reference:
 
-* ``BlockProducer.advance_batch`` vs a loop of ``advance_one``
+* ``BlockProducer.advance_batch``'s one Homestead loop vs a loop of
+  ``advance_one``, with and without transactions; every configuration
+  outside the loop mines through ``advance_one`` itself, and every
+  ``ForkSimulation`` run (single-shot or resumed) stays on the loop
 * ``PoolLandscape.make_sampler`` vs ``reference_sampler``
-* ``ChainConfig.fast_difficulty`` vs ``compute_difficulty``
 * the ``Simulator`` hot loop vs ``ReferenceSimulator`` / the observed loop
 * the ``Network.send`` fast path vs the full transport body
 * whole fork-sim digests, in-process and across fork/spawn workers
@@ -17,10 +19,12 @@ kernel against its retained reference:
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.chain.config import ETC_CONFIG, ETH_CONFIG, PRE_FORK_CONFIG
+from repro.chain.config import ETH_CONFIG
+from repro.chain.difficulty import FRONTIER_RULE, MIN_DIFFICULTY, DifficultyRule
 from repro.core.echoes import EchoDetector
 from repro.data.sightings import Sightings
 from repro.harness import NullProgress, WorkerPool, perf_probe_spec
@@ -40,9 +44,12 @@ from repro.scenarios.replay_attack import (
     ReplayWorkload,
     ReplayWorkloadConfig,
 )
+from repro.sim import blockprod
 from repro.sim.blockprod import BlockProducer, ChainTrace
-from repro.sim.engine import ForkSimConfig, run_fork_sim
+from repro.sim.engine import ForkSimConfig, ForkSimulation, run_fork_sim
 from repro.sim.population import (
+    PoolLandscape,
+    PoolSpec,
     etc_pool_landscape,
     eth_pool_landscape,
     prefork_pool_landscape,
@@ -50,9 +57,22 @@ from repro.sim.population import (
 from repro.sim.workload import eth_workload
 
 
-def make_producer(seed: int = 42, cls=BlockProducer) -> BlockProducer:
+class CountingProducer(BlockProducer):
+    """A producer that counts :meth:`advance_one` calls, so a test can
+    tell the batch kernel (no calls) from the per-block fallback."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.one_calls = 0
+
+    def advance_one(self, *args, **kwargs):
+        self.one_calls += 1
+        return super().advance_one(*args, **kwargs)
+
+
+def make_producer(seed: int = 42, cls=BlockProducer, config=ETH_CONFIG):
     return cls(
-        ETH_CONFIG,
+        config,
         ChainTrace("ETH"),
         start_number=1_920_000,
         start_timestamp=1_469_020_840,
@@ -73,22 +93,41 @@ def trace_columns(trace: ChainTrace):
     )
 
 
-def mine_both_ways(n, hashrate, make_tx_sampler):
-    """Mine ``n`` blocks with ``advance_batch`` and with ``advance_one``
-    (each arm gets its own ``make_tx_sampler()``), assert the two
-    trajectories are identical, and return the batched producer."""
-    landscape = eth_pool_landscape()
-    batched = make_producer()
-    stepped = make_producer()
+def mine_both_ways(
+    n,
+    hashrate,
+    make_tx_sampler,
+    make_miner_sampler=lambda: eth_pool_landscape().make_sampler(0.0),
+    config=ETH_CONFIG,
+    end_offset=None,
+    kernel=True,
+):
+    """Mine up to ``n`` blocks with ``advance_batch`` and with
+    ``advance_one`` (each arm gets its own samplers), stopping both once
+    the clock is ``end_offset`` seconds past the start, when given.
+    Assert the two trajectories are identical and that the batched arm
+    took the kernel (``kernel``) or the per-block fallback, and return
+    the batched producer."""
+    batched = make_producer(cls=CountingProducer, config=config)
+    stepped = make_producer(config=config)
+    end = None if end_offset is None else batched.clock + end_offset
     produced = batched.advance_batch(
-        n, hashrate, landscape.make_sampler(0.0), make_tx_sampler()
+        n, hashrate, make_miner_sampler(), make_tx_sampler(),
+        end_timestamp=end,
     )
-    sampler = landscape.make_sampler(0.0)
+    sampler = make_miner_sampler()
     tx_sampler = make_tx_sampler()
-    for _ in range(n):
+    stepped_count = 0
+    while stepped_count < n and (end is None or stepped.clock < end):
         stepped.advance_one(hashrate, sampler, tx_sampler)
+        stepped_count += 1
 
-    assert produced == n
+    assert produced == stepped_count
+    if end is None:
+        assert produced == n
+    else:
+        assert 0 < produced < n
+    assert batched.one_calls == (0 if kernel else produced)
     assert trace_columns(batched.trace) == trace_columns(stepped.trace)
     assert (batched.number, batched.timestamp, batched.clock,
             batched.difficulty) == (
@@ -98,6 +137,74 @@ def mine_both_ways(n, hashrate, make_tx_sampler):
     # The strongest claim: both arms consumed the exact same draws.
     assert batched.rng.getstate() == stepped.rng.getstate()
     return batched
+
+
+def _custom_difficulty(
+    parent_difficulty, parent_timestamp, timestamp, number, bomb_delay
+):
+    step = parent_difficulty // 1_024
+    if timestamp - parent_timestamp >= 14:
+        step = -step
+    return max(parent_difficulty + step, MIN_DIFFICULTY)
+
+
+def _coin_sampler(rng):
+    return "pool-a" if rng.random() < 0.5 else "pool-b"
+
+
+def _no_solo_sampler():
+    pools = [PoolSpec("pool-a", 0.6), PoolSpec("pool-b", 0.4)]
+    landscape = PoolLandscape(
+        pools, pools, solo_fraction=0.0, solo_identities=0
+    )
+    return landscape.make_sampler(0.0)
+
+
+def _standard_tx_sampler():
+    return eth_workload().per_block_sampler(0, 600_000)
+
+
+def _tx_sampler_without_parts():
+    closure = _standard_tx_sampler()
+
+    def tx_sampler(rng, gap):
+        return closure(rng, gap)
+
+    return tx_sampler
+
+
+#: Configurations outside the kernel, each as ``mine_both_ways``
+#: keywords plus the module flags to switch off (as a failed import-time
+#: probe would).
+FALLBACK_CASES = {
+    "frontier-rule": (
+        dict(config=replace(ETH_CONFIG, difficulty_rule=FRONTIER_RULE)), ()
+    ),
+    "custom-rule": (
+        dict(config=replace(
+            ETH_CONFIG,
+            difficulty_rule=DifficultyRule("custom", _custom_difficulty),
+        )),
+        (),
+    ),
+    "no-solo-miners": (dict(make_miner_sampler=_no_solo_sampler), ()),
+    "plain-miner-callable": (
+        dict(make_miner_sampler=lambda: _coin_sampler), ()
+    ),
+    "tx-sampler-without-parts": (
+        dict(make_tx_sampler=_tx_sampler_without_parts), ()
+    ),
+    "no-inline-expovariate": ({}, ("_INLINE_EXPOVARIATE",)),
+    "no-inline-randbelow": ({}, ("_INLINE_RANDBELOW",)),
+    "end-timestamp": (
+        dict(
+            config=replace(ETH_CONFIG, difficulty_rule=FRONTIER_RULE),
+            make_tx_sampler=lambda: None,
+            end_offset=3_600,
+        ),
+        (),
+    ),
+}
 
 
 class TestBatchKernel:
@@ -140,17 +247,17 @@ class TestBatchKernel:
         )
         assert taken(list(batched.trace.tx_counts))
 
-    def test_tx_sampler_without_parts_takes_general_loop(self):
-        # A transaction sampler that publishes no tx_parts (a user
-        # callable, here wrapping the standard closure) must run through
-        # the general loop and still match advance_one draw for draw.
-        closure = eth_workload().per_block_sampler(0, 600_000)
-
-        def tx_sampler(rng, gap):
-            return closure(rng, gap)
-
-        assert not hasattr(tx_sampler, "tx_parts")
-        mine_both_ways(1_000, 4.5e12, lambda: tx_sampler)
+    @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+    def test_fallback_runs_advance_one(self, case, monkeypatch):
+        # Everything the kernel does not cover runs advance_one once per
+        # block, which is the oracle itself: columns, tip, clock and RNG
+        # state equal a hand-rolled advance_one loop.
+        kwargs, disabled = FALLBACK_CASES[case]
+        for flag in disabled:
+            monkeypatch.setattr(blockprod, flag, False)
+        kwargs = {"make_tx_sampler": _standard_tx_sampler, **kwargs}
+        n = 10_000 if "end_offset" in kwargs else 500
+        mine_both_ways(n, 4.5e12, kernel=False, **kwargs)
 
     def test_batch_matches_across_landscapes_and_days(self):
         for landscape in (
@@ -197,21 +304,6 @@ class TestBatchKernel:
         ) == 0
         assert len(producer.trace) == 0
 
-    def test_plain_callable_sampler_still_works(self):
-        # A miner sampler without categorical_parts (user-supplied
-        # callable) must route through the generic loop unchanged.
-        batched = make_producer()
-        stepped = make_producer()
-
-        def sampler(rng):
-            return "pool-a" if rng.random() < 0.5 else "pool-b"
-
-        batched.advance_batch(300, 1e12, sampler)
-        for _ in range(300):
-            stepped.advance_one(1e12, sampler)
-        assert trace_columns(batched.trace) == trace_columns(stepped.trace)
-        assert batched.rng.getstate() == stepped.rng.getstate()
-
 
 class TestSamplerParity:
     @pytest.mark.parametrize("day", [0.0, 1.0, 45.0, 120.0])
@@ -236,38 +328,6 @@ class TestSamplerParity:
         assert solo_count == len(solo_labels)
 
 
-class TestDifficultyParity:
-    @pytest.mark.parametrize(
-        "config", [ETH_CONFIG, ETC_CONFIG, PRE_FORK_CONFIG]
-    )
-    def test_fast_rule_matches_reference_on_random_headers(self, config):
-        fast = config.fast_difficulty
-        rng = random.Random(1234)
-        for _ in range(5_000):
-            parent_difficulty = rng.randrange(131_072, 10**15)
-            parent_timestamp = rng.randrange(1_400_000_000, 1_600_000_000)
-            timestamp = parent_timestamp + rng.randrange(1, 2_000)
-            number = rng.randrange(1, 6_000_000)
-            assert fast(
-                parent_difficulty, parent_timestamp, timestamp, number
-            ) == config.compute_difficulty(
-                parent_difficulty, parent_timestamp, timestamp, number
-            )
-
-    def test_fast_rule_matches_on_floor_and_bomb_edges(self):
-        for config in (ETH_CONFIG, ETC_CONFIG):
-            fast = config.fast_difficulty
-            for number in (1, 199_999, 200_000, 200_001, 2_000_000,
-                           4_000_000, 5_000_000):
-                for dt in (1, 9, 10, 11, 999, 1_000, 10_000):
-                    for parent in (131_072, 131_073, 10**9, 10**14):
-                        assert fast(
-                            parent, 1_469_000_000, 1_469_000_000 + dt, number
-                        ) == config.compute_difficulty(
-                            parent, 1_469_000_000, 1_469_000_000 + dt, number
-                        )
-
-
 class TestForkSimDigests:
     @pytest.mark.parametrize("seed", [1, 7, 2016_07_20])
     @pytest.mark.parametrize("with_transactions", [False, True])
@@ -283,6 +343,50 @@ class TestForkSimDigests:
         fast = run_fork_sim(config)
         reference = ReferenceForkSimulation(config).run()
         assert fast.digest() == reference.digest()
+
+
+class TestKernelCoverage:
+    """Real fork-sim runs must stay on the batch kernel.
+
+    A configuration change that silently sent them down the per-block
+    fallback would keep every digest and lose the speed; counting
+    ``advance_one`` calls on every producer a run builds catches it.
+    """
+
+    @staticmethod
+    def counting_simulation():
+        producers = []
+
+        class Producer(CountingProducer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                producers.append(self)
+
+        class Simulation(ForkSimulation):
+            producer_cls = Producer
+
+        return Simulation, producers
+
+    @pytest.mark.parametrize("with_transactions", [False, True])
+    def test_fork_sim_never_calls_advance_one(self, with_transactions):
+        simulation, producers = self.counting_simulation()
+        config = ForkSimConfig(
+            days=4, prefork_days=2, seed=7,
+            with_transactions=with_transactions,
+        )
+        result = simulation(config).run()
+        assert len(producers) == 3  # the prefix, then ETH and ETC
+        assert [p.one_calls for p in producers] == [0, 0, 0]
+        assert len(result.eth_trace) > 0 and len(result.etc_trace) > 0
+
+    def test_resumed_chunks_never_call_advance_one(self):
+        simulation, producers = self.counting_simulation()
+        config = ForkSimConfig(days=4, prefork_days=2, seed=7)
+        partial = simulation(config).run(until_day=2)
+        final = simulation(config).run(resume_from=partial.checkpoint)
+        assert len(producers) > 3  # the resumed run restores its own
+        assert all(p.one_calls == 0 for p in producers)
+        assert final.digest() == run_fork_sim(config).digest()
 
 
 #: (id, seed, days, ETH volumes, ETC volumes, model).  ETH's volumes put

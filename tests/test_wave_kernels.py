@@ -423,6 +423,33 @@ class TestDispatchEquivalence:
 
         assert run(reference=False) == run(reference=True)
 
+    def test_every_message_class_has_a_dispatch_entry(self):
+        """``FullNode.receive`` dispatches through ``_DISPATCH`` alone, so
+        a concrete message class without an entry would be dropped on
+        delivery.  Ping/Pong are the exception: the resilience preamble
+        consumes them, and without a policy they are ignored, as the
+        seed ladder ignored them."""
+        import inspect
+
+        from repro.net import messages
+        from repro.net.node import _DISPATCH
+
+        concrete = {
+            cls
+            for _, cls in inspect.getmembers(messages, inspect.isclass)
+            if issubclass(cls, messages.Message)
+            and cls is not messages.Message
+        }
+        assert concrete - {messages.Ping, messages.Pong} == set(_DISPATCH)
+
+        node = FullNode(
+            "n0", Blockchain(CFG, make_genesis(), execute_transactions=False)
+        )
+        assert node.resilience is None
+        before = node.stats.as_dict()
+        node.receive(messages.Ping(sender_id="n1"))
+        node.receive(messages.Pong(sender_id="n1"))
+        assert node.stats.as_dict() == before
 
     def test_reference_arm_runs_seed_bodies(self, monkeypatch):
         """A reference run must not reach a single fast body.
