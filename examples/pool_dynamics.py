@@ -1,69 +1,57 @@
 #!/usr/bin/env python3
 """Mining-pool dynamics across the fork — Figure 5.
 
-Shows both layers of the pool story:
+Shows both layers of the pool story, from one fork simulation:
 
-* the *micro* level: a working pool — members, statistical share
-  submission, proportional payouts, and why miners pool at all (variance);
+* the *micro* level: one fork day on ETH — each pool's weight in the
+  landscape that drew the winners, next to the blocks that carry its
+  label (a pool's whole membership mines under one coinbase);
 * the *macro* level: the nine-month top-1/3/5 concentration series for
   ETH and ETC, including ETC's slow coalescence onto ETH's ratios.
 
 Run: ``python examples/pool_dynamics.py``
 """
 
-import random
+from collections import Counter
 
-from repro.chain.types import from_wei, to_wei
 from repro.core import convergence_day, figure_5, migration_consistency
 from repro.data.windows import DAY
-from repro.mining import HashpowerLedger, MiningPool, PoolDirectory
 from repro.sim import ForkSimConfig, ForkSimulation
+from repro.sim.population import eth_pool_landscape
 
 
-def micro_level() -> None:
+def micro_level(result) -> None:
     print("=" * 72)
-    print("MICRO — one pool, five members, a hundred blocks")
+    print("MICRO — ETH's first fork day: pool weights and the blocks won")
     print("=" * 72)
-    pool = MiningPool("demo-pool", fee_fraction=0.02)
-    for index, hashrate in enumerate((50e6, 30e6, 10e6, 7e6, 3e6)):
-        pool.join(f"rig{index}", hashrate)
-    directory = PoolDirectory()
-    directory.register_pool(pool)
+    # The landscape the simulation drew ETH's winners from (it seeds the
+    # ETH landscape with the run's seed + 3).
+    landscape = eth_pool_landscape(seed=result.config.seed + 3)
+    weights = landscape.weights_on_day(0)
+    trace = result.eth_trace
+    fork_ts = result.fork_timestamp
+    day_zero = trace.slice_by_time(fork_ts, fork_ts + DAY)
+    wins = Counter(trace.miner_of(i) for i in day_zero)
+    total = len(day_zero)
 
-    ledger = HashpowerLedger()
-    ledger.set_hashrate(pool.name, pool.hashrate)
-    ledger.set_hashrate("solo-whale", 25e6)
-
-    rng = random.Random(2016)
-    reward = to_wei(5, "ether")
-    blocks_won = 0
-    for _ in range(100):
-        pool.record_effort(seconds=14.0)
-        if ledger.sample_winner(rng) == pool.name:
-            pool.on_block_won(reward)
-            blocks_won += 1
-
-    print(f"pool hashrate share: {pool.hashrate / ledger.total:.0%}; "
-          f"blocks won: {blocks_won}/100")
-    print(f"pool coinbase (what the chain shows): "
-          f"{directory.label_for(pool.coinbase)}")
-    for name, member in pool.members.items():
-        print(f"  {name}: {member.hashrate / pool.hashrate:5.0%} of pool "
-              f"-> earned {from_wei(member.earned):7.2f} ether")
-    print(f"  operator fees + dust: "
-          f"{from_wei(pool.operator_earned):.2f} ether")
-    print("\nEvery block the pool wins carries ONE coinbase — the pool's.")
+    print(f"{'label':>18} {'weight':>7} {'blocks':>7} {'share':>7}")
+    for label, weight in sorted(weights.items(), key=lambda kv: -kv[1]):
+        won = wins.pop(label, 0)
+        print(f"{label:>18} {weight:7.1%} {won:7d} {won / total:7.1%}")
+    # Whatever is left was won by solo miners, each under its own label.
+    solo = sum(wins.values())
+    print(f"{'solo miners':>18} {landscape.solo_fraction:7.1%} {solo:7d} "
+          f"{solo / total:7.1%}  ({len(wins)} distinct labels)")
+    print(f"\n{total} blocks on day 0. Every block a pool wins carries ONE "
+          f"label — the pool's.")
     print("That is why Figure 5 can only measure pools, not miners.")
 
 
-def macro_level() -> None:
+def macro_level(result) -> None:
     print()
     print("=" * 72)
     print("MACRO — nine months of pool concentration (Figure 5)")
     print("=" * 72)
-    print("simulating (270 days)...")
-    result = ForkSimulation(ForkSimConfig(days=270, prefork_days=14)).run()
-
     figure = figure_5(result)
     print()
     print(figure.render(sample_days=21))
@@ -96,5 +84,7 @@ def macro_level() -> None:
 
 
 if __name__ == "__main__":
-    micro_level()
-    macro_level()
+    print("simulating (270 days)...")
+    result = ForkSimulation(ForkSimConfig(days=270, prefork_days=14)).run()
+    micro_level(result)
+    macro_level(result)

@@ -8,8 +8,8 @@ The package is layered bottom-up:
 * :mod:`repro.evm` — a gas-metered EVM running the DAO-style contracts.
 * :mod:`repro.net` — message-level P2P simulator (Kademlia discovery,
   gossip, mempools, full nodes) for the hours around the fork.
-* :mod:`repro.mining` — miners, hashpower, pools, switching strategies.
-* :mod:`repro.sim` — the fast per-block simulator for month-scale runs.
+* :mod:`repro.sim` — the fast per-block simulator for month-scale runs,
+  with the pool landscapes that decide who wins each block.
 * :mod:`repro.market` — exchange rates and the miner-arbitrage coupling.
 * :mod:`repro.scenarios` — calibrated reconstructions of the DAO fork and
   the surrounding nine months.

@@ -54,6 +54,10 @@ Subcommands:
     JSONL (``--out``) and print deterministic stats plus the wall-time
     span profile (``--stats``).
 
+``observations``, ``figure`` and ``fork-lengths`` run the same harness
+jobs as ``run-all``, in process and with no disk cache, so their
+output matches run-all's files byte for byte.
+
 The full-fidelity runs live in ``benchmarks/``; this CLI trades horizon
 for latency so a first look takes tens of seconds, not minutes.
 """
@@ -318,26 +322,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_simulation(days: int, seed: int):
-    from .sim.engine import ForkSimConfig, ForkSimulation
+def _run_reproduction(args, make_spec):
+    """Run one figure or observations job in process.
 
-    print(f"simulating {days} days from the fork (seed {seed})...",
+    ``make_spec`` maps the fork-simulation config to the harness spec,
+    so the CLI goes through the jobs ``run-all`` runs.  The
+    :class:`~repro.harness.cache.NullCache` keeps the job's inputs (the
+    simulation, the partition, the echoes) in memory for this call only
+    and writes nothing to disk.
+    """
+    from .harness.cache import NullCache
+    from .harness.jobs import run_cached
+    from .sim.engine import ForkSimConfig
+
+    config = ForkSimConfig(days=args.days, prefork_days=7, seed=args.seed)
+    print(f"simulating {args.days} days from the fork (seed {args.seed})...",
           file=sys.stderr)
     start = time.time()
-    result = ForkSimulation(
-        ForkSimConfig(days=days, prefork_days=7, seed=seed)
-    ).run()
+    value = run_cached(make_spec(config), NullCache())
     print(f"done in {time.time() - start:.0f}s", file=sys.stderr)
-    return result
+    return value
 
 
 def cmd_observations(args) -> int:
-    from .core.observations import evaluate_all
-    from .scenarios.partition_event import (
-        PartitionScenario,
-        PartitionScenarioConfig,
-    )
-    from .scenarios.replay_attack import replay_detector
+    from .harness.jobs import observations_spec
 
     if args.days < 270:
         print(
@@ -345,27 +353,19 @@ def cmd_observations(args) -> int:
             f"{args.days} days they may rightly fail to reproduce",
             file=sys.stderr,
         )
-    result = _run_simulation(args.days, args.seed)
-    detector, _ = replay_detector(result)
-    print("running the message-level partition scenario...", file=sys.stderr)
-    partition = PartitionScenario(PartitionScenarioConfig()).run()
-
+    observations = _run_reproduction(args, observations_spec)
     print()
-    for observation in evaluate_all(result, partition, detector):
+    for observation in observations:
         print(observation.render())
     return 0
 
 
 def cmd_figure(args) -> int:
-    from .core import figure_1, figure_2, figure_3, figure_4, figure_5
-    from .scenarios.replay_attack import replay_detector
+    from .harness.jobs import figure_spec
 
-    result = _run_simulation(args.days, args.seed)
-    generators = {1: figure_1, 2: figure_2, 3: figure_3, 5: figure_5}
-    if args.number == 4:
-        figure = figure_4(result, replay_detector(result)[0])
-    else:
-        figure = generators[args.number](result)
+    figure = _run_reproduction(
+        args, lambda config: figure_spec(args.number, config)
+    )
     print()
     print(figure.render(sample_days=args.sample_days))
     if args.csv:
@@ -644,9 +644,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_fork_lengths(_args) -> int:
-    from .scenarios.dos_forks import compare_upgrade_forks
+    from .harness.cache import NullCache
+    from .harness.jobs import fork_lengths_spec, run_cached
 
-    eth, etc = compare_upgrade_forks()
+    eth, etc = run_cached(fork_lengths_spec(), NullCache())
     print(f"{'fork':>28} {'branch blocks':>14} {'paper':>8}")
     print(f"{eth.config.name:>28} {eth.minority_branch_length:>14d} {'86':>8}")
     print(f"{etc.config.name:>28} {etc.minority_branch_length:>14d} {'3583':>8}")

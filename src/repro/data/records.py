@@ -69,8 +69,8 @@ def export_chain(
 ) -> List[BlockRecord]:
     """Export a canonical chain segment to block records.
 
-    ``pool_label`` maps a coinbase :class:`Address` to a display label (see
-    :meth:`repro.mining.pool.PoolDirectory.label_for`).
+    ``pool_label`` maps a coinbase :class:`Address` to a display label,
+    the string a fork-simulation trace keeps in ``ChainTrace.miner_labels``.
     """
     records = []
     for block in chain.canonical_blocks(start, end):

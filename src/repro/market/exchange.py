@@ -71,18 +71,3 @@ class ExchangeRateSeries:
         bottom = self._rates.get(denominator, [])
         days = min(len(top), len(bottom))
         return [top[day] / bottom[day] for day in range(days)]
-
-    def hashes_per_usd_series(
-        self,
-        asset: str,
-        daily_difficulty: Sequence[float],
-        block_reward_ether: float = 5.0,
-    ) -> List[float]:
-        """Apply the Figure 3 formula across aligned daily series."""
-        days = min(len(daily_difficulty), self.days(asset))
-        return [
-            expected_hashes_per_usd(
-                daily_difficulty[day], self.rate(asset, day), block_reward_ether
-            )
-            for day in range(days)
-        ]

@@ -162,17 +162,6 @@ class Network:
             self._ln_params: Optional[Tuple[float, float]] = (lat.mu, lat.sigma)
         else:
             self._ln_params = None
-        if (
-            _INLINE_LOGNORM_OK
-            and type(lat) is GeographicLatency
-            and not lat.strict
-        ):
-            # Strict models stay on the ``delay_between`` path so an
-            # unknown region pair raises KeyError before any jitter draw,
-            # exactly like the per-send path.
-            self._geo_jitter: Optional[float] = lat.jitter_sigma
-        else:
-            self._geo_jitter = None
         self.sim_rng = random.Random(seed)
         self.loss_rate = loss_rate
         self.nodes: Dict[str, FullNode] = {}
@@ -297,14 +286,10 @@ class Network:
         judge = faults.judge if faults is not None else None
         latency = self.latency
         ln = self._ln_params
-        geo_jitter = self._geo_jitter
         sample = latency.sample
         source_node = nodes.get(source)
         src_region = source_node.region if source_node is not None else ""
         geo = self._geo_latency and source_node is not None
-        if geo and geo_jitter is not None:
-            base_map = latency.base
-            geo_default = latency.default_delay
         now = sim.now
         track = self.track_block_propagation and isinstance(message, NewBlock)
         if track:
@@ -364,23 +349,9 @@ class Network:
                             break
                     delay = _exp(ln[0] + z * ln[1])
                 elif geo:
-                    if geo_jitter is not None:
-                        # delay_between == base * lognormvariate(0, jitter);
-                        # exp(0.0 + z*jitter) is bit-equal to the library's
-                        # exp(mu + z*sigma) with mu = 0.0.
-                        while True:
-                            u1 = random_()
-                            u2 = 1.0 - random_()
-                            z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                            if z * z / 4.0 <= -_log(u2):
-                                break
-                        delay = base_map.get(
-                            (src_region, target.region), geo_default
-                        ) * _exp(z * geo_jitter)
-                    else:
-                        delay = latency.delay_between(
-                            src_region, target.region, rng
-                        )
+                    delay = latency.delay_between(
+                        src_region, target.region, rng
+                    )
                 else:
                     delay = sample(rng)
                 if judge is not None:

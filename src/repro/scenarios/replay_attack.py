@@ -289,8 +289,8 @@ def replay_detector(
     """Figure 4's detector: :func:`replay_stream` fed through a fresh
     :class:`~repro.core.echoes.EchoDetector`, plus the ground truth.
 
-    The one echo path: the ``echoes`` job and the CLI both call it, so
-    they produce the same detector bytes.
+    The one echo path: the ``echoes`` job calls it, and the CLI runs
+    that job, so they produce the same detector bytes.
     """
     sightings, truth = replay_stream(result, seed)
     detector = EchoDetector()

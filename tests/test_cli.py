@@ -370,6 +370,16 @@ class TestCommands:
         assert (tmp_path / "out" / "observations.txt").exists()
         assert (tmp_path / "out" / "manifest.json").exists()
         assert "jobs ok" in captured.out
+        # The CLI's figures run the same jobs: the same CSV bytes.
+        for number in range(1, 6):
+            csv_path = tmp_path / f"cli{number}.csv"
+            assert main(
+                ["figure", str(number), "--days", "2",
+                 "--csv", str(csv_path)]
+            ) == 0
+            assert csv_path.read_bytes() == (
+                tmp_path / "out" / f"figure{number}.csv"
+            ).read_bytes()
 
 
 class TestServeParser:

@@ -206,12 +206,6 @@ class TestExchange:
         rates.set_series("ETC", [1.0, 2.0])
         assert rates.ratio_series("ETH", "ETC") == [10.0, 10.0]
 
-    def test_hashes_per_usd_series(self):
-        rates = ExchangeRateSeries()
-        rates.set_series("ETH", [14.0, 14.0])
-        series = rates.hashes_per_usd_series("ETH", [7e13, 14e13])
-        assert series[1] == pytest.approx(2 * series[0])
-
     def test_validation(self):
         rates = ExchangeRateSeries()
         with pytest.raises(ValueError):
