@@ -172,9 +172,6 @@ class Blockchain:
     def state_at(self, block_hash: Hash32) -> Optional[StateDB]:
         return self._states.get(block_hash)
 
-    def receipts_for(self, block_hash: Hash32) -> Tuple[Receipt, ...]:
-        return self._receipts.get(block_hash, ())
-
     def total_difficulty_of(self, block_hash: Hash32) -> Optional[int]:
         return self._total_difficulty.get(block_hash)
 

@@ -118,12 +118,16 @@ class EchoDetector:
         self._reported = None
 
     def _pack_index(self) -> tuple:
+        # The codes are a bytearray so that pickle can never share one
+        # memo entry between them and the hash blob: equal one-byte
+        # ``bytes`` are the same object only when CPython interned both,
+        # which unpickling always does and a live run may not.
         hashes = list(self._first_seen)
         firsts = self._first_seen.values()
         return (
             b"".join(hashes),
             array("I", accumulate(map(len, hashes))),
-            bytes(code for code, _ in firsts),
+            bytearray(code for code, _ in firsts),
             array("q", [timestamp for _, timestamp in firsts]),
         )
 

@@ -71,13 +71,6 @@ class FlowSummary:
     flows: List[MinerFlow]
     pair: Tuple[str, str]
 
-    def migration_series(self) -> TimeSeries:
-        return TimeSeries(
-            [flow.timestamp for flow in self.flows],
-            [flow.migration for flow in self.flows],
-            name=f"migration toward {self.pair[1]}",
-        )
-
     def total_migration_toward_second(
         self, start_ts: float, end_ts: float
     ) -> float:

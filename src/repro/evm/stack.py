@@ -55,7 +55,3 @@ class Stack:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def as_list(self) -> List[int]:
-        """Copy of the stack, bottom first (tracing/tests)."""
-        return list(self._items)

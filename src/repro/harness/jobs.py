@@ -80,7 +80,10 @@ __all__ = [
 #: pickles packed columns instead of Echo objects.
 #: v4: a ``simulate-chunk`` value carries its ForkSimCheckpoint as an
 #: object instead of a base64 JSON dict.
-CACHE_SCHEMA_VERSION = 4
+#: v5: an intermediate ``simulate-chunk`` value holds a delta checkpoint
+#: (only its own days' columns) and a chained digest; ChainTrace pickles
+#: its columns through ``PickleBuffer``.
+CACHE_SCHEMA_VERSION = 5
 
 
 def canonical_json(params: Dict[str, Any]) -> str:
@@ -233,10 +236,11 @@ def simulate_chunk_spec(
     chunk's :class:`~repro.sim.checkpoint.ForkSimCheckpoint` (computing
     it on demand if missing) and resumes, so a preempted ``run-all``
     loses at most ``chunk_days`` of mining instead of the whole horizon.
-    The final chunk (``upto_day >= config.days``) also publishes the
-    full :class:`ForkSimResult` under the plain ``simulate`` key, so
-    downstream figure/observation jobs cache-hit as if the simulation
-    had run single-shot.
+    An intermediate chunk caches only the days it mined; the final
+    chunk (``upto_day >= config.days``) stitches them back together and
+    publishes the full :class:`ForkSimResult` under the plain
+    ``simulate`` key, so downstream figure/observation jobs cache-hit as
+    if the simulation had run single-shot.
     """
     return JobSpec.make(
         "simulate-chunk",
@@ -409,45 +413,64 @@ def _run_simulate_chunk(
 ) -> Dict[str, Any]:
     """Resume-or-start one horizon chunk; returns the chunk's summary.
 
-    The value is a dict of the chunk's digest and block count plus its
-    :class:`~repro.sim.checkpoint.ForkSimCheckpoint` *object* (``None``
-    on the final chunk, whose full result goes under the ``simulate``
-    key instead).  The cache pickles the checkpoint's ``array('q')``
-    columns as raw bytes, so handing it to the next chunk costs no JSON
-    encoding; ``to_dict``/``from_dict`` remain the checkpoint's wire
-    format for anything outside the cache.  Resuming copies the
-    snapshot's columns, so one cached checkpoint can seed any number of
-    resumes.  Chaining is recursive-through-the-cache: a cold
-    intermediate chunk recomputes its predecessor via :func:`run_cached`,
-    while the scheduled stage order makes that a pure cache hit in
-    practice.
+    The chunks before this one end at the multiples of ``chunk_days``
+    below ``upto_day``.  An intermediate chunk resumes from its
+    predecessor's :meth:`~repro.sim.checkpoint.ForkSimCheckpoint.tip`,
+    so it mines and keeps only its own days: its value holds a *delta*
+    checkpoint object, ``blocks`` counts the whole prefix, and
+    ``digest`` chains ``sha256(previous digest + segment digest)``, so
+    it still covers every block so far.  The final chunk stitches its
+    predecessors' deltas into the full prefix, resumes, and publishes
+    the full :class:`ForkSimResult` under the plain ``simulate`` key
+    (its own value carries the single-shot digest and no checkpoint).
+    So each block lands in the cache once in a delta, and once in the
+    final result.  Chaining is recursive-through-the-cache: a missing
+    predecessor is recomputed via :func:`run_cached`, while the
+    scheduled stage order makes that a pure cache hit in practice.
     """
     config = ForkSimConfig.from_dict(params["config"])
     upto = min(params["upto_day"], config.days)
     chunk_days = params["chunk_days"]
     if chunk_days < 1:
         raise ValueError("chunk_days must be >= 1")
-    checkpoint: Optional[ForkSimCheckpoint] = None
-    prev_upto = upto - chunk_days
-    if prev_upto > 0:
-        previous = run_cached(
-            simulate_chunk_spec(config, prev_upto, chunk_days), cache
-        )
-        checkpoint = previous["checkpoint"]
+    previous_uptos = range(chunk_days, upto, chunk_days)
     simulation = ForkSimulation(config, obs=_registry_obs(registry))
-    result = simulation.run(resume_from=checkpoint, until_day=upto)
-    if result.checkpoint is None:
-        # Final chunk: the horizon is complete — publish the full result
-        # under the single-shot key so figure/observation jobs hit it.
-        cache.store(simulate_spec(config).cache_key(), result)
-    return {
-        "upto_day": upto,
-        "chunk_days": chunk_days,
-        "days": config.days,
-        "digest": result.digest(),
-        "blocks": len(result.eth_trace) + len(result.etc_trace),
-        "checkpoint": result.checkpoint,
-    }
+    summary = {"upto_day": upto, "chunk_days": chunk_days, "days": config.days}
+    if upto < config.days:
+        chained, blocks, tip = "", 0, None
+        if previous_uptos:
+            previous = run_cached(
+                simulate_chunk_spec(config, previous_uptos[-1], chunk_days),
+                cache,
+            )
+            chained, blocks = previous["digest"], previous["blocks"]
+            tip = previous["checkpoint"].tip()
+        segment = simulation.run(resume_from=tip, until_day=upto)
+        chained += segment.digest()
+        return dict(
+            summary,
+            digest=hashlib.sha256(chained.encode("ascii")).hexdigest(),
+            blocks=blocks + len(segment.eth_trace) + len(segment.etc_trace),
+            checkpoint=segment.checkpoint,
+        )
+    prefix = None
+    if previous_uptos:
+        prefix = ForkSimCheckpoint.stitch(
+            run_cached(
+                simulate_chunk_spec(config, previous, chunk_days), cache
+            )["checkpoint"]
+            for previous in previous_uptos
+        )
+    # The horizon is complete: publish the full result under the
+    # single-shot key so figure/observation jobs hit it.
+    result = simulation.run(resume_from=prefix)
+    cache.store(simulate_spec(config).cache_key(), result)
+    return dict(
+        summary,
+        digest=result.digest(),
+        blocks=len(result.eth_trace) + len(result.etc_trace),
+        checkpoint=None,
+    )
 
 
 @register_runner("partition", wants_registry=True)

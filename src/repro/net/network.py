@@ -25,7 +25,6 @@ import math
 import random
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from ..chain.types import Hash32
 from .latency import GeographicLatency, LatencyModel, LognormalLatency
 from .messages import Message, NewBlock
 from .node import FullNode
@@ -567,15 +566,6 @@ class Network:
             if names
         }
         return NetworkCensus(self.sim.now, members, peer_means)
-
-    def census_by_fork_hash(self) -> Dict[Optional[Hash32], int]:
-        """Raw partition map: fork-block hash -> node count."""
-        counts: Dict[Optional[Hash32], int] = {}
-        for node in self.nodes.values():
-            if node.online:
-                key = node.fork_block_hash()
-                counts[key] = counts.get(key, 0) + 1
-        return counts
 
     def mean_peer_count(self) -> float:
         online = [n for n in self.nodes.values() if n.online]

@@ -10,14 +10,16 @@ dynamics depend only on the difficulty rule and the hashrate trajectory.
 
 which is *exactly* the consensus difficulty algorithm fed by exact Poisson
 mining — not an approximation of the dynamics, only of the networking.
-Results append to a columnar :class:`ChainTrace` (Python lists of scalars;
-~40 bytes/block instead of a full object graph).
+Results append to a columnar :class:`ChainTrace`: six packed ``array('q')``
+columns, 48 bytes/block, instead of a full object graph.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 import random
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -97,15 +99,49 @@ def _randbelow_inline_ok() -> bool:
 _INLINE_RANDBELOW = _randbelow_inline_ok()
 
 
+def _rebuild_trace(
+    chain: str, byteorder: str, payloads: Tuple, miner_labels: List[str]
+) -> "ChainTrace":
+    """Unpickle a :class:`ChainTrace` (see :meth:`ChainTrace.__reduce_ex__`)."""
+    trace = ChainTrace(chain)
+    for name, payload in zip(ChainTrace.COLUMNS, payloads):
+        column = getattr(trace, name)
+        column.frombytes(payload)
+        if type(payload) is bytearray:
+            # An in-band protocol-5 column, which the unpickler's memo
+            # would keep until the whole load ends: free it now.
+            payload.clear()
+        if byteorder != sys.byteorder:
+            column.byteswap()
+    trace.set_labels(miner_labels)
+    return trace
+
+
 class ChainTrace:
     """Columnar block history for one chain.
 
-    Columns (aligned by index): ``numbers``, ``timestamps``,
-    ``difficulties``, ``miner_ids`` (indexes into ``miner_labels``),
-    ``tx_counts``, ``contract_tx_counts``.  Columns are ``array('q')``
-    (packed int64) so month-scale traces — millions of blocks — stay tens
-    of megabytes instead of gigabytes of boxed integers.
+    Columns (aligned by index, named in :attr:`COLUMNS`): ``numbers``,
+    ``timestamps``, ``difficulties``, ``miner_ids`` (indexes into
+    ``miner_labels``), ``tx_counts``, ``contract_tx_counts``.  Columns are
+    ``array('q')`` (packed int64, 48 bytes/block in all) so month-scale
+    traces — millions of blocks — stay tens of megabytes instead of
+    gigabytes of boxed integers.
+
+    A trace pickles each column as its raw native-order bytes plus the
+    writer's byte order, which the loader swaps if it differs.  At
+    protocol 5 a column goes out as a :class:`pickle.PickleBuffer` over
+    the array itself, so writing a trace to a file makes no copy of it;
+    older protocols fall back to ``tobytes()``.
     """
+
+    COLUMNS = (
+        "numbers",
+        "timestamps",
+        "difficulties",
+        "miner_ids",
+        "tx_counts",
+        "contract_tx_counts",
+    )
 
     def __init__(self, chain: str) -> None:
         self.chain = chain
@@ -120,6 +156,48 @@ class ChainTrace:
 
     def __len__(self) -> int:
         return len(self.numbers)
+
+    def __reduce_ex__(self, protocol):
+        columns = [getattr(self, name) for name in self.COLUMNS]
+        if protocol >= 5:
+            payloads = tuple(pickle.PickleBuffer(column) for column in columns)
+        else:
+            payloads = tuple(column.tobytes() for column in columns)
+        return (
+            _rebuild_trace,
+            (self.chain, sys.byteorder, payloads, self.miner_labels),
+        )
+
+    def set_labels(self, miner_labels: List[str]) -> None:
+        """Adopt ``miner_labels`` (not a copy) as the label table."""
+        self.miner_labels = miner_labels
+        self._label_index = {
+            label: index for index, label in enumerate(miner_labels)
+        }
+
+    def copy(self, chain: Optional[str] = None) -> "ChainTrace":
+        """An independent copy (columns and label table), optionally
+        under another chain name."""
+        twin = ChainTrace(self.chain if chain is None else chain)
+        for name in self.COLUMNS:
+            setattr(twin, name, array("q", getattr(self, name)))
+        twin.miner_labels = list(self.miner_labels)
+        twin._label_index = dict(self._label_index)
+        return twin
+
+    def extend(self, segment: "ChainTrace") -> None:
+        """Append ``segment``'s blocks, mined right after this trace's.
+
+        ``segment``'s label table must extend this one (a resumed trace
+        keeps its predecessor's labels and appends new ones), so its
+        miner ids carry over unchanged and its table replaces this one.
+        """
+        labels = segment.miner_labels
+        if labels[: len(self.miner_labels)] != self.miner_labels:
+            raise ValueError("segment label table does not extend this trace's")
+        for name in self.COLUMNS:
+            getattr(self, name).extend(getattr(segment, name))
+        self.set_labels(list(labels))
 
     def label_id(self, label: str) -> int:
         index = self._label_index.get(label)
@@ -157,16 +235,7 @@ class ChainTrace:
         (packed arrays, so this is cheap) and the label table is shared by
         value, letting pre-fork pool identities persist on both sides.
         """
-        child = cls(chain)
-        child.numbers = array("q", parent.numbers)
-        child.timestamps = array("q", parent.timestamps)
-        child.difficulties = array("q", parent.difficulties)
-        child.miner_ids = array("q", parent.miner_ids)
-        child.tx_counts = array("q", parent.tx_counts)
-        child.contract_tx_counts = array("q", parent.contract_tx_counts)
-        child.miner_labels = list(parent.miner_labels)
-        child._label_index = dict(parent._label_index)
-        return child
+        return parent.copy(chain)
 
     def iter_block_records(self) -> Iterator[BlockRecord]:
         """Yield analysis records lazily, one block at a time.

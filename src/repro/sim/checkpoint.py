@@ -9,28 +9,42 @@ everything the day loop carries across iterations:
 
 * the chain tips (number, timestamp, wall clock, difficulty) and the
   **full Mersenne Twister state** of each producer's RNG,
-* the trace columns mined so far (packed ``array('q')`` snapshots),
+* the trace columns of the run that took it (copies of its
+  :class:`~repro.sim.blockprod.ChainTrace` objects, label tables
+  included),
 * the lagged allocator's current hashpower split,
 * the per-day hashrate ledger.
 
 Everything else the loop consumes — price processes, hashpower supply,
 pool landscapes, transaction workloads — is a pure function of the
 config seed and is recomputed identically on resume, so the checkpoint
-stays small (the trace columns dominate: ~48 bytes/block).
+stays small (the trace columns dominate: 48 bytes/block).
+
+Resuming means "the checkpoint's columns plus the new blocks".  A
+checkpoint whose ``first_day`` is 0 holds the whole prefix; resuming it
+yields the full traces.  :meth:`ForkSimCheckpoint.tip` drops the
+columns, so a run resumed from a tip mines and returns only its own
+days: a *delta* checkpoint, whose ``first_day`` is where its segment
+starts.  :meth:`ForkSimCheckpoint.stitch` joins consecutive delta
+checkpoints back into one full prefix.  The harness's ``simulate-chunk``
+jobs cache one delta per chunk and stitch before the final chunk
+resumes, so a chunked horizon keeps each block in the cache once.
 
 The determinism contract, pinned by ``tests/test_sim_checkpoint.py``:
 running days ``[0, k)``, checkpointing, and resuming through ``[k,
 days)`` yields a :meth:`~repro.sim.engine.ForkSimResult.digest`
 byte-identical to the single-shot run — through any number of chunk
-boundaries, and through a JSON round-trip of the checkpoint itself.
+boundaries, through tips and stitches, and through a JSON round-trip of
+the checkpoint itself.
 
-The harness's ``simulate-chunk`` jobs hand checkpoints to each other
-through the result cache *as objects*: pickle writes the packed columns
-as raw bytes.  :meth:`ForkSimCheckpoint.to_dict` / ``from_dict`` are the
+In the result cache a checkpoint travels *as an object*: its traces
+pickle their columns copy-free (see :class:`~repro.sim.blockprod.
+ChainTrace`).  :meth:`ForkSimCheckpoint.to_dict` / ``from_dict`` are the
 JSON wire format (base64 columns) for anything outside that cache, and
 :meth:`ForkSimCheckpoint.digest` fingerprints that canonical form.
-Resuming copies the snapshot's columns, so one checkpoint can seed any
-number of independent resumes.
+Resuming copies the checkpoint's columns, so one checkpoint can seed
+any number of independent resumes; only a stitched checkpoint, whose
+columns nobody else holds, hands them over to its one resume.
 """
 
 from __future__ import annotations
@@ -40,30 +54,21 @@ import hashlib
 import json
 import sys
 from array import array
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .blockprod import BlockProducer, ChainTrace
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "ProducerState",
-    "TraceSnapshot",
     "ForkSimCheckpoint",
 ]
 
 #: Bump on any change to the serialized layout; ``from_dict`` rejects
 #: mismatches instead of guessing.
-CHECKPOINT_VERSION = 1
-
-_COLUMNS = (
-    "numbers",
-    "timestamps",
-    "difficulties",
-    "miner_ids",
-    "tx_counts",
-    "contract_tx_counts",
-)
+#: v2: ``first_day`` (delta checkpoints).
+CHECKPOINT_VERSION = 2
 
 
 def _pack_column(column: array) -> str:
@@ -80,6 +85,32 @@ def _unpack_column(payload: str) -> array:
     if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
         column.byteswap()
     return column
+
+
+def _trace_to_dict(trace: ChainTrace) -> Dict[str, Any]:
+    return {
+        "chain": trace.chain,
+        "columns": {
+            name: _pack_column(getattr(trace, name))
+            for name in ChainTrace.COLUMNS
+        },
+        "miner_labels": trace.miner_labels,
+    }
+
+
+def _trace_from_dict(payload: Dict[str, Any]) -> ChainTrace:
+    trace = ChainTrace(payload["chain"])
+    for name in ChainTrace.COLUMNS:
+        setattr(trace, name, _unpack_column(payload["columns"][name]))
+    trace.set_labels(list(payload["miner_labels"]))
+    return trace
+
+
+def _columnless(trace: ChainTrace) -> ChainTrace:
+    """An empty trace carrying ``trace``'s chain name and label table."""
+    tip = ChainTrace(trace.chain)
+    tip.set_labels(list(trace.miner_labels))
+    return tip
 
 
 @dataclass
@@ -141,61 +172,6 @@ class ProducerState:
 
 
 @dataclass
-class TraceSnapshot:
-    """Deep copy of one :class:`~repro.sim.blockprod.ChainTrace`.
-
-    Columns are copied at capture *and* at restore so neither the
-    checkpoint nor a resumed run can mutate the other's arrays — a
-    checkpoint can seed any number of independent resumes.
-    """
-
-    chain: str
-    columns: Dict[str, array]
-    miner_labels: List[str]
-
-    @classmethod
-    def capture(cls, trace: ChainTrace) -> "TraceSnapshot":
-        return cls(
-            chain=trace.chain,
-            columns={
-                name: array("q", getattr(trace, name)) for name in _COLUMNS
-            },
-            miner_labels=list(trace.miner_labels),
-        )
-
-    def restore(self) -> ChainTrace:
-        trace = ChainTrace(self.chain)
-        for name in _COLUMNS:
-            setattr(trace, name, array("q", self.columns[name]))
-        trace.miner_labels = list(self.miner_labels)
-        trace._label_index = {
-            label: index for index, label in enumerate(trace.miner_labels)
-        }
-        return trace
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "chain": self.chain,
-            "columns": {
-                name: _pack_column(column)
-                for name, column in self.columns.items()
-            },
-            "miner_labels": self.miner_labels,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "TraceSnapshot":
-        return cls(
-            chain=payload["chain"],
-            columns={
-                name: _unpack_column(payload["columns"][name])
-                for name in _COLUMNS
-            },
-            miner_labels=list(payload["miner_labels"]),
-        )
-
-
-@dataclass
 class ForkSimCheckpoint:
     """Everything :meth:`ForkSimulation.run` needs to pick up at day ``day``.
 
@@ -211,12 +187,21 @@ class ForkSimCheckpoint:
     fork_number: int
     fork_timestamp: int
     producers: Dict[str, ProducerState]
-    traces: Dict[str, TraceSnapshot]
+    #: Per-chain trace columns of days ``[first_day, day)`` (pre-fork
+    #: blocks included when ``first_day`` is 0); the label tables are
+    #: always whole.
+    traces: Dict[str, ChainTrace]
     #: The lagged allocator's current per-chain hashrate split.
     allocation: Dict[str, float]
     #: Per-chain daily hashrate mined so far (``day`` entries each).
     daily_hashrate: Dict[str, List[float]]
+    #: First day the trace columns cover: 0 for a full prefix, the
+    #: segment start for a delta checkpoint.
+    first_day: int = 0
     version: int = CHECKPOINT_VERSION
+    #: Set on a :meth:`stitch` result: its columns are nobody else's, so
+    #: its one resume adopts them instead of copying.
+    owned: bool = field(default=False, compare=False, repr=False)
 
     @classmethod
     def capture(
@@ -229,6 +214,7 @@ class ForkSimCheckpoint:
         traces: Dict[str, ChainTrace],
         allocation: Dict[str, float],
         daily_hashrate: Dict[str, List[float]],
+        first_day: int = 0,
     ) -> "ForkSimCheckpoint":
         return cls(
             config=config.to_dict(),
@@ -239,16 +225,98 @@ class ForkSimCheckpoint:
                 chain: ProducerState.capture(producer)
                 for chain, producer in producers.items()
             },
-            traces={
-                chain: TraceSnapshot.capture(trace)
-                for chain, trace in traces.items()
-            },
+            traces={chain: trace.copy() for chain, trace in traces.items()},
             allocation=dict(allocation),
             daily_hashrate={
                 chain: list(values)
                 for chain, values in daily_hashrate.items()
             },
+            first_day=first_day,
         )
+
+    def _live_traces(self) -> Dict[str, ChainTrace]:
+        if self.traces is None:
+            raise ValueError(
+                "this stitched checkpoint already handed its columns to a resume"
+            )
+        return self.traces
+
+    def restore_traces(self) -> Dict[str, ChainTrace]:
+        """The traces a resume appends to.
+
+        Copies, so the checkpoint can seed any number of resumes — except
+        on a stitched checkpoint, which hands over its own columns once
+        and is spent afterwards.
+        """
+        traces = self._live_traces()
+        if self.owned:
+            self.traces = None
+            return traces
+        return {chain: trace.copy() for chain, trace in traces.items()}
+
+    def tip(self) -> "ForkSimCheckpoint":
+        """This checkpoint without its columns.
+
+        A run resumed from the tip mines days ``[day, stop)`` and returns
+        exactly those blocks; the checkpoint it takes is a delta starting
+        at ``day``.
+        """
+        return replace(
+            self,
+            traces={
+                chain: _columnless(trace)
+                for chain, trace in self._live_traces().items()
+            },
+            first_day=self.day,
+            owned=False,
+        )
+
+    @classmethod
+    def stitch(
+        cls, segments: Iterable["ForkSimCheckpoint"]
+    ) -> "ForkSimCheckpoint":
+        """Join consecutive delta checkpoints into one full prefix.
+
+        ``segments`` must start at day 0 and each must start where the
+        previous one ends.  It is consumed lazily, so a caller loading
+        segments from a cache holds one at a time.  The result carries
+        the last segment's tip with every segment's columns copied into
+        fresh arrays; it is :attr:`owned`, so the resume it seeds adopts
+        them without another copy, and the segments stay untouched.
+        """
+        stitched: Optional[ForkSimCheckpoint] = None
+        for segment in segments:
+            traces = segment._live_traces()
+            if stitched is None:
+                if segment.first_day != 0:
+                    raise ValueError(
+                        f"first segment starts at day {segment.first_day}, "
+                        "not 0"
+                    )
+                stitched = replace(
+                    segment,
+                    traces={
+                        chain: trace.copy() for chain, trace in traces.items()
+                    },
+                    owned=True,
+                )
+                continue
+            if segment.config != stitched.config:
+                raise ValueError("segments come from different configurations")
+            if segment.first_day != stitched.day:
+                raise ValueError(
+                    f"segment starts at day {segment.first_day}, but the "
+                    f"prefix ends at day {stitched.day}"
+                )
+            for chain, trace in stitched.traces.items():
+                trace.extend(traces[chain])
+            stitched.day = segment.day
+            stitched.producers = segment.producers
+            stitched.allocation = segment.allocation
+            stitched.daily_hashrate = segment.daily_hashrate
+        if stitched is None:
+            raise ValueError("no segments to stitch")
+        return stitched
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe payload (round-trips exactly through ``from_dict``).
@@ -261,6 +329,7 @@ class ForkSimCheckpoint:
             "version": self.version,
             "config": self.config,
             "day": self.day,
+            "first_day": self.first_day,
             "fork_number": self.fork_number,
             "fork_timestamp": self.fork_timestamp,
             "producers": {
@@ -268,8 +337,8 @@ class ForkSimCheckpoint:
                 for chain, state in self.producers.items()
             },
             "traces": {
-                chain: snapshot.to_dict()
-                for chain, snapshot in self.traces.items()
+                chain: _trace_to_dict(trace)
+                for chain, trace in self._live_traces().items()
             },
             "allocation": self.allocation,
             "daily_hashrate": self.daily_hashrate,
@@ -286,6 +355,7 @@ class ForkSimCheckpoint:
         return cls(
             config=payload["config"],
             day=payload["day"],
+            first_day=payload["first_day"],
             fork_number=payload["fork_number"],
             fork_timestamp=payload["fork_timestamp"],
             producers={
@@ -293,8 +363,8 @@ class ForkSimCheckpoint:
                 for chain, state in payload["producers"].items()
             },
             traces={
-                chain: TraceSnapshot.from_dict(snapshot)
-                for chain, snapshot in payload["traces"].items()
+                chain: _trace_from_dict(trace)
+                for chain, trace in payload["traces"].items()
             },
             allocation=dict(payload["allocation"]),
             daily_hashrate={

@@ -167,15 +167,8 @@ class ForkSimResult:
         hasher = hashlib.sha256()
         for trace in (self.eth_trace, self.etc_trace):
             hasher.update(trace.chain.encode("utf-8"))
-            for column in (
-                trace.numbers,
-                trace.timestamps,
-                trace.difficulties,
-                trace.miner_ids,
-                trace.tx_counts,
-                trace.contract_tx_counts,
-            ):
-                hasher.update(column.tobytes())
+            for name in ChainTrace.COLUMNS:
+                hasher.update(getattr(trace, name))
             hasher.update("\x00".join(trace.miner_labels).encode("utf-8"))
         hasher.update(struct.pack("<qq", self.fork_timestamp, self.fork_number))
         for chain in sorted(self.daily_hashrate):
@@ -248,12 +241,14 @@ class ForkSimulation:
         ``[0, until_day)``); the partial result then carries a
         :class:`ForkSimCheckpoint` for the remaining days.
         ``resume_from`` picks up from such a checkpoint instead of
-        re-mining the prefix.  Chaining chunks produces a final result
-        whose :meth:`ForkSimResult.digest` is byte-identical to a
-        single-shot run: producer RNG state is restored exactly, and
-        every other daily input (prices, supply, pool landscapes,
-        transaction workloads) is a pure function of ``config.seed``
-        recomputed identically on every (re)entry.
+        re-mining the prefix; the result's traces are the checkpoint's
+        columns plus the new blocks (only the new ones when resuming
+        from a :meth:`~ForkSimCheckpoint.tip`).  Chaining chunks
+        produces a final result whose :meth:`ForkSimResult.digest` is
+        byte-identical to a single-shot run: producer RNG state is
+        restored exactly, and every other daily input (prices, supply,
+        pool landscapes, transaction workloads) is a pure function of
+        ``config.seed`` recomputed identically on every (re)entry.
         """
         config = self.config
         if until_day is not None and until_day < 1:
@@ -365,12 +360,14 @@ class ForkSimulation:
             producers = {"ETH": eth_producer, "ETC": etc_producer}
             daily_hashrate: Dict[str, List[float]] = {"ETH": [], "ETC": []}
             first_day = 0
+            segment_start = 0
         else:
             # -- resume: restore exactly what the day loop carries ---------
             fork_number = resume_from.fork_number
             fork_timestamp = resume_from.fork_timestamp
-            eth_trace = resume_from.traces["ETH"].restore()
-            etc_trace = resume_from.traces["ETC"].restore()
+            restored_traces = resume_from.restore_traces()
+            eth_trace = restored_traces["ETH"]
+            etc_trace = restored_traces["ETC"]
             producers = {}
             for chain, chain_config, trace in (
                 ("ETH", ETH_CONFIG, eth_trace),
@@ -392,6 +389,7 @@ class ForkSimulation:
                 for chain, values in resume_from.daily_hashrate.items()
             }
             first_day = resume_from.day
+            segment_start = resume_from.first_day
 
         landscapes: Dict[str, PoolLandscape] = {
             "ETH": eth_pool_landscape(seed=config.seed + 3),
@@ -454,6 +452,7 @@ class ForkSimulation:
                 traces={"ETH": eth_trace, "ETC": etc_trace},
                 allocation=allocator.current,
                 daily_hashrate=daily_hashrate,
+                first_day=segment_start,
             )
 
         result = ForkSimResult(

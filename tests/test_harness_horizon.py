@@ -9,6 +9,8 @@ run, and the final chunk publishes the full result under the plain
 """
 
 import json
+import pickle
+from array import array
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.harness import (
     simulate_spec,
 )
 from repro.scenarios.partition_event import PartitionScenarioConfig
+from repro.sim.blockprod import ChainTrace
 from repro.sim.checkpoint import ForkSimCheckpoint
 from repro.sim.engine import ForkSimConfig, ForkSimulation, run_fork_sim
 
@@ -139,9 +142,13 @@ class TestChunkRunner:
 
     def test_object_and_json_roundtrip_resume_identically(self):
         config = ForkSimConfig(days=DAYS, prefork_days=2, seed=7)
-        checkpoint = run_cached(
-            simulate_chunk_spec(config, 2, 2), _MemoryCache()
-        )["checkpoint"]
+        cache = _MemoryCache()
+        checkpoint = ForkSimCheckpoint.stitch(
+            run_cached(simulate_chunk_spec(config, upto, 2), cache)[
+                "checkpoint"
+            ]
+            for upto in (2, 4)
+        )
         wire = ForkSimCheckpoint.from_dict(
             json.loads(json.dumps(checkpoint.to_dict()))
         )
@@ -149,6 +156,73 @@ class TestChunkRunner:
         from_wire = ForkSimulation(config).run(resume_from=wire)
         assert from_object.digest() == from_wire.digest()
         assert from_object.digest() == run_fork_sim(config).digest()
+
+    def test_every_block_is_cached_once(self, tmp_path):
+        config = ForkSimConfig(days=DAYS, prefork_days=2, seed=7)
+        cache = ResultCache(tmp_path / "cache")
+        final = run_cached(simulate_chunk_spec(config, DAYS, 2), cache)
+        deltas = [
+            cache.lookup(simulate_chunk_spec(config, upto, 2).cache_key())[1]
+            for upto in (2, 4)
+        ]
+        assert [delta["checkpoint"].first_day for delta in deltas] == [0, 2]
+        prefix = ForkSimCheckpoint.stitch(
+            delta["checkpoint"] for delta in deltas
+        )
+        assert prefix.day == 4
+        full = cache.lookup(simulate_spec(config).cache_key())[1]
+        for chain, trace in full.traces().items():
+            lengths = [len(d["checkpoint"].traces[chain]) for d in deltas]
+            stitched = prefix.traces[chain]
+            assert sum(lengths) == len(stitched) < len(trace)
+            for name in ChainTrace.COLUMNS:
+                assert getattr(stitched, name) == getattr(trace, name)[
+                    : len(stitched)
+                ]
+        # ``blocks`` stays cumulative, and the chained digests differ.
+        assert deltas[1]["blocks"] == sum(
+            len(trace) for trace in prefix.traces.values()
+        )
+        assert final["blocks"] == len(full.eth_trace) + len(full.etc_trace)
+        assert len({d["digest"] for d in deltas} | {final["digest"]}) == 3
+
+    def test_stitched_checkpoint_seeds_one_resume(self):
+        config = ForkSimConfig(days=DAYS, prefork_days=2, seed=7)
+        cache = _MemoryCache()
+        segments = [
+            run_cached(simulate_chunk_spec(config, upto, 2), cache)[
+                "checkpoint"
+            ]
+            for upto in (2, 4)
+        ]
+        before = [segment.digest() for segment in segments]
+        stitched = ForkSimCheckpoint.stitch(segments)
+        result = ForkSimulation(config).run(resume_from=stitched)
+        assert result.digest() == run_fork_sim(config).digest()
+        assert [segment.digest() for segment in segments] == before
+        with pytest.raises(ValueError, match="already"):
+            ForkSimulation(config).run(resume_from=stitched)
+
+    def test_stitch_rejects_a_gap(self):
+        config = ForkSimConfig(days=DAYS, prefork_days=2, seed=7)
+        cache = _MemoryCache()
+        second = run_cached(simulate_chunk_spec(config, 4, 2), cache)
+        with pytest.raises(ValueError, match="day 2"):
+            ForkSimCheckpoint.stitch([second["checkpoint"]])
+        first = cache.values[simulate_chunk_spec(config, 2, 2).cache_key()]
+        with pytest.raises(ValueError, match="day 2"):
+            ForkSimCheckpoint.stitch(
+                [first["checkpoint"], first["checkpoint"]]
+            )
+
+    def test_uneven_final_chunk_stitches_the_scheduled_chunks(self, tmp_path):
+        config = ForkSimConfig(days=5, prefork_days=2, seed=7)
+        cache = ResultCache(tmp_path / "cache")
+        final = run_cached(simulate_chunk_spec(config, 5, 2), cache)
+        assert final["digest"] == run_fork_sim(config).digest()
+        assert not cache.contains(
+            simulate_chunk_spec(config, 3, 2).cache_key()
+        )
 
 
 class TestHorizonChunkedRunAll:
@@ -184,3 +258,38 @@ class TestHorizonChunkedRunAll:
                 chunk_size=2,
                 horizon_chunk_days=2,
             )
+
+
+class TestTracePickling:
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_round_trip_at_every_protocol(self, protocol):
+        result = run_fork_sim(ForkSimConfig(days=2, prefork_days=1, seed=3))
+        loaded = pickle.loads(pickle.dumps(result, protocol=protocol))
+        assert loaded.digest() == result.digest()
+        for chain, trace in loaded.traces().items():
+            original = result.traces()[chain]
+            assert trace.chain == original.chain
+            for name in ChainTrace.COLUMNS:
+                column = getattr(trace, name)
+                assert column.typecode == "q"
+                assert column == getattr(original, name)
+            assert trace.miner_labels == original.miner_labels
+            assert trace._label_index == original._label_index
+            # The loaded label table is live: a known label keeps its id.
+            label = original.miner_labels[-1]
+            assert trace.label_id(label) == original.label_id(label)
+
+    def test_foreign_byte_order_is_swapped_on_load(self):
+        trace = ChainTrace("ETH")
+        trace.append(1, 2, 3, "pool", 4, 5)
+        rebuild, (chain, byteorder, payloads, labels) = trace.__reduce_ex__(4)
+        foreign = "big" if byteorder == "little" else "little"
+        swapped = []
+        for payload in payloads:
+            column = array("q")
+            column.frombytes(payload)
+            column.byteswap()
+            swapped.append(column.tobytes())
+        loaded = rebuild(chain, foreign, tuple(swapped), list(labels))
+        for name in ChainTrace.COLUMNS:
+            assert getattr(loaded, name) == getattr(trace, name)

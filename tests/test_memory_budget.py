@@ -19,6 +19,8 @@ import pytest
 
 from repro.core.observations import evaluate_all
 from repro.core.report import figure_1, figure_2, figure_3, figure_5
+from repro.harness.cache import ResultCache
+from repro.sim.blockprod import ChainTrace
 from repro.sim.engine import ForkSimConfig, run_fork_sim
 
 #: 40 days ≈ 520k blocks across both chains — big enough that per-block
@@ -49,4 +51,43 @@ def test_columnar_analysis_fits_budget(result):
         f"columnar analysis peak {peak} bytes exceeds the "
         f"{COLUMNAR_BUDGET_BYTES}-byte budget — something is boxing "
         "records on the hot path"
+    )
+
+
+def test_cache_store_makes_no_copy_of_the_columns(tmp_path):
+    """Pickling a trace hands each column to the file as a buffer view,
+    so storing a result costs about pickle's framing, not a second copy
+    of every column (a ``tobytes()`` per column costs the lot, since the
+    pickler's memo keeps each copy until the dump ends).  Loading frees
+    each column's payload once the column is built, so a load peaks at
+    about one trace plus one column, not two traces."""
+    small = run_fork_sim(
+        ForkSimConfig(days=8, prefork_days=1, seed=5, with_transactions=False)
+    )
+    column_bytes = sum(
+        getattr(trace, name).itemsize * len(trace)
+        for trace in small.traces().values()
+        for name in ChainTrace.COLUMNS
+    )
+    cache = ResultCache(tmp_path / "cache")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cache.store("a" * 64, small)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < column_bytes / 8, (
+        f"storing {column_bytes} column bytes peaked at {peak} bytes"
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        hit, loaded = cache.lookup("a" * 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hit and loaded.digest() == small.digest()
+    assert peak < 1.5 * column_bytes, (
+        f"loading {column_bytes} column bytes peaked at {peak} bytes"
     )
