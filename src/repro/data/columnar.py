@@ -3,9 +3,11 @@
 :class:`ColumnarChainDatabase` is the paper's "separate database"
 (Section 3.1): every figure and observation reads chain data through
 its aggregated queries, never from a node or a trace directly.  It keeps
-block data in ``array('q')`` columns — the representation
-:class:`~repro.sim.blockprod.ChainTrace` produces — and its one ingest,
-:meth:`~ColumnarChainDatabase.adopt_trace` (reached through
+block data in the packed columns :class:`~repro.sim.blockprod.ChainTrace`
+produces (int64 timestamps and difficulties; miner ids and tx counts in
+two bytes, or int64 once a value does not fit: the queries only index,
+slice, sum, count and bisect, so any typecode serves), and its one
+ingest, :meth:`~ColumnarChainDatabase.adopt_trace` (reached through
 ``ForkSimResult.to_database()``), shares a finished trace's arrays
 zero-copy, so the figure path never boxes a block.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.echoes import EchoDetector
@@ -83,7 +83,10 @@ __all__ = [
 #: v5: an intermediate ``simulate-chunk`` value holds a delta checkpoint
 #: (only its own days' columns) and a chained digest; ChainTrace pickles
 #: its columns through ``PickleBuffer``.
-CACHE_SCHEMA_VERSION = 5
+#: v6: ChainTrace pickles its first block number and each column's
+#: typecode (narrow columns, derived numbers); an intermediate
+#: ``simulate-chunk`` also caches its columnless tip apart.
+CACHE_SCHEMA_VERSION = 6
 
 
 def canonical_json(params: Dict[str, Any]) -> str:
@@ -415,8 +418,9 @@ def _run_simulate_chunk(
 
     The chunks before this one end at the multiples of ``chunk_days``
     below ``upto_day``.  An intermediate chunk resumes from its
-    predecessor's :meth:`~repro.sim.checkpoint.ForkSimCheckpoint.tip`,
-    so it mines and keeps only its own days: its value holds a *delta*
+    predecessor's :meth:`~repro.sim.checkpoint.ForkSimCheckpoint.tip`
+    (cached apart, see :func:`_chunk_tip`, so it loads no columns), so
+    it mines and keeps only its own days: its value holds a *delta*
     checkpoint object, ``blocks`` counts the whole prefix, and
     ``digest`` chains ``sha256(previous digest + segment digest)``, so
     it still covers every block so far.  The final chunk stitches its
@@ -439,20 +443,19 @@ def _run_simulate_chunk(
     if upto < config.days:
         chained, blocks, tip = "", 0, None
         if previous_uptos:
-            previous = run_cached(
-                simulate_chunk_spec(config, previous_uptos[-1], chunk_days),
-                cache,
-            )
+            previous = _chunk_tip(config, previous_uptos[-1], chunk_days, cache)
             chained, blocks = previous["digest"], previous["blocks"]
-            tip = previous["checkpoint"].tip()
+            tip = previous["checkpoint"]
         segment = simulation.run(resume_from=tip, until_day=upto)
         chained += segment.digest()
-        return dict(
+        value = dict(
             summary,
             digest=hashlib.sha256(chained.encode("ascii")).hexdigest(),
             blocks=blocks + len(segment.eth_trace) + len(segment.etc_trace),
             checkpoint=segment.checkpoint,
         )
+        cache.store(_chunk_tip_key(config, upto, chunk_days), _tip_of(value))
+        return value
     prefix = None
     if previous_uptos:
         prefix = ForkSimCheckpoint.stitch(
@@ -471,6 +474,39 @@ def _run_simulate_chunk(
         blocks=len(result.eth_trace) + len(result.etc_trace),
         checkpoint=None,
     )
+
+
+def _chunk_tip_key(config: ForkSimConfig, upto: int, chunk_days: int) -> str:
+    spec = simulate_chunk_spec(config, upto, chunk_days)
+    return replace(spec, kind="simulate-chunk-tip").cache_key()
+
+
+def _tip_of(value: Dict[str, Any]) -> Dict[str, Any]:
+    return {
+        "digest": value["digest"],
+        "blocks": value["blocks"],
+        "checkpoint": value["checkpoint"].tip(),
+    }
+
+
+def _chunk_tip(
+    config: ForkSimConfig, upto: int, chunk_days: int, cache
+) -> Dict[str, Any]:
+    """An intermediate chunk's value with its checkpoint's columns
+    dropped: what the next chunk resumes from.
+
+    It is cached under its own key, so the next chunk loads no columns.
+    A missing or corrupt entry is rebuilt from the chunk's value, which
+    :func:`run_cached` recomputes when that is missing too.
+    """
+    key = _chunk_tip_key(config, upto, chunk_days)
+    hit, tip = cache.lookup(key)
+    if not hit:
+        tip = _tip_of(
+            run_cached(simulate_chunk_spec(config, upto, chunk_days), cache)
+        )
+        cache.store(key, tip)
+    return tip
 
 
 @register_runner("partition", wants_registry=True)

@@ -10,8 +10,8 @@ dynamics depend only on the difficulty rule and the hashrate trajectory.
 
 which is *exactly* the consensus difficulty algorithm fed by exact Poisson
 mining — not an approximation of the dynamics, only of the networking.
-Results append to a columnar :class:`ChainTrace`: six packed ``array('q')``
-columns, 48 bytes/block, instead of a full object graph.
+Results append to a columnar :class:`ChainTrace`: five packed columns,
+22 bytes/block, instead of a full object graph.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import random
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..chain.config import ChainConfig
@@ -100,12 +101,18 @@ _INLINE_RANDBELOW = _randbelow_inline_ok()
 
 
 def _rebuild_trace(
-    chain: str, byteorder: str, payloads: Tuple, miner_labels: List[str]
+    chain: str,
+    byteorder: str,
+    first_number: int,
+    typecodes: str,
+    payloads: Tuple,
+    miner_labels: List[str],
 ) -> "ChainTrace":
     """Unpickle a :class:`ChainTrace` (see :meth:`ChainTrace.__reduce_ex__`)."""
     trace = ChainTrace(chain)
-    for name, payload in zip(ChainTrace.COLUMNS, payloads):
-        column = getattr(trace, name)
+    trace.first_number = first_number
+    for name, typecode, payload in zip(ChainTrace.STORED, typecodes, payloads):
+        column = array(typecode)
         column.frombytes(payload)
         if type(payload) is bytearray:
             # An in-band protocol-5 column, which the unpickler's memo
@@ -113,8 +120,42 @@ def _rebuild_trace(
             payload.clear()
         if byteorder != sys.byteorder:
             column.byteswap()
+        setattr(trace, name, column)
     trace.set_labels(miner_labels)
     return trace
+
+
+#: Values a narrow column holds per slice when it is widened to int64
+#: bytes (512 KiB of output per slice); also the span of
+#: :func:`_u16_ramp`.
+_WIDEN_SLICE = 1 << 16
+#: Where a native uint16's two bytes sit inside a native int64.
+_LOW_OFFSET = 0 if sys.byteorder == "little" else 6
+
+
+@lru_cache(maxsize=None)
+def _u16_ramp() -> bytes:
+    """Native uint16 bytes of ``0, 1, ..., 65535``."""
+    return array("H", range(_WIDEN_SLICE)).tobytes()
+
+
+def _int64_bytes(low16: bytes, high: int = 0) -> bytearray:
+    """Native int64 bytes of ``(high << 16) + v`` for each native uint16
+    ``v`` packed in ``low16``.
+
+    Strided byte copies run at C speed: about seven times faster than
+    building an ``array('q')`` one element at a time.
+    """
+    count = len(low16) // 2
+    out = bytearray(8 * count)
+    if high:
+        word = (high << 16).to_bytes(8, sys.byteorder, signed=True)
+        for offset, byte in enumerate(word):
+            if byte:
+                out[offset::8] = bytes((byte,)) * count
+    out[_LOW_OFFSET::8] = low16[0::2]
+    out[_LOW_OFFSET + 1 :: 8] = low16[1::2]
+    return out
 
 
 class ChainTrace:
@@ -122,16 +163,29 @@ class ChainTrace:
 
     Columns (aligned by index, named in :attr:`COLUMNS`): ``numbers``,
     ``timestamps``, ``difficulties``, ``miner_ids`` (indexes into
-    ``miner_labels``), ``tx_counts``, ``contract_tx_counts``.  Columns are
-    ``array('q')`` (packed int64, 48 bytes/block in all) so month-scale
-    traces — millions of blocks — stay tens of megabytes instead of
-    gigabytes of boxed integers.
+    ``miner_labels``), ``tx_counts``, ``contract_tx_counts``.  A trace
+    stores only what it cannot derive, so month-scale traces — millions
+    of blocks — stay tens of megabytes instead of gigabytes of boxed
+    integers:
 
-    A trace pickles each column as its raw native-order bytes plus the
-    writer's byte order, which the loader swaps if it differs.  At
-    protocol 5 a column goes out as a :class:`pickle.PickleBuffer` over
-    the array itself, so writing a trace to a file makes no copy of it;
-    older protocols fall back to ``tobytes()``.
+    * ``numbers`` is consecutive, so it is a read-only ``range`` from
+      :attr:`first_number`; :meth:`append` and :meth:`extend` refuse a
+      block that does not come next.
+    * ``timestamps`` and ``difficulties`` are ``array('q')``.
+    * the :attr:`NARROW` columns are ``array('H')``, 22 bytes/block in
+      all.  A value that does not fit (negative, or above 65535) widens
+      its column to ``array('q')``, so no configuration can overflow one.
+
+    The typecodes are storage only: :meth:`int64_slices` yields every
+    column as the native int64 bytes an all-``'q'`` trace would hold,
+    which is what :meth:`~repro.sim.engine.ForkSimResult.digest` hashes.
+
+    A trace pickles each stored column as its raw native-order bytes
+    plus its typecode and the writer's byte order, which the loader
+    swaps if it differs.  At protocol 5 a column goes out as a
+    :class:`pickle.PickleBuffer` over the array itself, so writing a
+    trace to a file makes no copy of it; older protocols fall back to
+    ``tobytes()``.
     """
 
     COLUMNS = (
@@ -142,31 +196,120 @@ class ChainTrace:
         "tx_counts",
         "contract_tx_counts",
     )
+    #: The columns held as arrays (all but the derived ``numbers``).
+    STORED = COLUMNS[1:]
+    #: The columns kept in two bytes while their values fit.
+    NARROW = ("miner_ids", "tx_counts", "contract_tx_counts")
 
     def __init__(self, chain: str) -> None:
         self.chain = chain
-        self.numbers = array("q")
+        #: Number of the first block (meaningless while the trace is
+        #: empty: the first block appended sets it).
+        self.first_number = 0
         self.timestamps = array("q")
         self.difficulties = array("q")
-        self.miner_ids = array("q")
-        self.tx_counts = array("q")
-        self.contract_tx_counts = array("q")
+        self.miner_ids = array("H")
+        self.tx_counts = array("H")
+        self.contract_tx_counts = array("H")
         self.miner_labels: List[str] = []
         self._label_index: Dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self.numbers)
+        return len(self.timestamps)
+
+    @property
+    def numbers(self) -> range:
+        return range(self.first_number, self.first_number + len(self.timestamps))
 
     def __reduce_ex__(self, protocol):
-        columns = [getattr(self, name) for name in self.COLUMNS]
+        columns = [getattr(self, name) for name in self.STORED]
         if protocol >= 5:
             payloads = tuple(pickle.PickleBuffer(column) for column in columns)
         else:
             payloads = tuple(column.tobytes() for column in columns)
         return (
             _rebuild_trace,
-            (self.chain, sys.byteorder, payloads, self.miner_labels),
+            (
+                self.chain,
+                sys.byteorder,
+                self.first_number,
+                "".join(column.typecode for column in columns),
+                payloads,
+                self.miner_labels,
+            ),
         )
+
+    def int64_slices(self, name: str) -> Iterator:
+        """Column ``name`` as native int64 bytes, in bounded slices.
+
+        A ``'q'`` column comes out whole and uncopied; a narrow column
+        and the derived ``numbers`` are widened :data:`_WIDEN_SLICE`
+        values at a time, never as one whole-trace copy.
+        """
+        if name == "numbers":
+            number = self.first_number
+            end = number + len(self)
+            ramp = _u16_ramp()
+            while number < end:
+                high, low = divmod(number, _WIDEN_SLICE)
+                stop = min(end, (high + 1) * _WIDEN_SLICE)
+                yield _int64_bytes(ramp[2 * low : 2 * (low + stop - number)], high)
+                number = stop
+            return
+        column = getattr(self, name)
+        if column.typecode == "q":
+            yield memoryview(column).cast("B")
+            return
+        for start in range(0, len(column), _WIDEN_SLICE):
+            yield _int64_bytes(column[start : start + _WIDEN_SLICE].tobytes())
+
+    def _check_next(self, number: int) -> None:
+        """Require block ``number`` to come next (any number may start
+        an empty trace)."""
+        if not self.timestamps:
+            self.first_number = number
+        elif number != self.first_number + len(self.timestamps):
+            raise ValueError(
+                f"{self.chain}: block {number} does not follow block "
+                f"{self.first_number + len(self.timestamps) - 1}"
+            )
+
+    def _widen(self, name: str) -> array:
+        """Replace narrow column ``name`` by an ``array('q')`` copy."""
+        column = array("q", getattr(self, name))
+        setattr(self, name, column)
+        return column
+
+    def _put(self, name: str, values: array) -> None:
+        """Append ``values`` (an array of any integer typecode) to stored
+        column ``name``, widening the column when they do not fit."""
+        column = getattr(self, name)
+        if column.typecode == values.typecode:
+            column.extend(values)
+            return
+        try:
+            # ``fromlist`` leaves the column unchanged when it raises.
+            column.fromlist(values.tolist())
+        except OverflowError:
+            self._widen(name).extend(values)
+
+    @classmethod
+    def from_columns(
+        cls, chain: str, columns: Dict[str, array], miner_labels: List[str]
+    ) -> "ChainTrace":
+        """A trace over one array per name in :attr:`COLUMNS`, of any
+        integer typecode: the narrow columns narrow where their values
+        fit, and ``numbers`` must be consecutive."""
+        trace = cls(chain)
+        for name in cls.STORED:
+            trace._put(name, columns[name])
+        numbers = columns["numbers"]
+        if numbers:
+            trace.first_number = numbers[0]
+        if numbers != array("q", trace.numbers):
+            raise ValueError(f"{chain}: block numbers are not consecutive")
+        trace.set_labels(miner_labels)
+        return trace
 
     def set_labels(self, miner_labels: List[str]) -> None:
         """Adopt ``miner_labels`` (not a copy) as the label table."""
@@ -179,8 +322,10 @@ class ChainTrace:
         """An independent copy (columns and label table), optionally
         under another chain name."""
         twin = ChainTrace(self.chain if chain is None else chain)
-        for name in self.COLUMNS:
-            setattr(twin, name, array("q", getattr(self, name)))
+        twin.first_number = self.first_number
+        for name in self.STORED:
+            column = getattr(self, name)
+            setattr(twin, name, array(column.typecode, column))
         twin.miner_labels = list(self.miner_labels)
         twin._label_index = dict(self._label_index)
         return twin
@@ -191,12 +336,15 @@ class ChainTrace:
         ``segment``'s label table must extend this one (a resumed trace
         keeps its predecessor's labels and appends new ones), so its
         miner ids carry over unchanged and its table replaces this one.
+        A column the segment holds wider than this trace widens here.
         """
         labels = segment.miner_labels
         if labels[: len(self.miner_labels)] != self.miner_labels:
             raise ValueError("segment label table does not extend this trace's")
-        for name in self.COLUMNS:
-            getattr(self, name).extend(getattr(segment, name))
+        if len(segment):
+            self._check_next(segment.first_number)
+        for name in self.STORED:
+            self._put(name, getattr(segment, name))
         self.set_labels(list(labels))
 
     def label_id(self, label: str) -> int:
@@ -216,12 +364,16 @@ class ChainTrace:
         tx_count: int = 0,
         contract_tx_count: int = 0,
     ) -> None:
-        self.numbers.append(number)
+        self._check_next(number)
         self.timestamps.append(timestamp)
         self.difficulties.append(difficulty)
-        self.miner_ids.append(self.label_id(miner))
-        self.tx_counts.append(tx_count)
-        self.contract_tx_counts.append(contract_tx_count)
+        for name, value in zip(
+            self.NARROW, (self.label_id(miner), tx_count, contract_tx_count)
+        ):
+            try:
+                getattr(self, name).append(value)
+            except OverflowError:
+                self._widen(name).append(value)
 
     def miner_of(self, index: int) -> str:
         return self.miner_labels[self.miner_ids[index]]
@@ -359,9 +511,10 @@ class BlockProducer:
         winning miner), proven by the differential tests in
         ``tests/test_perf_kernels.py``.  The speed comes from hoisting
         every attribute and method lookup out of the loop: the chain tip
-        lives in locals, the three always-present trace columns buffer
-        interleaved through one bound ``array.extend`` per block (de-
-        interleaved by stepped slices in the flush), the miner-label
+        lives in locals, the five per-block values (timestamp,
+        difficulty, miner id, tx and contract counts) buffer interleaved
+        through one bound ``array.extend`` per block (de-interleaved by
+        stepped slices in the flush), the miner-label
         intern table is a bound ``dict.get``, the Homestead difficulty
         rule is inlined as straight integer arithmetic, and the standard
         pool and transaction samplers run inline from the parameters
@@ -412,23 +565,21 @@ class BlockProducer:
         label_id = trace.label_id
         _round = round
         _bisect_right = bisect_right
-        # The three always-present columns (timestamp, difficulty, miner)
-        # buffer interleaved in ONE packed array: a single
-        # ``extend((ts, diff, mid))`` per block replaces three bound
-        # appends — one C call instead of three — and the flush
-        # de-interleaves with stepped slices (``buf[0::3]`` etc.), which
-        # is a same-typecode array copy, ~2 orders of magnitude cheaper
-        # than the per-block calls it absorbs.  Block numbers are
-        # consecutive, so they need no per-block append at all — a
-        # single ``extend(range(...))`` in the flush.  The flush runs in
-        # a ``finally`` so the columns stay aligned (complete blocks
-        # only) even if a sampler raises mid-batch — the buffer gains a
-        # block's triple only after every draw for that block succeeded,
+        # The five per-block values (timestamp, difficulty, miner id, tx
+        # and contract counts) buffer interleaved in ONE packed int64
+        # array: a single ``extend`` per block replaces five bound
+        # appends — one C call instead of five — and the flush
+        # de-interleaves with stepped slices (``buf[0::5]`` etc.), ~2
+        # orders of magnitude cheaper than the per-block calls they
+        # absorb.  Block numbers are consecutive, so the trace derives
+        # them and needs only the first.  The flush runs in a
+        # ``finally`` so the columns stay aligned (complete blocks only)
+        # even if a sampler raises mid-batch — the buffer gains a
+        # block's values only after every draw for that block succeeded,
         # matching the reference path's exception behavior.
+        trace._check_next(self.number + 1)
         buf = array("q")
         put = buf.extend
-        append_txs = trace.tx_counts.append
-        append_contract_txs = trace.contract_tx_counts.append
 
         # The standard pool sampler publishes its closure parameters so
         # the categorical draw can run inline: one ``random()`` plus a
@@ -462,7 +613,7 @@ class BlockProducer:
         # ``tx_parts``, so each block's transactions are drawn inline.
         rate_per_second, contract_p = tx_parts
 
-        number = start_number = self.number
+        number = self.number
         timestamp = self.timestamp
         difficulty = self.difficulty
         clock = self.clock
@@ -488,10 +639,10 @@ class BlockProducer:
         # A ``for`` over ``range`` replaces the per-iteration
         # ``produced < n`` compare and counter increment with a single C
         # iterator step; ``produced`` lands on the block count either way.
-        # The ``finally`` flush keeps the derived column (numbers) and the
-        # chain tip consistent with whatever full blocks were appended,
-        # even if a sampler raises mid-batch — the same partial-progress
-        # state the reference per-call loop leaves behind.
+        # The ``finally`` flush keeps the columns and the chain tip
+        # consistent with whatever full blocks were buffered, even if a
+        # sampler raises mid-batch — the same partial-progress state the
+        # reference per-call loop leaves behind.
         try:
             for produced in range(1, n + 1):
                 if clock >= end:
@@ -574,19 +725,16 @@ class BlockProducer:
                         if miner_id is None:
                             miner_id = label_id(miner)
                         pool_ids[slot] = miner_id
-                append_txs(tx_count)
-                append_contract_txs(contract_count)
-                put((new_timestamp, difficulty, miner_id))
+                put(
+                    (new_timestamp, difficulty, miner_id, tx_count, contract_count)
+                )
                 timestamp = clock = new_timestamp
         finally:
-            # De-interleave the per-block triples into their columns
-            # (same-typecode array extends), then derive the block
-            # numbers: they are consecutive, so one ``extend(range(...))``
-            # covers them.
-            trace.timestamps.extend(buf[0::3])
-            trace.difficulties.extend(buf[1::3])
-            trace.miner_ids.extend(buf[2::3])
-            trace.numbers.extend(range(start_number + 1, number + 1))
+            # De-interleave the per-block values into their columns: a
+            # same-typecode extend for the int64 ones, a narrowing
+            # ``fromlist`` for the two-byte ones (widening on overflow).
+            for offset, name in enumerate(trace.STORED):
+                trace._put(name, buf[offset::5])
             self.number = number
             self.timestamp = timestamp
             self.clock = clock

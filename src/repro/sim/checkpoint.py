@@ -18,7 +18,7 @@ everything the day loop carries across iterations:
 Everything else the loop consumes — price processes, hashpower supply,
 pool landscapes, transaction workloads — is a pure function of the
 config seed and is recomputed identically on resume, so the checkpoint
-stays small (the trace columns dominate: 48 bytes/block).
+stays small (the trace columns dominate: 22 bytes/block).
 
 Resuming means "the checkpoint's columns plus the new blocks".  A
 checkpoint whose ``first_day`` is 0 holds the whole prefix; resuming it
@@ -40,7 +40,8 @@ the checkpoint itself.
 In the result cache a checkpoint travels *as an object*: its traces
 pickle their columns copy-free (see :class:`~repro.sim.blockprod.
 ChainTrace`).  :meth:`ForkSimCheckpoint.to_dict` / ``from_dict`` are the
-JSON wire format (base64 columns) for anything outside that cache, and
+JSON wire format (every column as base64 int64, whatever width the trace
+stores it in) for anything outside that cache, and
 :meth:`ForkSimCheckpoint.digest` fingerprints that canonical form.
 Resuming copies the checkpoint's columns, so one checkpoint can seed
 any number of independent resumes; only a stitched checkpoint, whose
@@ -71,12 +72,14 @@ __all__ = [
 CHECKPOINT_VERSION = 2
 
 
-def _pack_column(column: array) -> str:
+def _pack_column(trace: ChainTrace, name: str) -> str:
     """Base64 of the column's int64 payload, normalized little-endian."""
+    column = array("q")
+    for chunk in trace.int64_slices(name):
+        column.frombytes(chunk)
     if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
-        column = array("q", column)
         column.byteswap()
-    return base64.b64encode(column.tobytes()).decode("ascii")
+    return base64.b64encode(column).decode("ascii")
 
 
 def _unpack_column(payload: str) -> array:
@@ -91,19 +94,21 @@ def _trace_to_dict(trace: ChainTrace) -> Dict[str, Any]:
     return {
         "chain": trace.chain,
         "columns": {
-            name: _pack_column(getattr(trace, name))
-            for name in ChainTrace.COLUMNS
+            name: _pack_column(trace, name) for name in ChainTrace.COLUMNS
         },
         "miner_labels": trace.miner_labels,
     }
 
 
 def _trace_from_dict(payload: Dict[str, Any]) -> ChainTrace:
-    trace = ChainTrace(payload["chain"])
-    for name in ChainTrace.COLUMNS:
-        setattr(trace, name, _unpack_column(payload["columns"][name]))
-    trace.set_labels(list(payload["miner_labels"]))
-    return trace
+    return ChainTrace.from_columns(
+        payload["chain"],
+        {
+            name: _unpack_column(column)
+            for name, column in payload["columns"].items()
+        },
+        list(payload["miner_labels"]),
+    )
 
 
 def _columnless(trace: ChainTrace) -> ChainTrace:

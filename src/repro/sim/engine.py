@@ -158,17 +158,20 @@ class ForkSimResult:
     def digest(self) -> str:
         """Bit-exact fingerprint of the simulated outcome.
 
-        Hashes every trace column, the miner label tables, the daily
-        hashrate allocation, and the price series — two runs with the
-        same config must produce the same digest whether they executed
-        in this process or a worker subprocess.  The harness's cache
-        correctness rests on this property.
+        Hashes every trace column (its int64 bytes, whatever width it
+        is stored in: see :meth:`ChainTrace.int64_slices`), the miner
+        label tables, the daily hashrate allocation, and the price
+        series — two runs with the same config must produce the same
+        digest whether they executed in this process or a worker
+        subprocess.  The harness's cache correctness rests on this
+        property.
         """
         hasher = hashlib.sha256()
         for trace in (self.eth_trace, self.etc_trace):
             hasher.update(trace.chain.encode("utf-8"))
             for name in ChainTrace.COLUMNS:
-                hasher.update(getattr(trace, name))
+                for chunk in trace.int64_slices(name):
+                    hasher.update(chunk)
             hasher.update("\x00".join(trace.miner_labels).encode("utf-8"))
         hasher.update(struct.pack("<qq", self.fork_timestamp, self.fork_number))
         for chain in sorted(self.daily_hashrate):
@@ -466,18 +469,19 @@ class ForkSimulation:
             checkpoint=checkpoint,
         )
         if self.obs is not None and self.obs.metrics is not None:
-            self._record_metrics(result)
+            self._record_metrics(result, stop - first_day)
         return result
 
-    def _record_metrics(self, result: ForkSimResult) -> None:
+    def _record_metrics(self, result: ForkSimResult, days: int) -> None:
         """Deterministic per-chain accounting for the run's registry.
 
-        Everything recorded here derives from the simulated traces
-        (virtual time and seeded RNG only), so same-seed runs dump
-        byte-identical registries.
+        ``days`` counts the post-fork days this run mined (fewer than
+        the horizon for a partial or resumed run).  Everything recorded
+        here derives from the simulated traces (virtual time and seeded
+        RNG only), so same-seed runs dump byte-identical registries.
         """
         metrics = self.obs.metrics
-        metrics.counter("forksim.days").inc(self.config.days)
+        metrics.counter("forksim.days").inc(days)
         for chain, trace in result.traces().items():
             key = chain.lower()
             # Block numbers are strictly increasing, so the post-fork

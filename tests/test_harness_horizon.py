@@ -11,6 +11,7 @@ run, and the final chunk publishes the full result under the plain
 import json
 import pickle
 from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -225,6 +226,74 @@ class TestChunkRunner:
         )
 
 
+class _RecordingCache(ResultCache):
+    """A :class:`ResultCache` that records every key it looks up."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.looked_up = []
+
+    def lookup(self, key):
+        self.looked_up.append(key)
+        return super().lookup(key)
+
+
+def _tip_key(config, upto, chunk_days):
+    spec = simulate_chunk_spec(config, upto, chunk_days)
+    return replace(spec, kind="simulate-chunk-tip").cache_key()
+
+
+class TestChunkTips:
+    def test_intermediate_chunk_loads_only_the_tip(self, tmp_path):
+        config = ForkSimConfig(days=DAYS, prefork_days=2, seed=7)
+        cache = _RecordingCache(tmp_path / "cache")
+        run_cached(simulate_chunk_spec(config, 2, 2), cache)
+        assert cache.contains(_tip_key(config, 2, 2))
+        cache.looked_up.clear()
+        run_job(simulate_chunk_spec(config, 4, 2), cache)
+        assert cache.looked_up == [_tip_key(config, 2, 2)]
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_damaged_tip_is_rebuilt_from_the_chunk(self, tmp_path, damage):
+        config = ForkSimConfig(days=DAYS, prefork_days=2, seed=7)
+        cache = ResultCache(tmp_path / "cache")
+        expected = run_cached(simulate_chunk_spec(config, 4, 2), cache)
+        tip_path = cache.path_for(_tip_key(config, 2, 2))
+        if damage == "missing":
+            tip_path.unlink()
+        else:
+            tip_path.write_bytes(b"not a pickle")
+        # The delta behind the tip is gone as well: run_cached recomputes it.
+        cache.path_for(simulate_chunk_spec(config, 2, 2).cache_key()).unlink()
+        again = run_job(simulate_chunk_spec(config, 4, 2), cache)
+        assert (again["digest"], again["blocks"]) == (
+            expected["digest"],
+            expected["blocks"],
+        )
+        assert again["checkpoint"].digest() == expected["checkpoint"].digest()
+        assert cache.contains(simulate_chunk_spec(config, 2, 2).cache_key())
+        assert cache.lookup(_tip_key(config, 2, 2))[0]
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_final_chunk_recomputes_a_damaged_delta(self, tmp_path, damage):
+        config = ForkSimConfig(days=DAYS, prefork_days=2, seed=7)
+        cache = ResultCache(tmp_path / "cache")
+        run_cached(simulate_chunk_spec(config, DAYS, 2), cache)
+        delta_path = cache.path_for(
+            simulate_chunk_spec(config, 2, 2).cache_key()
+        )
+        if damage == "missing":
+            delta_path.unlink()
+        else:
+            delta_path.write_bytes(b"not a pickle")
+        # The tip survives, but the stitch needs the columns themselves.
+        assert cache.contains(_tip_key(config, 2, 2))
+        final = run_job(simulate_chunk_spec(config, DAYS, 2), cache)
+        assert final["digest"] == run_fork_sim(config).digest()
+        hit, delta = cache.lookup(simulate_chunk_spec(config, 2, 2).cache_key())
+        assert hit and delta["checkpoint"].first_day == 0
+
+
 class TestHorizonChunkedRunAll:
     def test_artifacts_match_classic_run(self, tmp_path):
         classic = run_all(**_runall_kwargs(tmp_path / "a", "out")).manifest
@@ -269,9 +338,11 @@ class TestTracePickling:
         for chain, trace in loaded.traces().items():
             original = result.traces()[chain]
             assert trace.chain == original.chain
-            for name in ChainTrace.COLUMNS:
+            assert trace.numbers == original.numbers
+            for name in ChainTrace.STORED:
                 column = getattr(trace, name)
-                assert column.typecode == "q"
+                expected = "H" if name in ChainTrace.NARROW else "q"
+                assert column.typecode == expected
                 assert column == getattr(original, name)
             assert trace.miner_labels == original.miner_labels
             assert trace._label_index == original._label_index
@@ -282,14 +353,19 @@ class TestTracePickling:
     def test_foreign_byte_order_is_swapped_on_load(self):
         trace = ChainTrace("ETH")
         trace.append(1, 2, 3, "pool", 4, 5)
-        rebuild, (chain, byteorder, payloads, labels) = trace.__reduce_ex__(4)
+        trace.append(2, 3, 4, "pool", 70_000, 6)  # widens tx_counts
+        rebuild, args = trace.__reduce_ex__(4)
+        chain, byteorder, first_number, typecodes, payloads, labels = args
+        assert typecodes == "qqHqH"
         foreign = "big" if byteorder == "little" else "little"
         swapped = []
-        for payload in payloads:
-            column = array("q")
+        for typecode, payload in zip(typecodes, payloads):
+            column = array(typecode)
             column.frombytes(payload)
             column.byteswap()
             swapped.append(column.tobytes())
-        loaded = rebuild(chain, foreign, tuple(swapped), list(labels))
+        loaded = rebuild(
+            chain, foreign, first_number, typecodes, tuple(swapped), list(labels)
+        )
         for name in ChainTrace.COLUMNS:
             assert getattr(loaded, name) == getattr(trace, name)

@@ -67,7 +67,7 @@ def test_cache_store_makes_no_copy_of_the_columns(tmp_path):
     column_bytes = sum(
         getattr(trace, name).itemsize * len(trace)
         for trace in small.traces().values()
-        for name in ChainTrace.COLUMNS
+        for name in ChainTrace.STORED
     )
     cache = ResultCache(tmp_path / "cache")
     gc.collect()
@@ -90,4 +90,26 @@ def test_cache_store_makes_no_copy_of_the_columns(tmp_path):
     assert hit and loaded.digest() == small.digest()
     assert peak < 1.5 * column_bytes, (
         f"loading {column_bytes} column bytes peaked at {peak} bytes"
+    )
+
+
+def test_digest_widens_in_bounded_slices(result):
+    """``digest()`` hashes every column as int64 bytes, but widens the
+    narrow columns and the derived block numbers a slice at a time, so
+    it allocates a fraction of the trace, not a second copy of it."""
+    column_bytes = sum(
+        getattr(trace, name).itemsize * len(trace)
+        for trace in result.traces().values()
+        for name in ChainTrace.STORED
+    )
+    result.digest()  # build the cached uint16 ramp outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result.digest()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < column_bytes / 8, (
+        f"digest over {column_bytes} column bytes peaked at {peak} bytes"
     )

@@ -7,6 +7,8 @@ the simulation itself, and the disabled path must not perturb the
 trajectory (observing a run cannot change it).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults.schedule import ChurnBurst, FaultSchedule, LinkFault
@@ -25,7 +27,7 @@ from repro.scenarios.partition_event import (
     PartitionScenario,
     PartitionScenarioConfig,
 )
-from repro.sim.engine import ForkSimConfig, run_fork_sim
+from repro.sim.engine import ForkSimConfig, ForkSimulation, run_fork_sim
 
 
 def small_config():
@@ -112,6 +114,16 @@ class TestInProcessObsDeterminism:
         counters = a.metrics.dump()["counters"]
         assert counters["forksim.days"] == 4
         assert counters["forksim.eth.blocks"] > 0
+
+    def test_forksim_days_counts_the_days_this_run_mined(self):
+        config = ForkSimConfig(days=6, prefork_days=2, seed=11,
+                               with_transactions=False)
+        partial = Observability.enabled()
+        ForkSimulation(config, obs=partial).run(until_day=2)
+        assert partial.metrics.dump()["counters"]["forksim.days"] == 2
+        single = Observability.enabled()
+        run_fork_sim(replace(config, days=4), obs=single)
+        assert single.metrics.dump()["counters"]["forksim.days"] == 4
 
 
 class TestObsProbeJob:
